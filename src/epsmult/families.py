@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .cohomology import max_socle_degree
 from .errors import ParseError, PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal
+from .ideal_core import Monomial, MonomialIdeal, json_int
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
@@ -295,6 +295,10 @@ def growth_constants(spec: FamilySpec, n: int) -> GrowthReport:
 # JSON interchange for family specs.
 
 
+def _json_gens(rows) -> Gens:
+    return tuple(tuple(json_int(e) for e in g) for g in rows)
+
+
 def family_from_json(data) -> FamilySpec:
     """Build a FamilySpec from a dict / JSON string (see README for shapes)."""
     if isinstance(data, str):
@@ -307,39 +311,39 @@ def family_from_json(data) -> FamilySpec:
     rule_obj = data.get("rule", data)
     kind = rule_obj.get("type")
     d = data.get("d")
+    if d is not None and json_int(d) < 1:
+        raise ParseError(f"family dimension d must be positive, got {d}")
     try:
         if kind == "power":
-            gens = tuple(tuple(int(e) for e in g) for g in rule_obj["ideal"])
-            dim = d or (len(gens[0]) if gens else None)
+            gens = _json_gens(rule_obj["ideal"])
+            dim = d if d is not None else (len(gens[0]) if gens else None)
             if dim is None:
                 raise ParseError("power rule needs a non-empty ideal or explicit d")
             return FamilySpec(dim, PowerRule(gens))
         if kind == "counter":
             a = rule_obj["a"]
-            a = tuple(int(x) for x in a) if isinstance(a, list) else str(a)
+            a = tuple(json_int(x) for x in a) if isinstance(a, list) else str(a)
             return FamilySpec(2, CounterRule(a))
         if kind == "limit_recursive":
             return FamilySpec(2, LimitRecursiveRule())
         if kind == "hyperbola":
             return FamilySpec(2, HyperbolaRule(str(rule_obj["variant"])))
         if kind == "sqrt":
-            return FamilySpec(1, SqrtPrincipalRule(int(rule_obj["k"])))
+            return FamilySpec(1, SqrtPrincipalRule(json_int(rule_obj["k"])))
         if kind == "noetherian":
             seeds = tuple(sorted(
-                (int(deg), tuple(tuple(int(e) for e in g) for g in gens))
+                (int(deg), _json_gens(gens))
                 for deg, gens in rule_obj["seeds"].items()))
             if not seeds:
                 raise ParseError("noetherian rule needs at least one seed")
-            dim = d or len(seeds[0][1][0])
+            dim = d if d is not None else len(seeds[0][1][0])
             return FamilySpec(dim, NoetherianSeedsRule(seeds))
         if kind == "product_grid":
-            factors = tuple(tuple(tuple(int(e) for e in g) for g in gens)
-                            for gens in rule_obj["ideals"])
-            dim = d or len(factors[0][0])
+            factors = tuple(_json_gens(gens) for gens in rule_obj["ideals"])
+            dim = d if d is not None else len(factors[0][0])
             return FamilySpec(dim, ProductGridRule(factors))
         if kind == "table":
-            ideals = tuple(tuple(tuple(int(e) for e in g) for g in i)
-                           for i in rule_obj["ideals"])
+            ideals = tuple(_json_gens(i) for i in rule_obj["ideals"])
             dim = d
             if dim is None:
                 widths = {len(g) for i in ideals for g in i}

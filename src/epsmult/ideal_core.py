@@ -264,6 +264,13 @@ def _parse_term(term: str) -> dict[int, int]:
     return exps
 
 
+def json_int(value) -> int:
+    """value itself when it is an integer; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_ideal(text: str, d: Optional[int] = None) -> MonomialIdeal:
     """Parse an ideal from its textual or JSON form."""
     s = text.strip()
@@ -280,6 +287,7 @@ def parse_ideal(text: str, d: Optional[int] = None) -> MonomialIdeal:
             if d is None:
                 raise ParseError("zero ideal [] needs an explicit dimension")
             return MonomialIdeal.zero(d)
+        rows = [[json_int(e) for e in r] for r in rows]
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ParseError("exponent arrays have inconsistent lengths")

@@ -1,16 +1,19 @@
 """Newton polyhedra, analytic spread, and the volume route to epsilon.
 
 The Newton polyhedron NP(I) = conv(generators) + R_{>=0}^d is handled in
-exact rational arithmetic.  Facets are found as extreme rays of the dual
-cone of the homogenization cone spanned by (g, 1) and (e_i, 0): every
-extreme ray (nu, c') with nu != 0 gives the facet <nu, u> >= -c'.  Vertices
-come from brute-force d-subsets of facets with feasibility filtering, which
-is plenty at desk scale (d <= 4, tens of constraints).
+exact integer arithmetic (``_exactla.bareiss``).  Facets are found as
+extreme rays of the dual cone of the homogenization cone spanned by (g, 1)
+and (e_i, 0): every extreme ray (nu, c') with nu != 0 gives the facet
+<nu, u> >= -c'.  Every vertex of NP(I) is a minimal generator, so the
+vertices are the generators whose tight facet normals have rank d.
 
 epsilon is d! times the volume trapped between NP(I) and the relaxation
 that keeps only facets whose normal has a zero coordinate; that region is
 bounded because any point escaping a strictly positive facet <nu, u> >= c
-has all coordinates below c / min_i nu_i.
+has all coordinates below c / min_i nu_i.  Volumes of such bounded
+polyhedra come from their vertices, found by integer d x d solves in
+homogeneous coordinates, and from their vertex-facet incidences, which
+drive a pulling triangulation; no convex hull is ever recomputed.
 """
 
 from __future__ import annotations
@@ -18,20 +21,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, det, nullspace_vector, solve_unique
+from ._exactla import affine_rank, bareiss, int_det, int_null_vector, int_solve
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
-Facet = tuple[tuple[int, ...], int]  # (primitive normal, offset): <normal, u> >= offset
+Facet = tuple[tuple[int, ...], int]  # (normal, offset): <normal, u> >= offset
+Point = tuple[int, ...]  # homogeneous (x_1, ..., x_d, D), D > 0, gcd 1: the point x / D
 
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
     d: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
     facets: tuple[Facet, ...]
     facet_vertices: tuple[frozenset[int], ...]  # vertex indices per facet
     facet_rays: tuple[frozenset[int], ...]      # 1-based coordinate rays per facet
@@ -54,6 +58,14 @@ def _require_proper(ideal: MonomialIdeal) -> None:
         raise PreconditionError("the unit ideal has no Newton polyhedron here")
 
 
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(bareiss(rows)[1])
+
+
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """H- and V-representation of conv(generator exponents) + orthant."""
     _require_proper(ideal)
@@ -62,54 +74,33 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     rows += [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
     normals: set[tuple[int, ...]] = set()
     for combo in itertools.combinations(rows, d):
-        vec = nullspace_vector(combo)
+        vec = int_null_vector(combo)
         if vec is None:
             continue
-        if all(sum(r[i] * vec[i] for i in range(d + 1)) >= 0 for r in rows):
+        if all(_dot(r, vec) >= 0 for r in rows):
             cand = vec
         else:
-            flipped = tuple(-v for v in vec)
-            if all(sum(r[i] * flipped[i] for i in range(d + 1)) >= 0 for r in rows):
-                cand = flipped
-            else:
+            cand = tuple(-v for v in vec)
+            if not all(_dot(r, cand) >= 0 for r in rows):
                 continue
         if any(cand[:d]):
             normals.add(cand)
     facets: list[Facet] = sorted((tuple(v[:d]), -v[d]) for v in normals)
-    vertices = _enumerate_vertices(facets, d)
+    vertices = sorted(g for g in ideal.gens
+                      if _rank([nu for nu, c in facets if _dot(nu, g) == c]) == d)
     if not vertices:
         raise PreconditionError("no vertex found; Newton polyhedron degenerate")
     facet_vertices = []
     facet_rays = []
     for nu, c in facets:
-        active = frozenset(i for i, v in enumerate(vertices)
-                           if sum(Fraction(n) * x for n, x in zip(nu, v)) == c)
+        active = frozenset(i for i, v in enumerate(vertices) if _dot(nu, v) == c)
         rays = frozenset(i + 1 for i in range(d) if nu[i] == 0)
         if len(active) + len(rays) < d:
             raise PreconditionError("facet supported by fewer than d vertices and rays")
         facet_vertices.append(active)
         facet_rays.append(rays)
-    np_ = NewtonPolyhedron(d, tuple(vertices), tuple(facets),
-                           tuple(facet_vertices), tuple(facet_rays))
-    for i in range(len(np_.vertices)):
-        if sum(1 for act in facet_vertices if i in act) < d:
-            raise PreconditionError("vertex active on fewer than d facets")
-    return np_
-
-
-def _enumerate_vertices(constraints: Sequence[Facet], d: int) -> list[tuple[Fraction, ...]]:
-    """Brute-force vertex enumeration with exact solves and feasibility filter."""
-    found: set[tuple[Fraction, ...]] = set()
-    for combo in itertools.combinations(constraints, d):
-        sol = solve_unique([nu for nu, _ in combo], [c for _, c in combo])
-        if sol is None:
-            continue
-        pt = tuple(sol)
-        if pt in found:
-            continue
-        if all(sum(Fraction(n) * x for n, x in zip(nu, pt)) >= c for nu, c in constraints):
-            found.add(pt)
-    return sorted(found)
+    return NewtonPolyhedron(d, tuple(vertices), tuple(facets),
+                            tuple(facet_vertices), tuple(facet_rays))
 
 
 # ---------------------------------------------------------------------------
@@ -145,116 +136,76 @@ def analytic_spread(ideal: MonomialIdeal) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact polytope volume: vertices -> fixed-base triangulation -> determinants.
+# Exact polytope volume: vertices and incidences -> pulling triangulation.
 
 
-def _project_coords(points: list[tuple[Fraction, ...]], k: int) -> list[int]:
-    """Coordinate subset of size k on which the point set stays k-dimensional."""
-    base = points[0]
-    chosen: list[int] = []
-    for c in range(len(base)):
-        trial = chosen + [c]
-        proj = [tuple(p[i] for i in trial) for p in points]
-        if affine_rank(proj) == len(trial):
-            chosen = trial
-            if len(chosen) == k:
-                return chosen
-    raise PreconditionError("point set thinner than requested dimension")
-
-
-def _polygon_fan(points: list[tuple[Fraction, ...]]) -> list[tuple[int, ...]]:
-    """Fan triangulation of points in convex position spanning a 2-flat."""
-    coords = _project_coords(points, 2)
-    flat = [(p[coords[0]], p[coords[1]]) for p in points]
-    n = len(flat)
-    cx = sum(p[0] for p in flat) / n
-    cy = sum(p[1] for p in flat) / n
-
-    def half(i):
-        dx, dy = flat[i][0] - cx, flat[i][1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cross(i, j):
-        ax, ay = flat[i][0] - cx, flat[i][1] - cy
-        bx, by = flat[j][0] - cx, flat[j][1] - cy
-        return ax * by - ay * bx
-
-    order = sorted(range(n), key=lambda i: (half(i),))
-    # insertion sort within halves by exact cross product (counterclockwise)
-    ordered: list[int] = []
-    for i in order:
-        pos = len(ordered)
-        while pos > 0 and half(ordered[pos - 1]) == half(i) and cross(ordered[pos - 1], i) < 0:
-            pos -= 1
-        ordered.insert(pos, i)
-    return [(ordered[0], ordered[i], ordered[i + 1]) for i in range(1, n - 1)]
-
-
-def _hull_facets_full(points: list[tuple[Fraction, ...]], k: int):
-    """Facets of conv(points) for a full-dimensional point set in R^k."""
-    facets: dict[tuple, set[int]] = {}
-    n = len(points)
-    for combo in itertools.combinations(range(n), k):
-        diffs = [[points[c][i] - points[combo[0]][i] for i in range(k)] for c in combo[1:]]
-        normal = nullspace_vector(diffs) if k > 1 else (1,)
-        if normal is None:
+def _vertices(constraints: Sequence[Facet], d: int) -> tuple[list[Point], list[frozenset[int]]]:
+    """Vertices of {u : <nu, u> >= c}, sorted lexicographically, and the
+    vertex set of each constraint."""
+    rows = [tuple(nu) + (-c,) for nu, c in constraints]  # <row, (u, 1)> >= 0
+    seen: set[Point] = set()
+    found: list[Point] = []
+    for combo in itertools.combinations(rows, d):
+        sol = int_solve([r[:d] for r in combo], [-r[d] for r in combo])
+        if sol is None:
             continue
-        c0 = sum(Fraction(normal[i]) * points[combo[0]][i] for i in range(k))
-        vals = [sum(Fraction(normal[i]) * p[i] for i in range(k)) for p in points]
-        if all(v <= c0 for v in vals):
-            key = (normal, c0)
-        elif all(v >= c0 for v in vals):
-            key = (tuple(-x for x in normal), -c0)
-        else:
+        nums, den = sol
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        pt = tuple(x // g for x in nums) + (den // g,)
+        if pt in seen:
             continue
-        facets.setdefault(key, set()).update(
-            i for i, v in enumerate(vals) if v == c0)
-    dedup: dict[frozenset[int], tuple] = {}
-    for key, idx in facets.items():
-        dedup[frozenset(idx)] = key
-    return [(key, sorted(idx)) for idx, key in dedup.items()]
+        seen.add(pt)
+        if all(_dot(r, pt) >= 0 for r in rows):
+            found.append(pt)
+    found.sort(key=lambda p: [Fraction(x, p[-1]) for x in p[:-1]])
+    tight = [frozenset(i for i, p in enumerate(found) if _dot(r, p) == 0) for r in rows]
+    return found, tight
 
 
-def triangulate_points(points: list[tuple[Fraction, ...]]) -> list[tuple[int, ...]]:
-    """Simplices (index tuples) triangulating conv(points).
+def triangulate_points(points: Sequence[Point],
+                       facet_sets: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Simplices (index tuples) triangulating the polytope conv(points).
 
-    The decomposition fans out from the lexicographically least vertex and
-    recurses through facet triangulations, so it is deterministic.
+    points are the polytope's vertices in homogeneous integer coordinates,
+    sorted lexicographically; facet_sets hold the vertex indices of each
+    facet (sets of lower faces, or empty ones, may be mixed in).  Pulling
+    triangulation: a k-face F is coned from its least vertex over its
+    (k-1)-faces that miss that vertex, and those are the distinct sets
+    F & G, G in facet_sets, of affine rank k - 1.
     """
-    k = affine_rank(points)
-    if k <= 0:
-        return []
-    idx_sorted = sorted(range(len(points)), key=lambda i: points[i])
-    if k == 1:
-        lo, hi = idx_sorted[0], idx_sorted[-1]
-        return [(lo, hi)]
-    if len(points) == k + 1:
-        return [tuple(range(len(points)))]
-    if k == 2:
-        return _polygon_fan(points)
-    coords = _project_coords(points, k)
-    proj = [tuple(p[i] for i in coords) for p in points]
-    base = idx_sorted[0]
-    simplices: list[tuple[int, ...]] = []
-    for (normal, c0), facet_idx in _hull_facets_full(proj, k):
-        if base in facet_idx:
-            continue
-        sub_points = [points[i] for i in facet_idx]
-        for sub in triangulate_points(sub_points):
-            simplices.append((base,) + tuple(facet_idx[j] for j in sub))
-    return simplices
+    ranks: dict[frozenset[int], int] = {}
+
+    def dim(face: frozenset[int]) -> int:
+        if face not in ranks:
+            ranks[face] = _rank([points[i] for i in face]) - 1
+        return ranks[face]
+
+    def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
+        if len(face) == k + 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+        out: list[tuple[int, ...]] = []
+        for sub in dict.fromkeys(face & g for g in facet_sets):
+            if apex not in sub and len(sub) >= k and dim(sub) == k - 1:
+                out += [(apex,) + s for s in pull(sub, k - 1)]
+        return out
+
+    full = frozenset(range(len(points)))
+    k = dim(full)
+    return pull(full, k) if k > 0 else []
 
 
 def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
-    """Exact volume of the (bounded) polyhedron cut out by the constraints."""
-    vertices = _enumerate_vertices(constraints, d)
-    if len(vertices) < d + 1 or affine_rank(vertices) < d:
+    """Exact volume of the (bounded) polyhedron cut out by integer constraints."""
+    vertices, tight = _vertices(constraints, d)
+    if len(vertices) < d + 1 or _rank(vertices) < d + 1:
         return Fraction(0)
     total = Fraction(0)
-    for simplex in triangulate_points(list(vertices)):
-        base = vertices[simplex[0]]
-        rows = [[vertices[i][c] - base[c] for c in range(d)] for i in simplex[1:]]
-        total += abs(det(rows))
+    for simplex in triangulate_points(vertices, tight):
+        rows = [vertices[i] for i in simplex]
+        total += Fraction(abs(int_det(rows)), prod(r[-1] for r in rows))
     return total / factorial(d)
 
 
@@ -271,11 +222,11 @@ def out_region(ideal: MonomialIdeal) -> OutRegionReport:
     if not strict:
         return OutRegionReport(Fraction(0), Fraction(0), None)
     m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
-    box: list[Facet] = []
+    box: list[Facet] = []  # 0 <= u_i <= m_bound, scaled to integer rows
     for i in range(d):
         e = tuple(1 if j == i else 0 for j in range(d))
         box.append((e, 0))
-        box.append((tuple(-x for x in e), -m_bound))
+        box.append((tuple(-m_bound.denominator * x for x in e), -m_bound.numerator))
     vol_q = volume_from_constraints(loose + box, d)
     vol_np = volume_from_constraints(list(np_.facets) + box, d)
     volume = vol_q - vol_np

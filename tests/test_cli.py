@@ -33,6 +33,18 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["h0"]) == 1
 
+    @pytest.mark.parametrize("ideal", ["[[1.5,2],[2,0]]", "[[true,2],[2,0]]", '[["1",2]]'])
+    def test_non_integer_json_exponent_is_1(self, capsys, ideal):
+        assert main(["h0", "--ideal", ideal]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_non_integer_family_exponent_is_1(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 0
+        spec.write_text(json.dumps({"d": 2, "rule": {"type": "power", "ideal": [[1.7, 2]]}}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 1
+
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
 

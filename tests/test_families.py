@@ -206,6 +206,22 @@ class TestJson:
         with pytest.raises(ParseError):
             family_from_json("not json {")
 
+    @pytest.mark.parametrize("spec", [
+        {"d": 0, "rule": {"type": "power", "ideal": [[1, 2]]}},
+        {"d": 2.0, "rule": {"type": "power", "ideal": [[1, 2]]}},
+        {"d": 0, "rule": {"type": "power", "ideal": [[1.7, 2]]}},
+        {"rule": {"type": "power", "ideal": [[1.7, 2]]}},
+        {"rule": {"type": "power", "ideal": [[True, 2]]}},
+        {"rule": {"type": "counter", "a": [1, 4.0]}},
+        {"rule": {"type": "sqrt", "k": 2.5}},
+        {"rule": {"type": "noetherian", "seeds": {"1": [[1, 0.5]]}}},
+        {"rule": {"type": "product_grid", "ideals": [[[1, 0]], [[0, False]]]}},
+        {"rule": {"type": "table", "ideals": [[[1.0]]]}},
+    ])
+    def test_non_integer_or_zero_entries_rejected(self, spec):
+        with pytest.raises(ParseError):
+            family_from_json(spec)
+
 
 def test_length_of_zero_index_rejected_downstream():
     from epsmult.asymptotics import length_table

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import (analytic_spread, newton_polyhedron, out_region,
                                volume_from_constraints)
+from epsmult.repro import fit_epsilon
 
 from conftest import random_proper_ideal
 
@@ -144,3 +146,44 @@ class TestVolumes:
     def test_degenerate_is_zero(self):
         cons = [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)]
         assert volume_from_constraints(cons, 2) == 0
+
+
+class TestFourVariables:
+    @pytest.mark.parametrize("gens, epsilon", [
+        # epsilon 8/3 agrees with the powers' lengths: in each residue class
+        # mod 3 the fourth differences of l(H^0(R/I^n)), n <= 16, are all
+        # 216 = 4! * (1/9) * 3^4.
+        ([(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0)], Fraction(8, 3)),
+        # the value the brute-force hull route found, in about 48 s
+        ([(0, 2, 3, 0), (0, 4, 0, 3), (1, 4, 2, 0), (4, 0, 2, 2)], Fraction(15, 2)),
+    ])
+    def test_former_minute_long_cases(self, gens, epsilon):
+        t0 = time.perf_counter()
+        I = ideal(4, *gens)
+        assert out_region(I).epsilon == epsilon
+        assert analytic_spread(I) == 4
+        assert time.perf_counter() - t0 < 10
+
+    @pytest.mark.parametrize("gens, epsilon", [
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1),
+        ([(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 2),
+        ([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2)], 1),
+        ([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)], 0),
+    ])
+    def test_volume_equals_fit(self, gens, epsilon):
+        I = ideal(4, *gens)
+        fitted, quasi = fit_epsilon(I, n_max=12, start=5)
+        assert quasi.period == 1
+        assert out_region(I).epsilon == fitted == epsilon
+
+    def test_permutation_invariance_and_positivity(self, rng):
+        # a permutation moves the lexicographically least vertex, so the two
+        # runs pull different triangulations of the same region
+        for _ in range(45):
+            d = rng.choice((2, 3, 4))
+            I = random_proper_ideal(rng, d, 3, 4)
+            perm = rng.sample(range(d), d)
+            J = ideal(d, *(tuple(g[p] for p in perm) for g in I.gens))
+            eps, spread = out_region(I).epsilon, analytic_spread(I)
+            assert (out_region(J).epsilon, analytic_spread(J)) == (eps, spread)
+            assert (eps > 0) == (spread == d)
