@@ -28,7 +28,7 @@ from ._exactla import affine_rank, bareiss, int_det, int_null_vector, int_solve
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
-Facet = tuple[tuple[int, ...], int]  # (normal, offset): <normal, u> >= offset
+Facet = tuple[tuple[int, ...], int]  # (primitive normal, offset): <normal, u> >= offset
 Point = tuple[int, ...]  # homogeneous (x_1, ..., x_d, D), D > 0, gcd 1: the point x / D
 
 
@@ -142,7 +142,10 @@ def analytic_spread(ideal: MonomialIdeal) -> int:
 def _vertices(constraints: Sequence[Facet], d: int) -> tuple[list[Point], list[frozenset[int]]]:
     """Vertices of {u : <nu, u> >= c}, sorted lexicographically, and the
     vertex set of each constraint."""
-    rows = [tuple(nu) + (-c,) for nu, c in constraints]  # <row, (u, 1)> >= 0
+    rows = []  # integer rows r with <r, (u, 1)> >= 0; a rational offset is scaled out
+    for nu, c in constraints:
+        c = Fraction(c)
+        rows.append(tuple(c.denominator * x for x in nu) + (-c.numerator,))
     seen: set[Point] = set()
     found: list[Point] = []
     for combo in itertools.combinations(rows, d):
@@ -198,9 +201,9 @@ def triangulate_points(points: Sequence[Point],
 
 
 def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
-    """Exact volume of the (bounded) polyhedron cut out by integer constraints."""
+    """Exact volume of the (bounded) polyhedron cut out by the constraints."""
     vertices, tight = _vertices(constraints, d)
-    if len(vertices) < d + 1 or _rank(vertices) < d + 1:
+    if _rank(vertices) < d + 1:
         return Fraction(0)
     total = Fraction(0)
     for simplex in triangulate_points(vertices, tight):
@@ -222,11 +225,11 @@ def out_region(ideal: MonomialIdeal) -> OutRegionReport:
     if not strict:
         return OutRegionReport(Fraction(0), Fraction(0), None)
     m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
-    box: list[Facet] = []  # 0 <= u_i <= m_bound, scaled to integer rows
+    box: list[Facet] = []
     for i in range(d):
         e = tuple(1 if j == i else 0 for j in range(d))
         box.append((e, 0))
-        box.append((tuple(-m_bound.denominator * x for x in e), -m_bound.numerator))
+        box.append((tuple(-x for x in e), -m_bound))
     vol_q = volume_from_constraints(loose + box, d)
     vol_np = volume_from_constraints(list(np_.facets) + box, d)
     volume = vol_q - vol_np

@@ -143,6 +143,12 @@ class TestVolumes:
             cons.append((tuple(-x for x in e), -2))
         assert volume_from_constraints(cons, 3) == 8
 
+    def test_rational_offsets(self):
+        cons = [((1, 0), 0), ((-1, 0), Fraction(-3, 2)), ((0, 1), 0), ((0, -1), Fraction(-2, 3))]
+        assert volume_from_constraints(cons, 2) == 1
+        cons = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), Fraction(-1, 2))]
+        assert volume_from_constraints(cons, 3) == Fraction(1, 48)
+
     def test_degenerate_is_zero(self):
         cons = [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)]
         assert volume_from_constraints(cons, 2) == 0
