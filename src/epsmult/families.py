@@ -309,6 +309,8 @@ def family_from_json(data) -> FamilySpec:
     if not isinstance(data, dict):
         raise ParseError("family spec must be a JSON object")
     rule_obj = data.get("rule", data)
+    if not isinstance(rule_obj, dict):
+        raise ParseError("family rule must be a JSON object")
     kind = rule_obj.get("type")
     d = data.get("d")
     if d is not None and json_int(d) < 1:

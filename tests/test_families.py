@@ -217,8 +217,9 @@ class TestJson:
         {"rule": {"type": "noetherian", "seeds": {"1": [[1, 0.5]]}}},
         {"rule": {"type": "product_grid", "ideals": [[[1, 0]], [[0, False]]]}},
         {"rule": {"type": "table", "ideals": [[[1.0]]]}},
+        {"rule": 5},
     ])
-    def test_non_integer_or_zero_entries_rejected(self, spec):
+    def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ParseError):
             family_from_json(spec)
 
