@@ -1,98 +1,21 @@
-"""Small dense exact linear algebra.
+"""Small dense exact linear algebra on one routine.
 
-Two kinds of routine live here, sized for desk-scale systems (d <= 4 facet
-solves, boundary matrices of complexes on at most four vertices,
-interpolation systems with a handful of unknowns):
-
-* ``bareiss``: fraction-free Gauss-Jordan elimination of an integer matrix.
-  Every intermediate entry is a minor of the input, so all divisions are
-  exact and nothing leaves the integers.  ``int_det``, ``int_solve`` and
-  ``int_null_vector`` read the determinant, a square solve and a primitive
-  null vector off its result; the polytope code runs on these.
-* ``rank``, ``solve_least_determined`` and ``affine_rank``: Gaussian
-  elimination over ``Fraction``, for the rational interpolation systems of
-  the quasi-polynomial fit and for boundary ranks.
+``bareiss`` is fraction-free Gauss-Jordan elimination of an integer matrix.
+Every intermediate entry is a minor of the input, so all divisions are exact
+and nothing leaves the integers.  The other routines read their answers off
+its result: ``rank`` and ``affine_rank`` (boundary ranks, face dimensions,
+analytic spread), ``int_det``, ``int_solve`` (a square solve as numerators
+over one denominator) and ``int_null_vector`` (facet normals).  The
+quasi-polynomial fit eliminates its augmented interpolation systems with it
+directly.  Sizes are desk-scale: d <= 4 facet solves, boundary matrices of
+complexes on at most four vertices, interpolation systems with a few dozen
+unknowns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
-
-
-def _frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q by Gaussian elimination."""
-    m = _frac_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def solve_least_determined(rows: Sequence[Sequence], rhs: Sequence):
-    """Solve a (possibly overdetermined) consistent system with full column rank.
-
-    Returns (solution, ok).  ok is False when the rows are rank-deficient in
-    the unknowns or mutually inconsistent.
-    """
-    if not rows:
-        return None, False
-    ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [a / inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    if len(pivots) < ncols:
-        return None, False
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None, False
-    sol = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        sol[col] = m[row_idx][ncols]
-    return sol, True
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, base)] for p in points[1:]]
-    return rank(diffs)
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -127,6 +50,19 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
         prev = piv
         pivots.append(col)
     return m, pivots, sign
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(bareiss(rows)[1])
+
+
+def affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of an integer point set (-1 for the empty set)."""
+    if not points:
+        return -1
+    base = points[0]
+    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

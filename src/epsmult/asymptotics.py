@@ -4,6 +4,10 @@ Fitting is exact rational interpolation, never least squares: eventual
 quasi-polynomiality is a theorem for Noetherian monomial families, so any
 residual means the window is wrong, and the fitter says so instead of
 approximating.  The period search ascends and accepts the first exact fit.
+For each residue class the interpolation system is the integer matrix of
+rows [n^e for e in the monomial basis | length at n]; one fraction-free
+elimination (``_exactla.bareiss``) of it tells full column rank, consistency
+and the coefficients, which are the last column over the shared pivot.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import product as iter_product
 from math import factorial
 from typing import Optional, Sequence
 
-from ._exactla import rank, solve_least_determined
+from ._exactla import bareiss
 from .cohomology import h0_length
 from .errors import (InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
@@ -102,10 +106,7 @@ class QuasiPolynomial:
         for e in _monomial_basis(self.arity, self.degree):
             c = self.coeffs.get((res, e), Fraction(0))
             if c:
-                term = c
-                for n, p in zip(i, e):
-                    term *= Fraction(n) ** p
-                total += term
+                total += c * math.prod(n ** p for n, p in zip(i, e))
         return total
 
     def top_form(self) -> dict[Index, dict[Index, Fraction]]:
@@ -123,8 +124,10 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
 
     The last ``holdout`` window entries are excluded from interpolation and
     must be reproduced exactly; ``start`` drops indices with any coordinate
-    below it before fitting.
+    below it before fitting.  Entries must be Python ints (lengths).
     """
+    if any(type(v) is not int for v in table.entries.values()):
+        raise PreconditionError("length table entries must be integers")
     r = table.arity
     window = table.indices()
     if start is not None:
@@ -135,9 +138,9 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
     hold_idx = window[len(window) - holdout:] if holdout else []
     basis = _monomial_basis(r, degree)
     k = len(basis)
-
-    def row(idx: Index) -> list[Fraction]:
-        return [math.prod(Fraction(n) ** p for n, p in zip(idx, e)) for e in basis]
+    # interpolation row of each index, augmented by its length: [n^e ... | l_n]
+    augmented = {i: [math.prod(n ** p for n, p in zip(i, e)) for e in basis] + [table.entries[i]]
+                 for i in fit_idx}
 
     best: tuple[int, int, Optional[Index]] = (-1, 1 << 60, None)
     tried_any = False
@@ -155,19 +158,27 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
             continue
         if any(full.get(res, 0) < k + 1 for res in classes):
             continue
-        if any(rank([row(i) for i in pts]) < k for pts in classes.values()):
-            continue
+        # one elimination per class: k pivots in the first k columns mean full
+        # column rank, a further pivot (in the length column) inconsistency,
+        # and otherwise the solution is column k over the shared pivot
+        solutions: dict[Index, Optional[list[Fraction]]] = {}
+        for res, pts in sorted(classes.items()):
+            m, pivots, _ = bareiss([augmented[i] for i in pts])
+            if pivots[:k] != list(range(k)):
+                break
+            solutions[res] = (None if len(pivots) > k else
+                              [Fraction(m[j][k], m[k - 1][k - 1]) for j in range(k)])
+        if len(solutions) < len(classes):
+            continue  # a rank-deficient class: the period cannot be decided
         tried_any = True
         coeffs: dict[tuple[Index, Index], Fraction] = {}
         fails = 0
         first_fail: Optional[Index] = None
-        for res, pts in sorted(classes.items()):
-            sol, ok = solve_least_determined([row(i) for i in pts],
-                                             [table.entries[i] for i in pts])
-            if not ok:
+        for res, sol in solutions.items():
+            if sol is None:
                 fails += 1
                 if first_fail is None:
-                    first_fail = pts[0]
+                    first_fail = classes[res][0]
                 continue
             for e, c in zip(basis, sol):
                 coeffs[(res, e)] = c

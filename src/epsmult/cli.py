@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import signal
 import sys
 from contextlib import contextmanager
@@ -191,7 +192,7 @@ def cmd_epsilon(args):
         eps_fit, quasi = fit_epsilon(ideal, n_max=args.nmax, start=start,
                                      period_max=args.period_max, holdout=args.holdout)
         payload["epsilon_fit"] = rat(eps_fit)
-        payload["raw_limit"] = rat(eps_fit / _factorial(ideal.d))
+        payload["raw_limit"] = rat(eps_fit / math.factorial(ideal.d))
         payload["fit_period"] = quasi.period
         payload["epsilon"] = rat(eps_fit)
     if args.method in ("volume", "both"):
@@ -205,13 +206,6 @@ def cmd_epsilon(args):
         if not agree:
             code = 3
     return payload, code
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def cmd_mixed(args):

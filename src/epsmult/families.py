@@ -299,6 +299,15 @@ def _json_gens(rows) -> Gens:
     return tuple(tuple(json_int(e) for e in g) for g in rows)
 
 
+def _checked_dim(dim: int, *gen_sets: Gens) -> int:
+    """dim, once every generator of every set is seen to have dim exponents."""
+    for gens in gen_sets:
+        for g in gens:
+            if len(g) != dim:
+                raise ParseError(f"generator {list(g)} does not have d = {dim} exponents")
+    return dim
+
+
 def family_from_json(data) -> FamilySpec:
     """Build a FamilySpec from a dict / JSON string (see README for shapes)."""
     if isinstance(data, str):
@@ -321,7 +330,7 @@ def family_from_json(data) -> FamilySpec:
             dim = d if d is not None else (len(gens[0]) if gens else None)
             if dim is None:
                 raise ParseError("power rule needs a non-empty ideal or explicit d")
-            return FamilySpec(dim, PowerRule(gens))
+            return FamilySpec(_checked_dim(dim, gens), PowerRule(gens))
         if kind == "counter":
             a = rule_obj["a"]
             a = tuple(json_int(x) for x in a) if isinstance(a, list) else str(a)
@@ -339,11 +348,12 @@ def family_from_json(data) -> FamilySpec:
             if not seeds:
                 raise ParseError("noetherian rule needs at least one seed")
             dim = d if d is not None else len(seeds[0][1][0])
-            return FamilySpec(dim, NoetherianSeedsRule(seeds))
+            return FamilySpec(_checked_dim(dim, *(gens for _, gens in seeds)),
+                              NoetherianSeedsRule(seeds))
         if kind == "product_grid":
             factors = tuple(_json_gens(gens) for gens in rule_obj["ideals"])
             dim = d if d is not None else len(factors[0][0])
-            return FamilySpec(dim, ProductGridRule(factors))
+            return FamilySpec(_checked_dim(dim, *factors), ProductGridRule(factors))
         if kind == "table":
             ideals = tuple(_json_gens(i) for i in rule_obj["ideals"])
             dim = d
@@ -352,8 +362,8 @@ def family_from_json(data) -> FamilySpec:
                 if len(widths) != 1:
                     raise ParseError("table rule needs an explicit d")
                 dim = widths.pop()
-            return FamilySpec(dim, TableRule(ideals))
-    except (KeyError, TypeError, ValueError) as exc:
+            return FamilySpec(_checked_dim(dim, *ideals), TableRule(ideals))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed family spec: {exc}") from exc
     raise ParseError(f"unknown family rule type {kind!r}")
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, bareiss, int_det, int_null_vector, int_solve
+from ._exactla import affine_rank, int_det, int_null_vector, int_solve, rank
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
@@ -62,10 +62,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(bareiss(rows)[1])
-
-
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """H- and V-representation of conv(generator exponents) + orthant."""
     _require_proper(ideal)
@@ -87,7 +83,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
             normals.add(cand)
     facets: list[Facet] = sorted((tuple(v[:d]), -v[d]) for v in normals)
     vertices = sorted(g for g in ideal.gens
-                      if _rank([nu for nu, c in facets if _dot(nu, g) == c]) == d)
+                      if rank([nu for nu, c in facets if _dot(nu, g) == c]) == d)
     if not vertices:
         raise PreconditionError("no vertex found; Newton polyhedron degenerate")
     facet_vertices = []
@@ -182,7 +178,7 @@ def triangulate_points(points: Sequence[Point],
 
     def dim(face: frozenset[int]) -> int:
         if face not in ranks:
-            ranks[face] = _rank([points[i] for i in face]) - 1
+            ranks[face] = rank([points[i] for i in face]) - 1
         return ranks[face]
 
     def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
@@ -203,7 +199,7 @@ def triangulate_points(points: Sequence[Point],
 def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
     """Exact volume of the (bounded) polyhedron cut out by the constraints."""
     vertices, tight = _vertices(constraints, d)
-    if _rank(vertices) < d + 1:
+    if rank(vertices) < d + 1:
         return Fraction(0)
     total = Fraction(0)
     for simplex in triangulate_points(vertices, tight):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .asymptotics import extract_epsilons, fit_quasi_polynomial, length_table
 from .cohomology import h0_length, h0_length_takayama
 from .families import (CounterRule, FamilySpec, HyperbolaRule, LimitRecursiveRule,
-                       SqrtPrincipalRule, eval_family, power_family,
+                       SqrtPrincipalRule, _ceil_div, eval_family, power_family,
                        product_grid_family)
 from .ideal_core import MonomialIdeal
 from .polyhedra import analytic_spread, out_region
@@ -38,10 +38,6 @@ def random_ideal(rng: random.Random, d: int, max_exp: int, max_gens: int) -> Mon
                 gens.append(g)
         if gens:
             return MonomialIdeal.from_gens(d, gens)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # ---------------------------------------------------------------------------

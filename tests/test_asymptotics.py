@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,66 @@ class TestFit:
         top3 = {e: v for (res, e), v in q3.coeffs.items() if sum(e) == 2}
         top4 = {e: v for (res, e), v in q4.coeffs.items() if sum(e) == 2}
         assert top3 == top4
+
+    @pytest.mark.parametrize("convert", [Fraction, float, bool])
+    def test_non_integer_entries_rejected(self, convert):
+        entries = {(n,): n * n for n in range(1, 13)}
+        entries[(1,)] = convert(1)  # equal to the true length 1, but not an int
+        with pytest.raises(PreconditionError):
+            fit_quasi_polynomial(LengthTable(1, entries, "test", ()), degree=2)
+
+    def test_tall_arity_three_matches_fraction_solve(self):
+        def fn(a, b, c):
+            return a * b + 2 * c * c + (a % 2) * b + 3 * ((b + c) % 2) - (c % 2) * a
+        entries = {(a, b, c): fn(a, b, c)
+                   for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)}
+        t = LengthTable(3, entries, "test", ())
+        q = fit_quasi_polynomial(t, degree=2, period_max=2, holdout=3)
+        assert q.period == 2
+        basis = [e for e in sorted(itertools.product(range(3), repeat=3), key=lambda e: (sum(e), e))
+                 if sum(e) <= 2]
+        fit_idx = sorted(entries)[:-3]
+        for res in itertools.product(range(2), repeat=3):
+            pts = [i for i in fit_idx if tuple(n % 2 for n in i) == res]
+            rows = [[math.prod(n ** p for n, p in zip(i, e)) for e in basis] for i in pts]
+            expected = fraction_solve(rows, [entries[i] for i in pts])
+            assert [q.coeffs[(res, e)] for e in basis] == expected
+        assert all(q.evaluate(i) == v for i, v in entries.items())
+
+    def test_one_inconsistent_class(self):
+        def fn(n):
+            return n * n + (3 * n if n % 2 else 1)
+        clean = table_from(fn, 20)
+        assert fit_quasi_polynomial(clean, degree=2, period_max=3, start=3).period == 2
+        # the odd class stops being quadratic; periods 1 and 2 each fail once
+        t = table_from(lambda n: fn(n) + (n == 11), 20)
+        with pytest.raises(NoFitError) as info:
+            fit_quasi_polynomial(t, degree=2, period_max=3, start=3)
+        assert (info.value.best_period, info.value.first_fail) == (1, (3,))
+
+    @pytest.mark.parametrize("fn", [lambda n: 3 * n, lambda n: n * n])
+    def test_every_period_rank_deficient(self, fn):
+        # on the diagonal n1 = n2 the columns n1 and n2 of a degree-1 fit
+        # coincide, whether or not the lengths lie in the span of the rest
+        t = LengthTable(2, {(n, n): fn(n) for n in range(1, 21)}, "test", ())
+        with pytest.raises(InsufficientDataError):
+            fit_quasi_polynomial(t, degree=1, period_max=4)
+
+
+def fraction_solve(rows, rhs):
+    """Solution of a consistent full-column-rank system by Fraction elimination."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    k = len(rows[0])
+    for col in range(k):
+        p = next(i for i in range(col, len(m)) if m[i][col] != 0)
+        m[col], m[p] = m[p], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for i in range(len(m)):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    assert all(row[k] == 0 for row in m[k:])
+    return [m[j][k] for j in range(k)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -45,6 +45,16 @@ class TestExitCodes:
         spec.write_text(json.dumps({"d": 2, "rule": {"type": "power", "ideal": [[1.7, 2]]}}))
         assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 1
 
+    @pytest.mark.parametrize("rule, index", [
+        ({"type": "power", "ideal": [[1, 2]]}, "2"),
+        ({"type": "product_grid", "ideals": [[[1, 2], [2, 0]], [[0, 1], [1, 0]]]}, "2,2"),
+    ])
+    def test_family_width_mismatch_is_1(self, capsys, tmp_path, rule, index):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 3, "rule": rule}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", index]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
 

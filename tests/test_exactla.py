@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from epsmult._exactla import bareiss, int_det, int_null_vector, int_solve
+from epsmult._exactla import affine_rank, bareiss, int_det, int_null_vector, int_solve, rank
 
 
 def fraction_rref(rows):
@@ -145,3 +145,50 @@ class TestNullVector:
         assert int_null_vector([[0, 1]]) == (1, 0)
         assert int_null_vector([[0, 0]]) is None
         assert int_null_vector([]) is None
+
+
+class TestRank:
+    SHAPES = [(40, 11), (11, 40), (25, 6), (6, 25), (5, 5), (1, 7), (7, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_fractions(self, mats, shape):
+        nrows, ncols = shape
+        for _ in range(20):
+            r = mats.choice((None, mats.randint(0, min(nrows, ncols))))
+            rows = random_matrix(mats, nrows, ncols, r)
+            expected = len(fraction_rref(rows)[1])
+            assert rank(rows) == expected
+            if r is not None:
+                assert expected <= r
+
+    def test_products_are_rank_deficient(self, mats):
+        for _ in range(50):
+            r = mats.randint(1, 5)
+            rows = random_matrix(mats, 40, 11, rank=r)
+            assert rank(rows) == len(fraction_rref(rows)[1]) <= r
+
+    def test_degenerate(self):
+        assert rank([]) == 0
+        assert rank([[0, 0, 0]]) == 0
+        assert rank([[0], [0]]) == 0
+        assert rank([[1, 2], [2, 4], [3, 6]]) == 1
+
+
+class TestAffineRank:
+    def test_matches_fractions(self, mats):
+        for _ in range(200):
+            npts, d = mats.randint(2, 12), mats.randint(1, 5)
+            base = [mats.randint(-5, 5) for _ in range(d)]
+            r = mats.choice((None, mats.randint(0, min(npts - 1, d))))
+            diffs = random_matrix(mats, npts - 1, d, r)
+            points = [base] + [[b + x for b, x in zip(base, row)] for row in diffs]
+            mats.shuffle(points)
+            ref = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+            assert affine_rank(points) == len(fraction_rref(ref)[1])
+
+    def test_small_sets(self):
+        assert affine_rank([]) == -1
+        assert affine_rank([(3, 1)]) == 0
+        assert affine_rank([(1, 0), (2, 0), (5, 0)]) == 1
+        assert affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
+        assert affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]) == 3

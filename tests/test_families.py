@@ -223,6 +223,30 @@ class TestJson:
         with pytest.raises(ParseError):
             family_from_json(spec)
 
+    @pytest.mark.parametrize("spec", [
+        {"d": 3, "rule": {"type": "power", "ideal": [[1, 2]]}},
+        {"d": 1, "rule": {"type": "power", "ideal": [[1, 2], [3]]}},
+        {"rule": {"type": "power", "ideal": [[1, 2], [3]]}},
+        {"d": 3, "rule": {"type": "product_grid", "ideals": [[[1, 2], [2, 0]], [[0, 1], [1, 0]]]}},
+        {"rule": {"type": "product_grid", "ideals": [[[1, 2], [2, 0]], [[0, 1, 1]]]}},
+        {"d": 2, "rule": {"type": "noetherian", "seeds": {"1": [[1, 2]], "2": [[1, 2, 3]]}}},
+        {"rule": {"type": "noetherian", "seeds": {"1": [[1, 0]], "2": [[3]]}}},
+        {"d": 3, "rule": {"type": "table", "ideals": [[[0, 0]], [[1, 2]]]}},
+        {"d": 2, "rule": {"type": "table", "ideals": [[[0, 0]], [[0, 1, 1]]]}},
+        {"rule": {"type": "noetherian", "seeds": {"1": []}}},
+        {"rule": {"type": "product_grid", "ideals": [[]]}},
+    ])
+    def test_generator_width_must_match_d(self, spec):
+        with pytest.raises(ParseError):
+            family_from_json(spec)
+
+    def test_matching_widths_accepted(self):
+        assert family_from_json({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}).d == 2
+        assert family_from_json({"rule": {"type": "product_grid",
+                                          "ideals": [[[1, 0]], [[0, 3]]]}}).d == 2
+        assert family_from_json({"d": 3, "rule": {"type": "table",
+                                          "ideals": [[[0, 0, 0]], [[1, 0, 0]]]}}).d == 3
+
 
 def test_length_of_zero_index_rejected_downstream():
     from epsmult.asymptotics import length_table
