@@ -1,57 +1,23 @@
-"""Integer lattice kernels: numba fast path with a pure-numpy fallback.
+"""Integer lattice kernels on int64 numpy arrays.
 
-Everything hot in this package reduces to three int64 array jobs:
+Ideal arithmetic reduces to two array jobs:
 
 * antichain minimalization of exponent vectors (the d = 2 staircase case is
   a sort + prefix-min scan, the general case a divisibility sweep),
-* pairwise generator sums for ideal products,
-* counting lattice points of a box that lie in one ideal but not another.
+* pairwise generator sums for ideal products.
 
-The backend is chosen once at import from ``EPSMULT_BACKEND`` (``numba`` or
-``numpy``); when unset, numba is used if importable.  ``set_backend`` lets
-benchmarks and tests switch at runtime.  Callers must keep coordinates below
-``INT64_SAFE`` (sums of two coordinates must not overflow); oversized inputs
-take the pure-Python object paths in ``ideal_core`` instead.
+Callers must keep coordinates below ``INT64_SAFE`` (sums of two coordinates
+must not overflow); oversized inputs take the pure-Python object paths in
+``ideal_core`` instead.  H^0 counting does not come through here: the slab
+route in ``cohomology`` works on Python ints.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    njit = None
-    HAS_NUMBA = False
 
 # Coordinates below this bound cannot overflow int64 under pairwise addition.
 INT64_SAFE = 2**31
-
-_env = os.environ.get("EPSMULT_BACKEND", "").strip().lower()
-if _env == "numba" and not HAS_NUMBA:
-    raise ImportError("EPSMULT_BACKEND=numba requested but numba is not importable")
-if _env in ("numba", "numpy"):
-    _backend = _env
-else:
-    _backend = "numba" if HAS_NUMBA else "numpy"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime ("numba" or "numpy")."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
 
 
 def as_array(rows) -> np.ndarray:
@@ -67,82 +33,22 @@ def as_array(rows) -> np.ndarray:
 # is exactly lex order.
 
 
-def _minimal_scan_2d_np(ys: np.ndarray) -> np.ndarray:
-    prev = np.empty_like(ys)
-    prev[0] = np.iinfo(np.int64).max
-    if ys.shape[0] > 1:
-        np.minimum.accumulate(ys[:-1], out=prev[1:])
-    return ys < prev
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _minimal_scan_2d_nb(ys):  # pragma: no cover - numba-compiled
-        n = ys.shape[0]
-        keep = np.empty(n, dtype=np.bool_)
-        best = np.int64(2**62)
-        for i in range(n):
-            y = ys[i]
-            keep[i] = y < best
-            if y < best:
-                best = y
-        return keep
-
-
 def minimal_rows_2d(arr: np.ndarray) -> np.ndarray:
     """Minimal elements (componentwise) of an (m, 2) int64 array, lex sorted."""
     if arr.shape[0] <= 1:
         return arr
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     srt = arr[order]
-    ys = np.ascontiguousarray(srt[:, 1])
-    if _backend == "numba":
-        keep = _minimal_scan_2d_nb(ys)
-    else:
-        keep = _minimal_scan_2d_np(ys)
-    return srt[keep]
+    ys = srt[:, 1]
+    prev = np.empty_like(ys)
+    prev[0] = np.iinfo(np.int64).max
+    np.minimum.accumulate(ys[:-1], out=prev[1:])
+    return srt[ys < prev]
 
 
 # ---------------------------------------------------------------------------
 # General-d minimalization: process rows by ascending total degree; a row is
 # kept iff no already-kept row divides it (degree order makes this sound).
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _minimal_rows_nd_nb(srt):  # pragma: no cover - numba-compiled
-        m, d = srt.shape
-        kept = np.empty((m, d), dtype=np.int64)
-        k = 0
-        for i in range(m):
-            dominated = False
-            for j in range(k):
-                ok = True
-                for c in range(d):
-                    if kept[j, c] > srt[i, c]:
-                        ok = False
-                        break
-                if ok:
-                    dominated = True
-                    break
-            if not dominated:
-                for c in range(d):
-                    kept[k, c] = srt[i, c]
-                k += 1
-        return kept[:k]
-
-
-def _minimal_rows_nd_np(srt: np.ndarray) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    block = None
-    for row in srt:
-        if block is not None and bool((block <= row).all(axis=1).any()):
-            continue
-        kept.append(row)
-        block = np.array(kept)
-    return np.array(kept) if kept else srt[:0]
 
 
 def minimal_rows_nd(arr: np.ndarray) -> np.ndarray:
@@ -151,206 +57,18 @@ def minimal_rows_nd(arr: np.ndarray) -> np.ndarray:
         return arr
     deg = arr.sum(axis=1)
     order = np.lexsort(tuple(arr[:, c] for c in range(arr.shape[1] - 1, -1, -1)) + (deg,))
-    srt = np.ascontiguousarray(arr[order])
-    if _backend == "numba":
-        out = _minimal_rows_nd_nb(srt)
-    else:
-        out = _minimal_rows_nd_np(srt)
+    kept: list[np.ndarray] = []
+    block = None
+    for row in arr[order]:
+        if block is not None and bool((block <= row).all(axis=1).any()):
+            continue
+        kept.append(row)
+        block = np.array(kept)
+    out = np.array(kept)
     final = np.lexsort(tuple(out[:, c] for c in range(out.shape[1] - 1, -1, -1)))
     return out[final]
 
 
-# ---------------------------------------------------------------------------
-# Pairwise sums (generators of an ideal product).
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _pairwise_sums_nb(a, b):  # pragma: no cover - numba-compiled
-        p, d = a.shape
-        q = b.shape[0]
-        out = np.empty((p * q, d), dtype=np.int64)
-        k = 0
-        for i in range(p):
-            for j in range(q):
-                for c in range(d):
-                    out[k, c] = a[i, c] + b[j, c]
-                k += 1
-        return out
-
-
 def pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _backend == "numba":
-        return _pairwise_sums_nb(a, b)
+    """All sums a_i + b_j of rows (generators of an ideal product)."""
     return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
-
-
-# ---------------------------------------------------------------------------
-# Membership masks and box counting.
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _divides_any_nb(points, gens):  # pragma: no cover - numba-compiled
-        m, d = points.shape
-        g = gens.shape[0]
-        out = np.zeros(m, dtype=np.bool_)
-        for i in range(m):
-            for j in range(g):
-                ok = True
-                for c in range(d):
-                    if gens[j, c] > points[i, c]:
-                        ok = False
-                        break
-                if ok:
-                    out[i] = True
-                    break
-        return out
-
-
-def _divides_any_np(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    if gens.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=bool)
-    return (points[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)
-
-
-def divides_any(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Boolean mask: point i is divisible by some generator row."""
-    if gens.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=bool)
-    if _backend == "numba":
-        return _divides_any_nb(points, gens)
-    return _divides_any_np(points, gens)
-
-
-def _box_points_np(box: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    shape = [int(hi - lo)] + [int(b) for b in box[1:]]
-    pts = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
-    if lo:
-        pts = pts.copy()
-        pts[:, 0] += lo
-    return pts
-
-
-def _count_box_np(box, lo, hi, sat, outer, inner):
-    count = 0
-    maxdeg = -1
-    width = 1
-    for b in box[1:]:
-        width *= int(b)
-    # chunk along the first axis to bound the materialized point set
-    step = max(1, (1 << 22) // max(width, 1))
-    x = lo
-    while x < hi:
-        x2 = min(hi, x + step)
-        pts = _box_points_np(box, x, x2)
-        mask = _divides_any_np(pts, sat)
-        mask &= _divides_any_np(pts, outer)
-        mask &= ~_divides_any_np(pts, inner)
-        c = int(mask.sum())
-        if c:
-            count += c
-            maxdeg = max(maxdeg, int(pts[mask].sum(axis=1).max()))
-        x = x2
-    return count, maxdeg
-
-
-def count_box(box, sat, outer, inner, lo: int | None = None, hi: int | None = None):
-    """Count lattice points p of the half-open box with p in (sat) and
-    (outer) but not in (inner); also return their maximal total degree
-    (-1 when the count is zero).
-
-    ``sat`` and ``outer`` must be non-empty (m, d) int64 arrays; pass a single
-    zero row for "no constraint".  An empty ``inner`` means the zero ideal.
-    ``lo``/``hi`` restrict the first coordinate, so disjoint slabs can be
-    summed deterministically by a thread pool.
-    """
-    box = np.asarray(box, dtype=np.int64)
-    if box.shape[0] == 0 or (box <= 0).any():
-        return 0, -1
-    lo = 0 if lo is None else int(lo)
-    hi = int(box[0]) if hi is None else int(hi)
-    if lo >= hi:
-        return 0, -1
-    if _backend == "numba":
-        count, maxdeg = _count_box_nb_flat(box, lo, hi, sat, outer, inner)
-        return int(count), int(maxdeg)
-    return _count_box_np(box, lo, hi, sat, outer, inner)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _count_box_nb_flat(box, lo, hi, sat, outer, inner):  # pragma: no cover
-        d = box.shape[0]
-        width = np.int64(1)
-        for c in range(1, d):
-            width *= box[c]
-        count = np.int64(0)
-        maxdeg = np.int64(-1)
-        point = np.empty(d, dtype=np.int64)
-        for x in range(lo, hi):
-            for flat in range(width):
-                rem = flat
-                for c in range(d - 1, 0, -1):
-                    point[c] = rem % box[c]
-                    rem //= box[c]
-                point[0] = x
-                in_sat = False
-                for j in range(sat.shape[0]):
-                    ok = True
-                    for c in range(d):
-                        if sat[j, c] > point[c]:
-                            ok = False
-                            break
-                    if ok:
-                        in_sat = True
-                        break
-                if not in_sat:
-                    continue
-                in_outer = False
-                for j in range(outer.shape[0]):
-                    ok = True
-                    for c in range(d):
-                        if outer[j, c] > point[c]:
-                            ok = False
-                            break
-                    if ok:
-                        in_outer = True
-                        break
-                if not in_outer:
-                    continue
-                in_inner = False
-                for j in range(inner.shape[0]):
-                    ok = True
-                    for c in range(d):
-                        if inner[j, c] > point[c]:
-                            ok = False
-                            break
-                    if ok:
-                        in_inner = True
-                        break
-                if in_inner:
-                    continue
-                count += 1
-                deg = np.int64(0)
-                for c in range(d):
-                    deg += point[c]
-                if deg > maxdeg:
-                    maxdeg = deg
-        return count, maxdeg
-
-
-def warmup() -> None:
-    """Force-compile the numba kernels on a toy input (no-op on numpy)."""
-    if _backend != "numba":
-        return
-    a = as_array([[1, 2], [2, 0]])
-    minimal_rows_2d(pairwise_sums(a, a))
-    b = as_array([[1, 1, 0], [0, 1, 1]])
-    minimal_rows_nd(pairwise_sums(b, b))
-    divides_any(b, b)
-    count_box(np.array([2, 2], dtype=np.int64), a, as_array([[0, 0]]), a)
-    count_box(np.array([3], dtype=np.int64), as_array([[0]]), as_array([[0]]), as_array([[3]]))

@@ -53,7 +53,11 @@ class LengthTable:
 
 
 def length_table(spec: FamilySpec, indices: Sequence, threads: int = 1) -> LengthTable:
-    """H^0 lengths of R/I_n over the given indices (d = 2 uses the staircase)."""
+    """H^0 lengths of R/I_n over the given indices, by the slab route.
+
+    ``threads > 1`` evaluates the entries on a thread pool; the table and
+    its ``methods`` do not depend on it.
+    """
     idxs = [_as_index(i) for i in indices]
     if not idxs:
         raise PreconditionError("empty index range")

@@ -153,8 +153,7 @@ _METHOD_NAMES = {"auto": "auto", "box": "box-enumeration",
 
 def cmd_h0(args):
     ideal = parse_ideal(args.ideal, args.dim)
-    count = h0_length(ideal, method=_METHOD_NAMES[args.method],
-                      witnesses=args.witnesses, threads=args.threads)
+    count = h0_length(ideal, method=_METHOD_NAMES[args.method], witnesses=args.witnesses)
     payload = {"length": count.length, "method": count.method}
     if count.witnesses is not None:
         payload["witnesses"] = [list(w) for w in count.witnesses]

@@ -1,32 +1,34 @@
 """Lengths of degree-zero local cohomology for monomial quotients.
 
 The length of H^0 against the graded maximal ideal equals the number of
-lattice points in sat(I) \\ I.  Three routes are implemented:
+lattice points in sat(I) \\ I.  Two independent routes are implemented:
 
-* box enumeration over the proven box prod_i [0, c_i) with c_i the
-  generator-wise exponent maximum (the default oracle-grade method),
-* a d = 2 staircase walk that reads the count off the minimal generators
-  in O(#generators),
+* slabs: the finite region J \\ I between two monomial ideals J >= I is
+  tiled by boxes, recursing on the last variable and splitting at the
+  distinct last exponents of the generators (in two variables, one merge of
+  the two staircases).  Length, largest socle degree and witnesses are read
+  off the boxes in Python ints, so the cost follows the number of generators,
+  not the size of the exponents.  J = sat(I) gives H^0 of R/I, and
+  J = J_outer & sat(J_inner) the torsion of a quotient J_outer / J_inner.
 * the simplicial route counting exponents whose complex of inverted-variable
-  subsets is exactly {empty face}, detected through reduced homology.
+  subsets is exactly {empty face}, detected through reduced homology; it
+  never saturates, so it checks the slab route.
 
-The box bound is sound: a point of sat(I) \\ I with a_i >= c_i would stay in
-sat(I) \\ I after adding e_i indefinitely, contradicting finiteness.
+The slab route reports ``staircase-2d`` for d = 2 by default and
+``box-enumeration`` otherwise; both labels name the same computation.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import _kernels
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal
+from .ideal_core import Monomial, MonomialIdeal, _minimalize_python
 
 METHOD_BOX = "box-enumeration"
 METHOD_STAIRCASE = "staircase-2d"
@@ -74,149 +76,140 @@ class H0Count:
 
 
 # ---------------------------------------------------------------------------
-# d = 2 staircase walk.
+# Slab decomposition.
+
+Box = tuple[Monomial, Monomial]  # half-open: lo <= p < hi componentwise
 
 
-def _staircase_blocks(ideal: MonomialIdeal):
-    """Rectangular blocks tiling sat(I) \\ I for d = 2.
+def _infinite() -> PreconditionError:
+    return PreconditionError("the region between the two ideals is infinite")
 
-    Generators sorted lex have strictly increasing x and strictly decreasing
-    y; the saturation is the principal ideal at the corner (a_1, b_g).
+
+def _staircase_slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
+    """Boxes tiling (outer) \\ (inner) in two variables, by one merge.
+
+    Lex-sorted antichains have x ascending and y descending, so walking both
+    from the end visits the y levels upwards; at each level a slice of an
+    ideal is the ray x >= (x of the generator last passed).
     """
-    gens = ideal.gens
-    corner = (gens[0][0], gens[-1][1])
-    blocks = []
-    for i in range(len(gens) - 1):
-        blocks.append(((gens[i][0], gens[i + 1][0]), (corner[1], gens[i][1])))
-    return corner, blocks
+    boxes = []
+    i, j = len(outer), len(inner)
+    xo = xi = y = None
+    while True:
+        yo = outer[i - 1][1] if i else None
+        yi = inner[j - 1][1] if j else None
+        top = yo if yi is None or (yo is not None and yo < yi) else yi
+        if xo is not None and (xi is None or xo < xi):
+            if top is None or xi is None:
+                raise _infinite()
+            boxes.append(((xo, y), (xi, top)))
+        if top is None:
+            return boxes
+        if yo == top:
+            i -= 1
+            xo = outer[i][0]
+        if yi == top:
+            j -= 1
+            xi = inner[j][0]
+        y = top
 
 
-def _staircase_length(ideal: MonomialIdeal) -> int:
-    _, blocks = _staircase_blocks(ideal)
-    return sum((x1 - x0) * (y1 - y0) for (x0, x1), (y0, y1) in blocks)
+def _antichain(gens: list[Monomial]) -> tuple[Monomial, ...]:
+    """Minimal elements of *gens*, lex sorted."""
+    if len(gens[0]) != 2:
+        return _minimalize_python(gens)
+    kept, low = [], None
+    for g in sorted(gens):
+        if low is None or g[1] < low:
+            kept.append(g)
+            low = g[1]
+    return tuple(kept)
 
 
-def staircase_max_degree(ideal: MonomialIdeal) -> int:
-    """Largest total degree in sat(I) \\ I for d = 2 (0 when empty)."""
-    _, blocks = _staircase_blocks(ideal)
-    degs = [(x1 - 1) + (y1 - 1) for (x0, x1), (y0, y1) in blocks]
-    return max(degs, default=0)
+def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
+    """Boxes tiling the monomials of (outer) that are not in (inner).
+
+    Both arguments are minimal generator tuples in lex order with
+    (inner) inside (outer).  The region is cut at the distinct last exponents
+    z_0 < ... < z_k of the generators; on [z_i, z_(i+1)) it is the region
+    between the (d-1)-variable slices, which recurses.  Raises
+    PreconditionError when the region is infinite, i.e. the top slab
+    [z_k, oo) is not empty.
+    """
+    if not outer:
+        return []
+    d = len(outer[0])
+    if d == 1:
+        if not inner:
+            raise _infinite()
+        lo, hi = outer[0], inner[0]
+        return [(lo, hi)] if lo < hi else []
+    if d == 2:
+        return _staircase_slabs(outer, inner)
+    levels: dict[int, tuple[list, list]] = {}
+    for side, gens in enumerate((outer, inner)):
+        for g in gens:
+            levels.setdefault(g[-1], ([], []))[side].append(g[:-1])
+    zs = sorted(levels)
+    cut = [(), ()]
+    boxes = []
+    for z, top in zip(zs, zs[1:] + [None]):
+        for side in (0, 1):
+            if levels[z][side]:
+                cut[side] = _antichain([*cut[side], *levels[z][side]])
+        if top is None:
+            if not all(any(all(a <= b for a, b in zip(h, g)) for h in cut[1]) for g in cut[0]):
+                raise _infinite()
+        else:
+            boxes.extend((lo + (z,), hi + (top,)) for lo, hi in _slabs(*cut))
+    return boxes
 
 
-def _staircase_witnesses(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
-    _, blocks = _staircase_blocks(ideal)
-    pts = []
-    for (x0, x1), (y0, y1) in blocks:
-        pts.extend((x, y) for x in range(x0, x1) for y in range(y0, y1))
-    return tuple(sorted(pts))
+def _count(outer: MonomialIdeal, inner: MonomialIdeal, method: str, witnesses: bool) -> H0Count:
+    """Length (sum of box volumes) and, when asked, the lex-sorted points of
+    the region between the two ideals."""
+    boxes = _slabs(outer.gens, inner.gens)
+    length = sum(math.prod(map(sub, hi, lo)) for lo, hi in boxes)
+    points = None
+    if witnesses:
+        points = tuple(sorted(p for lo, hi in boxes for p in itertools.product(*map(range, lo, hi))))
+    return H0Count(length, method, points)
 
 
-# ---------------------------------------------------------------------------
-# Box enumeration.
-
-
-def _python_box_scan(box, sat, outer, inner, collect: bool):
-    count = 0
-    maxdeg = -1
-    pts = []
-    for p in itertools.product(*(range(c) for c in box)):
-        if not any(all(g[i] <= p[i] for i in range(len(p))) for g in sat.gens):
-            continue
-        if outer is not None and not outer.contains(p):
-            continue
-        if inner.contains(p):
-            continue
-        count += 1
-        maxdeg = max(maxdeg, sum(p))
-        if collect:
-            pts.append(p)
-    return count, maxdeg, tuple(pts) if collect else None
-
-
-def _box_count(inner: MonomialIdeal, sat: MonomialIdeal, outer: Optional[MonomialIdeal],
-               box: Sequence[int], witnesses: bool, threads: int = 1):
-    """Count points of *box* in sat (and outer, when given) but not inner."""
-    if any(c <= 0 for c in box):
-        return 0, -1, (() if witnesses else None)
-    small = all(c < _kernels.INT64_SAFE for c in box)
-    if witnesses or not small or not inner.fits_int64() or not sat.fits_int64() \
-            or (outer is not None and not outer.fits_int64()):
-        return _python_box_scan(box, sat, outer if outer is not None else MonomialIdeal.unit(inner.d),
-                                inner, witnesses)
-    sat_a = sat.as_array()
-    outer_a = outer.as_array() if outer is not None else _kernels.as_array([(0,) * inner.d])
-    inner_a = inner.as_array()
-    box_a = np.asarray(box, dtype=np.int64)
-    if threads > 1 and box[0] >= threads:
-        bounds = [round(i * box[0] / threads) for i in range(threads + 1)]
-        jobs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda rng: _kernels.count_box(box_a, sat_a, outer_a, inner_a, rng[0], rng[1]),
-                jobs))
-        count = sum(c for c, _ in parts)
-        maxdeg = max((m for _, m in parts), default=-1)
-        return count, maxdeg, None
-    count, maxdeg = _kernels.count_box(box_a, sat_a, outer_a, inner_a)
-    return count, maxdeg, None
-
-
-def h0_length(ideal: MonomialIdeal, method: str = "auto", witnesses: bool = False,
-              threads: int = 1) -> H0Count:
+def h0_length(ideal: MonomialIdeal, method: str = "auto", witnesses: bool = False) -> H0Count:
     """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I."""
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
     if method == "auto":
         method = METHOD_STAIRCASE if ideal.d == 2 else METHOD_BOX
-    if ideal.is_unit:
-        return H0Count(0, method, () if witnesses else None)
-    if method == METHOD_STAIRCASE:
-        if ideal.d != 2:
-            raise PreconditionError("staircase method requires two variables")
-        return H0Count(_staircase_length(ideal), METHOD_STAIRCASE,
-                       _staircase_witnesses(ideal) if witnesses else None)
     if method == METHOD_TAKAYAMA:
         return h0_length_takayama(ideal, witnesses=witnesses)
-    if method != METHOD_BOX:
+    if method == METHOD_STAIRCASE and ideal.d != 2:
+        raise PreconditionError("staircase method requires two variables")
+    if method not in (METHOD_BOX, METHOD_STAIRCASE):
         raise PreconditionError(f"unknown h0 method {method!r}")
-    sat = ideal.saturate()
-    if sat == ideal:
-        return H0Count(0, METHOD_BOX, () if witnesses else None)
-    count, _, pts = _box_count(ideal, sat, None, ideal.max_exponents(), witnesses, threads)
-    return H0Count(count, METHOD_BOX, pts)
+    return _count(ideal.saturate(), ideal, method, witnesses)
 
 
-def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool = False,
-                   threads: int = 1) -> H0Count:
+def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool = False) -> H0Count:
     """Length of the maximal-ideal torsion of J/J', for monomial J' inside J.
 
-    Counts the monomials of sat(J') that lie in J but not in J'; this is the
-    box count with the box taken from J' (its socle bound also bounds the
-    intersection with J, since J is itself an ideal).
+    Counts the monomials of J & sat(J') that are not in J'.
     """
     if inner.is_zero:
         raise ZeroIdealError("quotient by the zero ideal is not supported")
     outer._same_ring(inner)
     if not inner.is_subset(outer):
         raise PreconditionError("inner ideal is not contained in the outer ideal")
-    sat = inner.saturate()
-    count, _, pts = _box_count(inner, sat, outer, inner.max_exponents(), witnesses, threads)
-    return H0Count(count, METHOD_BOX, pts)
+    return _count(outer.intersect(inner.saturate()), inner, METHOD_BOX, witnesses)
 
 
 def max_socle_degree(ideal: MonomialIdeal) -> int:
     """Largest total degree over sat(I) \\ I, 0 when the socle is empty."""
     if ideal.is_zero:
         raise ZeroIdealError("socle of R/0 is undefined here")
-    if ideal.is_unit:
-        return 0
-    if ideal.d == 2:
-        return staircase_max_degree(ideal)
-    sat = ideal.saturate()
-    if sat == ideal:
-        return 0
-    _, maxdeg, _ = _box_count(ideal, sat, None, ideal.max_exponents(), False)
-    return max(maxdeg, 0)
+    boxes = _slabs(ideal.saturate().gens, ideal.gens)
+    return max((sum(hi) - len(hi) for _, hi in boxes), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
 
 
-def _gens_of(ideal: MonomialIdeal) -> Gens:
-    return ideal.gens
-
-
 @dataclass(frozen=True)
 class PowerRule:
     gens: Gens
@@ -124,7 +120,7 @@ class FamilySpec:
 
 
 def power_family(ideal: MonomialIdeal) -> FamilySpec:
-    return FamilySpec(ideal.d, PowerRule(_gens_of(ideal)))
+    return FamilySpec(ideal.d, PowerRule(ideal.gens))
 
 
 def product_grid_family(ideals: list[MonomialIdeal]) -> FamilySpec:
@@ -134,7 +130,7 @@ def product_grid_family(ideals: list[MonomialIdeal]) -> FamilySpec:
     for i in ideals:
         if i.d != d:
             raise PreconditionError("product grid factors must share the ambient ring")
-    return FamilySpec(d, ProductGridRule(tuple(_gens_of(i) for i in ideals)))
+    return FamilySpec(d, ProductGridRule(tuple(i.gens for i in ideals)))
 
 
 def _ceil_div(a: int, b: int) -> int:

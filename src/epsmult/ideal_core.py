@@ -192,9 +192,18 @@ class MonomialIdeal:
         return MonomialIdeal(self.ambient, _minimalize(self.d, dropped), _trusted=True)
 
     def saturate(self) -> "MonomialIdeal":
-        """I : m^infinity, the intersection of the I : xi^infinity."""
+        """I : m^infinity, the intersection of the I : xi^infinity.
+
+        In one variable that is the unit ideal; in two it is principal, at
+        the corner of the staircase (x of the first generator in lex order,
+        y of the last).
+        """
         if self.is_zero:
             raise ZeroIdealError("saturation of the zero ideal is undefined")
+        if self.d == 1:
+            return MonomialIdeal.unit(1)
+        if self.d == 2:
+            return MonomialIdeal(self.ambient, ((self.gens[0][0], self.gens[-1][1]),), _trusted=True)
         parts = [self.colon_var_sat(i) for i in range(1, self.d + 1)]
         return reduce(lambda a, b: a.intersect(b), parts)
 
@@ -226,11 +235,6 @@ class MonomialIdeal:
         if self.is_zero:
             return f"MonomialIdeal(d={self.d}, zero)"
         return f"MonomialIdeal(d={self.d}, <{format_ideal(self)}>)"
-
-
-def minimalize(d: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
-    """Canonicalize an arbitrary generating set into a MonomialIdeal."""
-    return MonomialIdeal.from_gens(d, gens)
 
 
 # ---------------------------------------------------------------------------

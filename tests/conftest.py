@@ -5,14 +5,7 @@ import random
 
 import pytest
 
-from epsmult import _kernels
 from epsmult.ideal_core import MonomialIdeal
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels outside any timed section
-    _kernels.warmup()
 
 
 @pytest.fixture
@@ -41,12 +34,14 @@ def brute_socle(ideal: MonomialIdeal, bounds):
             if sat.contains(p) and not ideal.contains(p)}
 
 
-def random_proper_ideal(rng, d, max_exp, max_gens):
-    while True:
-        gens = []
-        for _ in range(rng.randint(1, max_gens)):
-            g = tuple(rng.randint(0, max_exp) for _ in range(d))
-            if any(g):
-                gens.append(g)
-        if gens:
-            return MonomialIdeal.from_gens(d, gens)
+def brute_count(box, sat, outer, inner):
+    """Points p of the half-open box [0, box) with p in (sat) and (outer)
+    but not in (inner), by raw scanning: (count, largest degree or -1)."""
+    def hit(gens, p):
+        return any(all(g[i] <= p[i] for i in range(len(p))) for g in gens)
+    count, maxdeg = 0, -1
+    for p in itertools.product(*(range(b) for b in box)):
+        if hit(sat, p) and hit(outer, p) and not hit(inner, p):
+            count += 1
+            maxdeg = max(maxdeg, sum(p))
+    return count, maxdeg

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Expected values are either fixed by the source material or were
 frozen from the independent oracles exercised in the module test files
-(box scans, brute-force socle scans, membership predicates).  Runtime
-budgets are enforced with the jit kernels pre-warmed by the session fixture.
+(box scans, brute-force socle scans, membership predicates).  Some tests
+also enforce a runtime budget.
 """
 
 import math

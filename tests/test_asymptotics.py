@@ -13,9 +13,7 @@ from epsmult.errors import (InsufficientDataError, NoFitError, PreconditionError
 from epsmult.families import CounterRule, FamilySpec, SqrtPrincipalRule, power_family, product_grid_family
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import out_region
-from epsmult.repro import fit_epsilon
-
-from conftest import random_proper_ideal
+from epsmult.repro import fit_epsilon, random_ideal
 
 I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
 
@@ -240,7 +238,7 @@ class TestExtract:
 class TestCrossMethod:
     def test_fit_equals_volume_on_randoms(self, rng):
         for _ in range(6):
-            ideal = random_proper_ideal(rng, 2, 5, 5)
+            ideal = random_ideal(rng, 2, 5, 5)
             eps_fit, _ = fit_epsilon(ideal)
             assert eps_fit == out_region(ideal).epsilon
 
@@ -249,7 +247,7 @@ class TestCrossMethod:
         # and the degree-d coefficients must come out residue-independent
         from epsmult.polyhedra import analytic_spread
         for _ in range(3):
-            ideal = random_proper_ideal(rng, 2, 4, 3)
+            ideal = random_ideal(rng, 2, 4, 3)
             if analytic_spread(ideal) != 2:
                 continue
             spec = product_grid_family([ideal, ideal])

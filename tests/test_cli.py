@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsmult.cli import main
 from epsmult.ideal_core import MonomialIdeal, parse_ideal
@@ -66,6 +71,28 @@ class TestExitCodes:
             raise NoFitError("nope", best_period=2, first_fail=(5,))
         monkeypatch.setitem(cli_mod._DISPATCH, "h0", boom)
         assert main(["h0", "--ideal", "x"]) == 3
+
+
+_FACTOR = st.builds(lambda v, e: v if e is None else f"{v}^{e}",
+                    st.sampled_from(["x", "y", "z", "x1", "x2", "x3"]),
+                    st.none() | st.integers(0, 10**6))
+_TERM = st.lists(_FACTOR, max_size=3).map(lambda fs: "*".join(fs) or "1")
+IDEAL_TEXT = st.one_of(
+    st.lists(_TERM, min_size=1, max_size=4).map(", ".join),
+    st.lists(st.lists(st.integers(-2, 50), min_size=1, max_size=3), max_size=4).map(json.dumps),
+    # raw text; an index of two or more digits would ask for a huge ambient ring
+    st.text("xyz123^*,[] .-0", max_size=10).filter(lambda s: not re.search(r"x\d\d", s)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([["h0"], ["h0", "--method", "box"], ["h0", "--method", "staircase"],
+                        ["newton"]]),
+       IDEAL_TEXT, st.none() | st.integers(0, 3))
+def test_exit_codes_on_random_ideal_strings(command, ideal, dim):
+    argv = command + ["--ideal", ideal] + ([] if dim is None else ["--dim", str(dim)])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)
 
 
 class TestEpsilonCommand:

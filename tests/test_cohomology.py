@@ -1,12 +1,17 @@
+import json
+import time
+
 import pytest
 
-from epsmult.cohomology import (SimplicialComplex, delta_complex, h0_length,
+from epsmult import cli
+from epsmult.cohomology import (SimplicialComplex, _slabs, delta_complex, h0_length,
                                 h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult.ideal_core import MonomialIdeal
+from epsmult.repro import random_ideal
 
-from conftest import brute_socle, random_proper_ideal
+from conftest import brute_count, brute_socle
 
 I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
 
@@ -54,17 +59,13 @@ class TestH0Length:
     def test_d1_length_is_exponent(self):
         assert h0_length(MonomialIdeal.from_gens(1, [(7,)])).length == 7
 
-    def test_threads_do_not_change_the_count(self):
-        ideal = MonomialIdeal.from_gens(3, [(4, 0, 1), (0, 3, 2), (1, 1, 3)])
-        assert h0_length(ideal, threads=4).length == h0_length(ideal).length
-
 
 def test_box_soundness_on_randoms(rng):
     # every socle point lies strictly inside the generator-max box; scanning
     # the doubled box finds nothing new
     for _ in range(30):
         d = rng.choice((2, 3))
-        ideal = random_proper_ideal(rng, d, 4, 4)
+        ideal = random_ideal(rng, d, 4, 4)
         cap = ideal.max_exponents()
         pts = brute_socle(ideal, tuple(2 * c + 1 for c in cap))
         assert len(pts) == h0_length(ideal, method="box-enumeration").length
@@ -73,10 +74,55 @@ def test_box_soundness_on_randoms(rng):
 
 
 def test_staircase_equals_box_on_randoms(rng):
+    # both labels run the slab route; the scan of the box is the reference
     for _ in range(50):
-        ideal = random_proper_ideal(rng, 2, 6, 6)
-        assert (h0_length(ideal, method="staircase-2d").length
-                == h0_length(ideal, method="box-enumeration").length)
+        ideal = random_ideal(rng, 2, 6, 6)
+        expected = len(brute_socle(ideal, ideal.max_exponents()))
+        assert h0_length(ideal, method="staircase-2d").length == expected
+        assert h0_length(ideal, method="box-enumeration").length == expected
+
+
+def test_slabs_match_scan_and_takayama(rng):
+    # length, largest socle degree and witnesses against the point scan, and
+    # witnesses against the saturation-free homology route
+    for k in range(240):
+        d = 1 + k % 4
+        ideal = random_ideal(rng, d, 3 if d == 4 else 5, 5)
+        pts = brute_socle(ideal, ideal.max_exponents())
+        count = h0_length(ideal, witnesses=True)
+        assert count.length == len(pts)
+        assert count.witnesses == tuple(sorted(pts))
+        assert max_socle_degree(ideal) == max((sum(p) for p in pts), default=0)
+        assert h0_length_takayama(ideal, witnesses=True).witnesses == count.witnesses
+
+
+def test_slabs_reject_an_infinite_region():
+    # (x_i) \ 0 is infinite for every d, and 1 \ (x_i) once d >= 2
+    for d in (1, 2, 3, 4):
+        for i in range(d):
+            xi = tuple(int(k == i) for k in range(d))
+            with pytest.raises(PreconditionError):
+                _slabs((xi,), ())
+            if d >= 2:
+                with pytest.raises(PreconditionError):
+                    _slabs(((0,) * d,), (xi,))
+
+
+BIG = 3 * 10**6
+BIG_IDEAL = "x^3000000, y^3000000, z^3000000, x^1000000*y^1000000*z^1000000"
+
+
+def test_huge_exponents_count_in_time(capsys):
+    # (3e6)^3 - (2e6)^3 points; the cost follows the generators, not the box
+    t0 = time.perf_counter()
+    ideal = MonomialIdeal.from_gens(3, [(BIG, 0, 0), (0, BIG, 0), (0, 0, BIG),
+                                        (BIG // 3,) * 3])
+    assert h0_length(ideal).length == 19 * 10**18
+    assert max_socle_degree(ideal) == 3 * BIG - 2 * 10**6 - 3
+    assert cli.main(["h0", "--ideal", BIG_IDEAL]) == 0
+    assert json.loads(capsys.readouterr().out) == {"length": 19 * 10**18,
+                                                   "method": "box-enumeration"}
+    assert time.perf_counter() - t0 < 1.0
 
 
 class TestQuotient:
@@ -97,6 +143,19 @@ class TestQuotient:
     def test_zero_inner_rejected(self):
         with pytest.raises(ZeroIdealError):
             h0_of_quotient(I, MonomialIdeal.zero(2))
+
+    def test_random_pairs_match_scan(self, rng):
+        for k in range(120):
+            d = 1 + k % 4
+            outer = random_ideal(rng, d, 3, 3)
+            other = random_ideal(rng, d, 2, 2)
+            inner = outer.multiply(other) if k % 2 else outer.intersect(other)
+            sat = inner.saturate()
+            expected, _ = brute_count(inner.max_exponents(), sat.gens, outer.gens, inner.gens)
+            count = h0_of_quotient(outer, inner, witnesses=True)
+            assert count.length == expected
+            for w in count.witnesses:
+                assert outer.contains(w) and sat.contains(w) and not inner.contains(w)
 
     def test_quotient_growth_is_linear(self):
         # the step lengths for this ideal follow 4n + 2
@@ -154,7 +213,7 @@ class TestTakayama:
     def test_agreement_on_randoms(self, rng):
         for _ in range(25):
             d = rng.choice((1, 2, 3))
-            ideal = random_proper_ideal(rng, d, 4, 4)
+            ideal = random_ideal(rng, d, 4, 4)
             assert (h0_length_takayama(ideal).length
                     == h0_length(ideal, method="box-enumeration").length)
 
@@ -169,7 +228,7 @@ def test_monotone_under_containment_with_equal_saturation(rng):
     # enlarging the ideal inside its saturation can only shrink the count:
     # adding a socle point absorbs it and every socle multiple of it
     for _ in range(20):
-        ideal = random_proper_ideal(rng, 2, 5, 4)
+        ideal = random_ideal(rng, 2, 5, 4)
         count = h0_length(ideal, method="box-enumeration", witnesses=True)
         if not count.witnesses:
             continue
@@ -192,7 +251,7 @@ def test_max_socle_degree_examples():
 def test_max_socle_degree_matches_brute_force(rng):
     for _ in range(20):
         d = rng.choice((2, 3))
-        ideal = random_proper_ideal(rng, d, 4, 4)
+        ideal = random_ideal(rng, d, 4, 4)
         pts = brute_socle(ideal, ideal.max_exponents())
         expected = max((sum(p) for p in pts), default=0)
         assert max_socle_degree(ideal) == expected

@@ -1,11 +1,16 @@
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
                               SqrtPrincipalRule, TableRule, check_structure,
                               eval_family, family_from_json, family_to_json,
-                              generation_degree, growth_constants,
+                              ProductGridRule, generation_degree, growth_constants,
                               product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
 
@@ -246,6 +251,48 @@ class TestJson:
                                           "ideals": [[[1, 0]], [[0, 3]]]}}).d == 2
         assert family_from_json({"d": 3, "rule": {"type": "table",
                                           "ideals": [[[0, 0, 0]], [[1, 0, 0]]]}}).d == 3
+
+
+def _gens(d, min_size=1):
+    return st.lists(st.tuples(*[st.integers(0, 10**12)] * d), min_size=min_size,
+                    max_size=4).map(tuple)
+
+
+@st.composite
+def family_specs(draw):
+    kind = draw(st.sampled_from(["power", "product_grid", "counter", "limit_recursive",
+                                 "hyperbola", "sqrt", "noetherian", "table"]))
+    d = draw(st.integers(1, 4))
+    if kind == "power":
+        return FamilySpec(d, PowerRule(draw(_gens(d, 0))))
+    if kind == "product_grid":
+        return FamilySpec(d, ProductGridRule(tuple(draw(st.lists(_gens(d), min_size=1,
+                                                                 max_size=3)))))
+    if kind == "counter":
+        a = draw(st.one_of(st.sampled_from(["n^2", "n^3", "2^n"]),
+                           st.lists(st.integers(0, 10**6), max_size=5).map(tuple)))
+        return FamilySpec(2, CounterRule(a))
+    if kind == "limit_recursive":
+        return LIMIT
+    if kind == "hyperbola":
+        return FamilySpec(2, HyperbolaRule(draw(st.sampled_from(["lower", "upper", "sum"]))))
+    if kind == "sqrt":
+        k = draw(st.integers(2, 10**6).filter(lambda k: math.isqrt(k) ** 2 != k))
+        return FamilySpec(1, SqrtPrincipalRule(k))
+    if kind == "noetherian":
+        degrees = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True))
+        return FamilySpec(d, NoetherianSeedsRule(tuple((deg, draw(_gens(d)))
+                                                       for deg in sorted(degrees))))
+    rest = draw(st.lists(_gens(d), max_size=3))
+    return FamilySpec(d, TableRule((((0,) * d,), *rest)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_specs())
+def test_family_json_roundtrip(spec):
+    data = family_to_json(spec)
+    assert family_from_json(data) == spec
+    assert family_from_json(json.dumps(data)) == spec
 
 
 def test_length_of_zero_index_rejected_downstream():

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import MonomialIdeal, format_ideal, minimalize, parse_ideal
+from epsmult.ideal_core import MonomialIdeal, format_ideal, parse_ideal
+from epsmult.repro import random_ideal
 
-from conftest import brute_members, random_proper_ideal
+from conftest import brute_members
 
 
 def ideal(d, *gens):
@@ -206,10 +207,33 @@ def test_saturation_properties(gens):
         assert all(e <= c for e, c in zip(g, cap))
 
 
+def test_saturation_closed_form_in_one_and_two_variables(rng):
+    # the unit ideal for d = 1 and the staircase corner for d = 2 are the
+    # intersection of the colons I : xi^infinity
+    for k in range(200):
+        d = 1 + k % 2
+        I = random_ideal(rng, d, 8, 6)
+        colons = [I.colon_var_sat(i) for i in range(1, d + 1)]
+        expected = colons[0] if d == 1 else colons[0].intersect(colons[1])
+        assert I.saturate() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(*[st.integers(0, 10**15)] * d), max_size=5))))
+def test_text_and_json_forms_roundtrip(case):
+    d, gens = case
+    I = MonomialIdeal.from_gens(d, gens)
+    for style in ("text", "json"):
+        text = format_ideal(I, style=style)
+        assert parse_ideal(text, d) == I
+        assert format_ideal(parse_ideal(text, d), style=style) == text
+
+
 def test_random_ops_preserve_antichain_d3(rng):
     for _ in range(25):
-        I = random_proper_ideal(rng, 3, 4, 4)
-        J = random_proper_ideal(rng, 3, 4, 4)
+        I = random_ideal(rng, 3, 4, 4)
+        J = random_ideal(rng, 3, 4, 4)
         for result in (I * J, I + J, I.intersect(J), I.saturate()):
             gens = result.gens
             for a in gens:
@@ -220,8 +244,8 @@ def test_random_ops_preserve_antichain_d3(rng):
 
 def test_box_membership_agreement_d3(rng):
     for _ in range(8):
-        I = random_proper_ideal(rng, 3, 4, 3)
-        J = random_proper_ideal(rng, 3, 4, 3)
+        I = random_ideal(rng, 3, 4, 3)
+        J = random_ideal(rng, 3, 4, 3)
         bound = 2 * max(max(g) for g in I.gens + J.gens)
         box = (bound,) * 3
         members_i = brute_members(I.gens, box)
@@ -272,7 +296,3 @@ class TestParsing:
         b = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
         assert a.gens == b.gens == ((1, 2), (2, 0))
         assert hash(a) == hash(b)
-
-
-def test_minimalize_helper():
-    assert minimalize(2, [(1, 2), (2, 3)]).gens == ((1, 2),)

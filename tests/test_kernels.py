@@ -1,19 +1,9 @@
-"""Backend equivalence: the numba and numpy kernel paths must agree exactly."""
+"""The numpy antichain and product kernels against plain-Python references."""
 
 import numpy as np
 import pytest
 
 from epsmult import _kernels
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    old = _kernels.active_backend()
-    _kernels.set_backend(request.param)
-    yield request.param
-    _kernels.set_backend(old)
 
 
 def reference_minimal(rows):
@@ -30,7 +20,7 @@ def random_rows(rng, n, d, hi):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_minimal_rows_matches_reference(backend, d):
+def test_minimal_rows_matches_reference(d):
     rng = np.random.default_rng(5)
     for n in (1, 2, 17, 200):
         arr = random_rows(rng, n, d, 7)
@@ -39,68 +29,13 @@ def test_minimal_rows_matches_reference(backend, d):
         assert got == reference_minimal(arr.tolist())
 
 
-def test_minimal_rows_handles_duplicates(backend):
+def test_minimal_rows_handles_duplicates():
     arr = np.array([[1, 2], [1, 2], [2, 0], [2, 0], [3, 3]], dtype=np.int64)
     got = [tuple(r) for r in _kernels.minimal_rows_2d(arr)]
     assert got == [(1, 2), (2, 0)]
 
 
-def test_pairwise_sums(backend):
+def test_pairwise_sums():
     a = np.array([[1, 2], [2, 0]], dtype=np.int64)
     got = sorted(map(tuple, _kernels.pairwise_sums(a, a).tolist()))
     assert got == [(2, 4), (3, 2), (3, 2), (4, 0)]
-
-
-def test_divides_any(backend):
-    gens = np.array([[1, 2], [2, 0]], dtype=np.int64)
-    pts = np.array([[0, 0], [1, 2], [1, 1], [5, 0], [2, 7]], dtype=np.int64)
-    got = _kernels.divides_any(pts, gens).tolist()
-    assert got == [False, True, False, True, True]
-    assert _kernels.divides_any(pts, np.empty((0, 2), dtype=np.int64)).tolist() == [False] * 5
-
-
-def brute_count(box, sat, outer, inner):
-    import itertools
-    count, maxdeg = 0, -1
-    for p in itertools.product(*(range(int(b)) for b in box)):
-        def hit(gens):
-            return any(all(g[i] <= p[i] for i in range(len(p))) for g in gens)
-        if hit(sat.tolist()) and hit(outer.tolist()) and not hit(inner.tolist()):
-            count += 1
-            maxdeg = max(maxdeg, sum(p))
-    return count, maxdeg
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_count_box_matches_brute_force(backend, d):
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        sat = random_rows(rng, 2, d, 3)
-        inner = random_rows(rng, 3, d, 5)
-        outer = np.zeros((1, d), dtype=np.int64)
-        box = np.full(d, 6, dtype=np.int64)
-        got = _kernels.count_box(box, sat, outer, inner)
-        assert got == brute_count(box, sat, outer, inner)
-
-
-def test_count_box_slab_decomposition(backend):
-    rng = np.random.default_rng(3)
-    sat = np.zeros((1, 3), dtype=np.int64)
-    inner = random_rows(rng, 4, 3, 5)
-    outer = np.zeros((1, 3), dtype=np.int64)
-    box = np.array([9, 6, 6], dtype=np.int64)
-    whole = _kernels.count_box(box, sat, outer, inner)
-    parts = [_kernels.count_box(box, sat, outer, inner, lo, hi)
-             for lo, hi in ((0, 3), (3, 7), (7, 9))]
-    assert sum(c for c, _ in parts) == whole[0]
-    assert max(m for _, m in parts) == whole[1]
-
-
-def test_empty_box(backend):
-    z = np.zeros((1, 2), dtype=np.int64)
-    assert _kernels.count_box(np.array([0, 4], dtype=np.int64), z, z, z) == (0, -1)
-
-
-def test_set_backend_validation():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")

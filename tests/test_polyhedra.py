@@ -7,9 +7,7 @@ from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import (analytic_spread, newton_polyhedron, out_region,
                                volume_from_constraints)
-from epsmult.repro import fit_epsilon
-
-from conftest import random_proper_ideal
+from epsmult.repro import fit_epsilon, random_ideal
 
 
 def ideal(d, *gens):
@@ -41,7 +39,7 @@ class TestNewtonPolyhedron:
     def test_normals_primitive_and_nonnegative(self, rng):
         from math import gcd
         for _ in range(15):
-            I = random_proper_ideal(rng, rng.choice((2, 3)), 5, 4)
+            I = random_ideal(rng, rng.choice((2, 3)), 5, 4)
             np_ = newton_polyhedron(I)
             for nu, _ in np_.facets:
                 assert all(v >= 0 for v in nu) and any(nu)
@@ -52,7 +50,7 @@ class TestNewtonPolyhedron:
 
     def test_cross_consistency(self, rng):
         for _ in range(15):
-            I = random_proper_ideal(rng, rng.choice((2, 3)), 5, 4)
+            I = random_ideal(rng, rng.choice((2, 3)), 5, 4)
             np_ = newton_polyhedron(I)
             d = np_.d
             for i in range(len(np_.vertices)):
@@ -84,7 +82,7 @@ class TestAnalyticSpread:
 
     def test_bounded_facet_iff_strictly_positive_normal(self, rng):
         for _ in range(15):
-            I = random_proper_ideal(rng, rng.choice((2, 3)), 5, 4)
+            I = random_ideal(rng, rng.choice((2, 3)), 5, 4)
             np_ = newton_polyhedron(I)
             for i, (nu, _) in enumerate(np_.facets):
                 assert (len(np_.facet_rays[i]) == 0) == all(v > 0 for v in nu)
@@ -111,7 +109,7 @@ class TestOutRegion:
 
     def test_scaling_in_powers(self, rng):
         for _ in range(6):
-            I = random_proper_ideal(rng, 2, 4, 4)
+            I = random_ideal(rng, 2, 4, 4)
             base = out_region(I).epsilon
             for k in (2, 3):
                 assert out_region(I.power(k)).epsilon == k ** 2 * base
@@ -119,7 +117,7 @@ class TestOutRegion:
     def test_positivity_equivalence(self, rng):
         for _ in range(25):
             d = rng.choice((2, 3))
-            I = random_proper_ideal(rng, d, 5, 4)
+            I = random_ideal(rng, d, 5, 4)
             assert (out_region(I).epsilon > 0) == (analytic_spread(I) == d)
 
     def test_d1_principal(self):
@@ -187,7 +185,7 @@ class TestFourVariables:
         # runs pull different triangulations of the same region
         for _ in range(45):
             d = rng.choice((2, 3, 4))
-            I = random_proper_ideal(rng, d, 3, 4)
+            I = random_ideal(rng, d, 3, 4)
             perm = rng.sample(range(d), d)
             J = ideal(d, *(tuple(g[p] for p in perm) for g in I.gens))
             eps, spread = out_region(I).epsilon, analytic_spread(I)
