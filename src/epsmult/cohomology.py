@@ -21,9 +21,7 @@ The slab route reports ``staircase-2d`` for d = 2 by default and
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from operator import sub
 from typing import Optional, Sequence
 
 from ._exactla import rank
@@ -78,7 +76,8 @@ class H0Count:
 # ---------------------------------------------------------------------------
 # Slab decomposition.
 
-Box = tuple[Monomial, Monomial]  # half-open: lo <= p < hi componentwise
+# (lo, hi, number of points): the half-open box lo <= p < hi componentwise
+Box = tuple[Monomial, Monomial, int]
 
 
 def _infinite() -> PreconditionError:
@@ -89,29 +88,30 @@ def _staircase_slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> li
     """Boxes tiling (outer) \\ (inner) in two variables, by one merge.
 
     Lex-sorted antichains have x ascending and y descending, so walking both
-    from the end visits the y levels upwards; at each level a slice of an
-    ideal is the ray x >= (x of the generator last passed).
+    from the end visits the y levels upwards.  Between two levels the slice
+    of an ideal is the ray x >= (x of its generator last passed), or nothing
+    (None) before the first.  The walk follows the inner staircase, passing
+    the outer generators up to each inner level on the way; the closing
+    (None, None) stands for the level y = oo.
     """
     boxes = []
-    i, j = len(outer), len(inner)
+    i = len(outer) - 1
     xo = xi = y = None
-    while True:
-        yo = outer[i - 1][1] if i else None
-        yi = inner[j - 1][1] if j else None
-        top = yo if yi is None or (yo is not None and yo < yi) else yi
-        if xo is not None and (xi is None or xo < xi):
-            if top is None or xi is None:
-                raise _infinite()
-            boxes.append(((xo, y), (xi, top)))
-        if top is None:
-            return boxes
-        if yo == top:
+    for xn, top in (*reversed(inner), (None, None)):
+        while i >= 0 and (top is None or outer[i][1] <= top):
+            x, z = outer[i]
             i -= 1
-            xo = outer[i][0]
-        if yi == top:
-            j -= 1
-            xi = inner[j][0]
-        y = top
+            if xo is not None and (xi is None or xo < xi) and y != z:
+                if xi is None:
+                    raise _infinite()
+                boxes.append(((xo, y), (xi, z), (xi - xo) * (z - y)))
+            xo, y = x, z
+        if xo is not None and (xi is None or xo < xi) and y != top:
+            if xi is None or top is None:
+                raise _infinite()
+            boxes.append(((xo, y), (xi, top), (xi - xo) * (top - y)))
+        xi, y = xn, top
+    return boxes
 
 
 def _antichain(gens: list[Monomial]) -> tuple[Monomial, ...]:
@@ -143,7 +143,7 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
         if not inner:
             raise _infinite()
         lo, hi = outer[0], inner[0]
-        return [(lo, hi)] if lo < hi else []
+        return [(lo, hi, hi[0] - lo[0])] if lo < hi else []
     if d == 2:
         return _staircase_slabs(outer, inner)
     levels: dict[int, tuple[list, list]] = {}
@@ -157,23 +157,23 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
         for side in (0, 1):
             if levels[z][side]:
                 cut[side] = _antichain([*cut[side], *levels[z][side]])
+        inside = _slabs(*cut)
         if top is None:
-            if not all(any(all(a <= b for a, b in zip(h, g)) for h in cut[1]) for g in cut[0]):
+            if inside:
                 raise _infinite()
         else:
-            boxes.extend((lo + (z,), hi + (top,)) for lo, hi in _slabs(*cut))
+            boxes.extend((lo + (z,), hi + (top,), n * (top - z)) for lo, hi, n in inside)
     return boxes
 
 
 def _count(outer: MonomialIdeal, inner: MonomialIdeal, method: str, witnesses: bool) -> H0Count:
-    """Length (sum of box volumes) and, when asked, the lex-sorted points of
-    the region between the two ideals."""
+    """Length and, when asked, the lex-sorted points of the region between
+    the two ideals."""
     boxes = _slabs(outer.gens, inner.gens)
-    length = sum(math.prod(map(sub, hi, lo)) for lo, hi in boxes)
     points = None
     if witnesses:
-        points = tuple(sorted(p for lo, hi in boxes for p in itertools.product(*map(range, lo, hi))))
-    return H0Count(length, method, points)
+        points = tuple(sorted(p for lo, hi, _ in boxes for p in itertools.product(*map(range, lo, hi))))
+    return H0Count(sum(n for _, _, n in boxes), method, points)
 
 
 def h0_length(ideal: MonomialIdeal, method: str = "auto", witnesses: bool = False) -> H0Count:
@@ -209,7 +209,7 @@ def max_socle_degree(ideal: MonomialIdeal) -> int:
     if ideal.is_zero:
         raise ZeroIdealError("socle of R/0 is undefined here")
     boxes = _slabs(ideal.saturate().gens, ideal.gens)
-    return max((sum(hi) - len(hi) for _, hi in boxes), default=0)
+    return max((sum(hi) - len(hi) for _, hi, _ in boxes), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,10 @@ class TestQuotient:
             other = random_ideal(rng, d, 2, 2)
             inner = outer.multiply(other) if k % 2 else outer.intersect(other)
             sat = inner.saturate()
-            expected, _ = brute_count(inner.max_exponents(), sat.gens, outer.gens, inner.gens)
+            expected, maxdeg = brute_count(inner.max_exponents(), sat.gens, outer.gens, inner.gens)
             count = h0_of_quotient(outer, inner, witnesses=True)
             assert count.length == expected
+            assert max(map(sum, count.witnesses), default=-1) == maxdeg
             for w in count.witnesses:
                 assert outer.contains(w) and sat.contains(w) and not inner.contains(w)
 
