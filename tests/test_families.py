@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
-                              SqrtPrincipalRule, TableRule, check_structure,
-                              eval_family, family_from_json, family_to_json,
-                              ProductGridRule, generation_degree, growth_constants,
+                              ProductGridRule, SqrtPrincipalRule, TableRule,
+                              check_structure, eval_family, family_from_json,
+                              family_to_json, generation_degree, growth_constants,
                               product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
 
