@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import isqrt
 from typing import Optional, Union
 
@@ -141,8 +141,12 @@ def _ceil_div(a: int, b: int) -> int:
 def _eval(spec: FamilySpec, idx: Index) -> MonomialIdeal:
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
-        parts = [_eval(FamilySpec(d, PowerRule(g)), n) for g, n in zip(rule.factors, idx)]
-        return reduce(lambda a, b: a.multiply(b), parts)
+        # I1^a ... Ik^c = (the memoized (k-1)-factor entry) * Ik^c
+        last = _eval(FamilySpec(d, PowerRule(rule.factors[-1])), idx[-1])
+        if len(idx) == 1:
+            return last
+        head = _eval(FamilySpec(d, ProductGridRule(rule.factors[:-1])), idx[:-1])
+        return head.multiply(last)
     n = idx
     if n == 0:
         return MonomialIdeal.unit(d)

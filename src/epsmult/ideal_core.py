@@ -1,14 +1,19 @@
 """Exact monomial-ideal arithmetic in K[X1,...,Xd].
 
-Monomials are tuples of arbitrary-precision non-negative integers; a
-``MonomialIdeal`` stores its unique minimal generating antichain in
+A ``MonomialIdeal`` holds its unique minimal generating antichain in
 lexicographic order, so equality and hashing are structural.  The empty
 generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
 
+The antichain lives in one of two forms.  While every coordinate is below
+``_kernels.INT64_SAFE`` the working form is an (m, d) int64 array: products,
+sums, intersections and colons run on it through ``_kernels`` and hand their
+output array to the result, so a chain of operations never leaves numpy.
+``gens``, the tuple of Python-int tuples, is built from the array on first
+read and cached.  Ideals with a larger coordinate keep only the tuple form
+and use pure-Python big-integer routes, so there is no overflow ceiling.
+
 Variable indices in the public API are 1-based (x1..xd), matching the text
-format accepted by the CLI.  Hot paths route through the int64 kernels in
-``_kernels`` whenever every coordinate is small enough; otherwise pure-Python
-big-integer fallbacks are used, so there is no overflow ceiling.
+format accepted by the CLI.
 """
 
 from __future__ import annotations
@@ -56,33 +61,44 @@ def _minimalize_python(gens: list[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def _minimalize(d: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
-    if len(gens) <= 2:
-        return _minimalize_python(gens)
-    if max(max(g) for g in gens) >= _kernels.INT64_SAFE:
-        return _minimalize_python(gens)
-    arr = _kernels.as_array(gens)
-    out = _kernels.minimal_rows_2d(arr) if d == 2 else _kernels.minimal_rows_nd(arr)
-    return tuple(tuple(int(e) for e in row) for row in out)
+def _minimal_rows(arr: np.ndarray) -> np.ndarray:
+    return _kernels.minimal_rows_2d(arr) if arr.shape[1] == 2 else _kernels.minimal_rows_nd(arr)
+
+
+def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
+    """The ideal generated by *gens*, minimalized by the kernels when they fit."""
+    if len(gens) > 2:
+        arr = _kernels.as_array(gens)
+        if arr is not None:
+            return MonomialIdeal(ambient, None, _trusted=True, arr=_minimal_rows(arr))
+    return MonomialIdeal(ambient, _minimalize_python(gens), _trusted=True)
 
 
 class MonomialIdeal:
-    """A monomial ideal, held as its minimal generating antichain."""
+    """A monomial ideal, held as its minimal generating antichain.
 
-    __slots__ = ("ambient", "gens", "_arr")
+    At least one of ``_gens`` (tuples) and ``_arr`` (int64 rows) is set; an
+    array is only ever stored for an int64-safe ideal.  ``_newton`` caches
+    the Newton polyhedron (``polyhedra.newton_polyhedron``).
+    """
 
-    def __init__(self, ambient: AmbientRing, gens: tuple[Monomial, ...], _trusted: bool = False):
+    __slots__ = ("ambient", "_gens", "_arr", "_newton")
+
+    def __init__(self, ambient: AmbientRing, gens: Optional[tuple[Monomial, ...]],
+                 _trusted: bool = False, arr: Optional[np.ndarray] = None):
         if not _trusted:
             raise PreconditionError("use MonomialIdeal.from_gens / zero / unit")
+        if arr is not None:
+            arr.flags.writeable = False
         self.ambient = ambient
-        self.gens = gens
-        self._arr: Optional[np.ndarray] = None
+        self._gens = gens
+        self._arr = arr
+        self._newton = None
 
     @classmethod
     def from_gens(cls, d: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
-        ambient = AmbientRing(d)
         checked = [_check_monomial(d, g) for g in gens]
-        return cls(ambient, _minimalize(d, checked), _trusted=True)
+        return _minimalize(AmbientRing(d), checked)
 
     @classmethod
     def zero(cls, d: int) -> "MonomialIdeal":
@@ -99,12 +115,22 @@ class MonomialIdeal:
         return self.ambient.d
 
     @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as lex-sorted tuples of Python ints."""
+        if self._gens is None:
+            self._gens = tuple(map(tuple, self._arr.tolist()))
+        return self._gens
+
+    def _count(self) -> int:
+        return len(self._gens) if self._gens is not None else self._arr.shape[0]
+
+    @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return self._count() == 0
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
+        return self._count() == 1 and not any(self.gens[0])
 
     @property
     def is_proper(self) -> bool:
@@ -114,18 +140,29 @@ class MonomialIdeal:
         """Componentwise maximum of the minimal generators (zero ideal -> 0s)."""
         if self.is_zero:
             return (0,) * self.d
-        return tuple(max(g[i] for g in self.gens) for i in range(self.d))
+        if self._gens is None:
+            return tuple(self._arr.max(axis=0).tolist())
+        return tuple(max(g[i] for g in self._gens) for i in range(self.d))
 
     def fits_int64(self) -> bool:
-        return self.is_zero or max(self.max_exponents()) < _kernels.INT64_SAFE
+        return self._arr is not None or self.is_zero or max(self.max_exponents()) < _kernels.INT64_SAFE
 
     def as_array(self) -> np.ndarray:
-        """Generators as an (m, d) int64 array (cached; requires fits_int64)."""
+        """Generators as a read-only (m, d) int64 array (cached; requires fits_int64)."""
         if self._arr is None:
             if not self.fits_int64():
                 raise PreconditionError("generators exceed the int64-safe range")
-            self._arr = _kernels.as_array(self.gens) if self.gens else np.empty((0, self.d), dtype=np.int64)
+            arr = _kernels.as_array(self._gens) if self._gens else np.empty((0, self.d), dtype=np.int64)
+            arr.flags.writeable = False
+            self._arr = arr
         return self._arr
+
+    def _both_int64(self, other: "MonomialIdeal") -> bool:
+        return self.fits_int64() and other.fits_int64()
+
+    def _of_rows(self, arr: np.ndarray) -> "MonomialIdeal":
+        """The ideal in this ring whose minimal generators are the rows *arr*."""
+        return MonomialIdeal(self.ambient, None, _trusted=True, arr=arr)
 
     def _same_ring(self, other: "MonomialIdeal") -> None:
         if self.d != other.d:
@@ -139,6 +176,9 @@ class MonomialIdeal:
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
         self._same_ring(other)
+        if self._both_int64(other):
+            a, b = self.as_array(), other.as_array()
+            return bool((b[None] <= a[:, None]).all(-1).any(-1).all())
         return all(other.contains(g) for g in self.gens)
 
     def __le__(self, other: "MonomialIdeal") -> bool:
@@ -150,12 +190,10 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.d)
-        if self.fits_int64() and other.fits_int64():
+        if self._both_int64(other):
             sums = _kernels.pairwise_sums(self.as_array(), other.as_array())
             if int(sums.max(initial=0)) < _kernels.INT64_SAFE:
-                out = _kernels.minimal_rows_2d(sums) if self.d == 2 else _kernels.minimal_rows_nd(sums)
-                gens = tuple(tuple(int(e) for e in row) for row in out)
-                return MonomialIdeal(self.ambient, gens, _trusted=True)
+                return self._of_rows(_minimal_rows(sums))
         prods = [tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.ambient, _minimalize_python(prods), _trusted=True)
 
@@ -173,14 +211,28 @@ class MonomialIdeal:
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
-        return MonomialIdeal(self.ambient, _minimalize(self.d, list(self.gens + other.gens)), _trusted=True)
+        if self._both_int64(other):
+            return self._of_rows(_minimal_rows(np.concatenate((self.as_array(), other.as_array()))))
+        return MonomialIdeal(self.ambient, _minimalize_python(list(self.gens + other.gens)), _trusted=True)
 
     __add__ = add
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
+        if self._both_int64(other):
+            a, b = self.as_array(), other.as_array()
+            return self._of_rows(_minimal_rows(np.maximum(a[:, None], b[None]).reshape(-1, self.d)))
         lcms = [tuple(max(a, b) for a, b in zip(g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _minimalize(self.d, lcms), _trusted=True)
+        return MonomialIdeal(self.ambient, _minimalize_python(lcms), _trusted=True)
+
+    def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
+        """The ideal with the exponents of *variables* (1-based) set to zero."""
+        if self._arr is not None:
+            arr = self._arr.copy()
+            arr[:, [i - 1 for i in variables]] = 0
+            return self._of_rows(_minimal_rows(arr))
+        dropped = [tuple(0 if (i + 1) in variables else e for i, e in enumerate(g)) for g in self.gens]
+        return _minimalize(self.ambient, dropped)
 
     def colon_var_sat(self, i: int) -> "MonomialIdeal":
         """The stable colon I : xi^infinity (variable index 1-based)."""
@@ -188,8 +240,7 @@ class MonomialIdeal:
             raise ZeroIdealError("saturation of the zero ideal is undefined")
         if not 1 <= i <= self.d:
             raise PreconditionError(f"variable index {i} out of range 1..{self.d}")
-        dropped = [g[: i - 1] + (0,) + g[i:] for g in self.gens]
-        return MonomialIdeal(self.ambient, _minimalize(self.d, dropped), _trusted=True)
+        return self._drop(frozenset((i,)))
 
     def saturate(self) -> "MonomialIdeal":
         """I : m^infinity, the intersection of the I : xi^infinity.
@@ -216,17 +267,16 @@ class MonomialIdeal:
             return self
         if not fs <= set(range(1, self.d + 1)):
             raise PreconditionError(f"variable subset {sorted(fs)} out of range 1..{self.d}")
-        dropped = [tuple(0 if (i + 1) in fs else e for i, e in enumerate(g)) for g in self.gens]
-        return MonomialIdeal(self.ambient, _minimalize(self.d, dropped), _trusted=True)
+        return self._drop(fs)
 
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.d == other.d
-            and self.gens == other.gens
-        )
+        if not isinstance(other, MonomialIdeal) or self.d != other.d:
+            return False
+        if self._gens is None and other._gens is None:
+            return np.array_equal(self._arr, other._arr)
+        return self.gens == other.gens
 
     def __hash__(self) -> int:
         return hash((self.d, self.gens))

@@ -63,7 +63,17 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
-    """H- and V-representation of conv(generator exponents) + orthant."""
+    """H- and V-representation of conv(generator exponents) + orthant.
+
+    Built once per ideal object and kept on it: ``out_region``,
+    ``analytic_spread`` and ``eps newton`` all start from it.
+    """
+    if ideal._newton is None:
+        ideal._newton = _build_newton(ideal)
+    return ideal._newton
+
+
+def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     _require_proper(ideal)
     d = ideal.d
     rows = [tuple(g) + (1,) for g in ideal.gens]

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsmult import families
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -13,6 +16,7 @@ from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               family_to_json, generation_degree, growth_constants,
                               product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
+from epsmult.repro import random_ideal
 
 COUNTER = FamilySpec(2, CounterRule("n^2"))
 LIMIT = FamilySpec(2, LimitRecursiveRule())
@@ -300,3 +304,23 @@ def test_length_of_zero_index_rejected_downstream():
     spec = FamilySpec(1, NoetherianSeedsRule(((2, ((1,),)),)))
     with pytest.raises(ZeroIdealError):
         length_table(spec, [1, 2])
+
+
+def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
+    factors = [random_ideal(rng, 2, 3, 3) for _ in range(3)]
+    n = 5
+    for k in (1, 2, 3):
+        spec = product_grid_family(factors[:k])
+        for idx in itertools.product(range(n), repeat=k):
+            plain = reduce(MonomialIdeal.multiply, [f.power(e) for f, e in zip(factors, idx)])
+            assert eval_family(spec, idx) == plain
+    # cold memo: one multiply per power of a factor and per entry of the
+    # 2- and 3-factor grids (the plain route multiplies k - 1 times per entry)
+    families._eval.cache_clear()
+    calls = []
+    multiply = MonomialIdeal.multiply
+    monkeypatch.setattr(MonomialIdeal, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    spec = product_grid_family(factors)
+    for idx in itertools.product(range(n), repeat=3):
+        eval_family(spec, idx)
+    assert len(calls) == 3 * (n - 1) + n**2 + n**3

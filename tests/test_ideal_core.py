@@ -1,10 +1,15 @@
+from functools import reduce
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsmult import _kernels
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import MonomialIdeal, format_ideal, parse_ideal
+from epsmult.ideal_core import (AmbientRing, MonomialIdeal, _minimalize_python, format_ideal,
+                                parse_ideal)
 from epsmult.repro import random_ideal
 
 from conftest import brute_members
@@ -296,3 +301,147 @@ class TestParsing:
         b = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
         assert a.gens == b.gens == ((1, 2), (2, 0))
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The int64 array form against the pure-Python route.
+
+SAFE = _kernels.INT64_SAFE
+
+
+def py_mul(a, b):
+    return _minimalize_python([tuple(x + y for x, y in zip(g, h)) for g in a for h in b])
+
+
+def py_lcm(a, b):
+    return _minimalize_python([tuple(map(max, g, h)) for g in a for h in b])
+
+
+def py_colon(a, i):
+    return _minimalize_python([g[: i - 1] + (0,) + g[i:] for g in a])
+
+
+def py_subset(a, b):
+    return all(any(all(x <= y for x, y in zip(h, g)) for h in b) for g in a)
+
+
+def tuple_backed(d, gens):
+    """The ideal with generators *gens* (already minimal), holding no array."""
+    return MonomialIdeal(AmbientRing(d), tuple(gens), _trusted=True)
+
+
+def check_against_python(d, g1, g2):
+    I, J = MonomialIdeal.from_gens(d, g1), MonomialIdeal.from_gens(d, g2)
+    a, b = _minimalize_python(list(g1)), _minimalize_python(list(g2))
+    assert I.gens == a and J.gens == b
+    assert (I * J).gens == py_mul(a, b)
+    assert (I + J).gens == _minimalize_python(list(a + b))
+    assert I.intersect(J).gens == py_lcm(a, b)
+    assert I.is_subset(J) == py_subset(a, b)
+    assert J.is_subset(I) == py_subset(b, a)
+    if a:
+        for i in range(1, d + 1):
+            assert I.colon_var_sat(i).gens == py_colon(a, i)
+        sat = reduce(py_lcm, [py_colon(a, i) for i in range(1, d + 1)])
+        assert I.saturate().gens == sat
+
+
+def random_gens(rng, d, hi, least):
+    return [tuple(rng.randint(0, hi) for _ in range(d)) for _ in range(rng.randint(least, 9))]
+
+
+def test_array_route_matches_python_route(rng):
+    # the second operand is the zero ideal when it draws no generator
+    for k in range(320):
+        d = 1 + k % 4
+        hi = rng.choice((3, 6, 40))
+        check_against_python(d, random_gens(rng, d, hi, 1), random_gens(rng, d, hi, 0))
+
+
+def test_kernel_results_keep_their_array(rng):
+    for k in range(40):
+        d = 2 + k % 3
+        I = random_ideal(rng, d, 6, 6)
+        J = random_ideal(rng, d, 6, 6)
+        for result in (I * J, I + J, I.intersect(J), I.colon_var_sat(1)):
+            assert result._arr is not None
+            assert result.gens == tuple(map(tuple, result._arr.tolist()))
+            assert not result.as_array().flags.writeable
+
+
+STRADDLE = (0, 1, 2, SAFE - 1, SAFE, 2**40)
+
+
+def test_operands_straddling_the_int64_bound(rng):
+    for k in range(300):
+        d = 1 + k % 4
+        g1 = [tuple(rng.choice(STRADDLE[:4]) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        g2 = [tuple(rng.choice(STRADDLE) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        if all(max(g) < SAFE for g in g2):
+            g2[0] = (rng.choice(STRADDLE[4:]),) + g2[0][1:]
+        I, J = MonomialIdeal.from_gens(d, g1), MonomialIdeal.from_gens(d, g2)
+        assert I.fits_int64()
+        if max(map(max, J.gens)) >= SAFE:
+            assert not J.fits_int64()
+        check_against_python(d, g1, g2)
+        check_against_python(d, g2, g1)
+
+
+def test_sums_past_the_bound_take_the_python_route():
+    I = MonomialIdeal.from_gens(2, [(SAFE - 1, 0), (1, 1), (0, SAFE - 1)])
+    assert I._arr is not None
+    square = I * I
+    assert square.gens == py_mul(I.gens, I.gens)
+    assert square._arr is None and not square.fits_int64()
+
+
+def test_equality_and_hash_across_forms(rng):
+    for k in range(300):
+        d = 1 + k % 4
+        I = random_ideal(rng, d, 5, 6)
+        J = random_ideal(rng, d, 5, 6)
+        x1 = MonomialIdeal.from_gens(d, [(1,) + (0,) * (d - 1)])
+        for op, expected in ((I.multiply, py_mul(I.gens, J.gens)),
+                             (I.add, _minimalize_python(list(I.gens + J.gens))),
+                             (I.intersect, py_lcm(I.gens, J.gens))):
+            kernel, twin, shifted = op(J), op(J), op(J) * x1
+            # compared while both sides hold only their arrays (hash builds gens)
+            assert kernel._gens is None and twin._gens is None and shifted._gens is None
+            assert kernel == twin and kernel != shifted
+            assert hash(kernel) == hash(twin) != hash(shifted)
+            assert kernel != MonomialIdeal.zero(d)
+            for other in (tuple_backed(d, expected), MonomialIdeal.from_gens(d, expected)):
+                assert kernel == other and other == kernel
+                assert hash(kernel) == hash(other)
+                assert len({kernel, other, twin}) == 1
+
+
+def test_gens_is_read_only():
+    I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0), (0, 5)])
+    with pytest.raises(AttributeError):
+        I.gens = ((1, 1),)
+
+
+def lexsort_minimal_rows_2d(arr):
+    """The two-key lexsort version of the d = 2 kernel."""
+    if arr.shape[0] <= 1:
+        return arr
+    srt = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    ys = srt[:, 1]
+    prev = np.empty_like(ys)
+    prev[0] = np.iinfo(np.int64).max
+    np.minimum.accumulate(ys[:-1], out=prev[1:])
+    return srt[ys < prev]
+
+
+def test_one_key_sort_matches_lexsort_at_the_bound():
+    rng = np.random.default_rng(31)
+    values = np.array([0, 1, 2, 2**30 - 1, 2**30, 2**30 + 1, SAFE - 2, SAFE - 1], dtype=np.int64)
+    for n in (1, 2, 3, 8, 50, 400):
+        for _ in range(20):
+            arr = values[rng.integers(0, len(values), size=(n, 2))]
+            arr = np.concatenate((arr, arr[: n // 2]))  # duplicates
+            got = _kernels.minimal_rows_2d(arr)
+            assert np.array_equal(got, lexsort_minimal_rows_2d(arr))
+            assert np.array_equal(got, np.array(_minimalize_python(list(map(tuple, arr.tolist()))),
+                                                dtype=np.int64).reshape(-1, 2))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from epsmult.errors import PreconditionError, ZeroIdealError
+from epsmult import polyhedra
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import (analytic_spread, newton_polyhedron, out_region,
                                volume_from_constraints)
@@ -68,6 +69,17 @@ class TestNewtonPolyhedron:
             newton_polyhedron(MonomialIdeal.zero(2))
         with pytest.raises(PreconditionError):
             newton_polyhedron(MonomialIdeal.unit(2))
+
+    def test_built_once_per_ideal(self, monkeypatch):
+        builds = []
+        build = polyhedra._build_newton
+        monkeypatch.setattr(polyhedra, "_build_newton", lambda i: builds.append(i) or build(i))
+        I = ideal(3, (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1))
+        np_ = newton_polyhedron(I)
+        assert out_region(I).epsilon == out_region(ideal(3, *I.gens)).epsilon
+        assert analytic_spread(I) == 3
+        assert newton_polyhedron(I) is np_
+        assert len(builds) == 2  # I, then the equal but separate ideal
 
 
 class TestAnalyticSpread:
