@@ -272,11 +272,7 @@ class MonomialIdeal:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal) or self.d != other.d:
-            return False
-        if self._gens is None and other._gens is None:
-            return np.array_equal(self._arr, other._arr)
-        return self.gens == other.gens
+        return isinstance(other, MonomialIdeal) and self.d == other.d and self.gens == other.gens
 
     def __hash__(self) -> int:
         return hash((self.d, self.gens))
