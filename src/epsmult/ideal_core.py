@@ -272,7 +272,11 @@ class MonomialIdeal:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialIdeal) and self.d == other.d and self.gens == other.gens
+        return (
+            isinstance(other, MonomialIdeal)
+            and self.d == other.d
+            and self.gens == other.gens
+        )
 
     def __hash__(self) -> int:
         return hash((self.d, self.gens))
