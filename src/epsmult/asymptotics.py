@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -52,34 +51,27 @@ class LengthTable:
         return [(i, self.entries[i]) for i in self.indices()]
 
 
-def length_table(spec: FamilySpec, indices: Sequence, threads: int = 1) -> LengthTable:
+def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
     """H^0 lengths of R/I_n over the given indices, by the slab route.
 
-    ``threads > 1`` evaluates the entries on a thread pool; the table and
-    its ``methods`` do not depend on it.
+    The entries share one family memo, so each ideal of the family is built
+    once per table; the memo is dropped with the call.
     """
     idxs = [_as_index(i) for i in indices]
     if not idxs:
         raise PreconditionError("empty index range")
-    seen = set()
-    ordered = [i for i in idxs if not (i in seen or seen.add(i))]
-
-    def entry(idx: Index):
-        ideal = eval_family(spec, idx if spec.arity > 1 else idx[0])
-        if ideal.is_zero:
-            raise ZeroIdealError(f"I_{idx} is the zero ideal")
-        count = h0_length(ideal)
-        return idx, count.length, count.method
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(entry, ordered))
-    else:
-        rows = [entry(i) for i in ordered]
+    memo: dict = {}
+    counts = {}
+    for idx in idxs:
+        if idx not in counts:
+            ideal = eval_family(spec, idx if spec.arity > 1 else idx[0], memo)
+            if ideal.is_zero:
+                raise ZeroIdealError(f"I_{idx} is the zero ideal")
+            counts[idx] = h0_length(ideal)
     spec_hash = hashlib.sha256(
         json.dumps(family_to_json(spec), sort_keys=True).encode()).hexdigest()[:16]
-    return LengthTable(spec.arity, {i: v for i, v, _ in rows}, spec_hash,
-                       tuple(sorted({m for _, _, m in rows})))
+    return LengthTable(spec.arity, {i: c.length for i, c in counts.items()}, spec_hash,
+                       tuple(sorted({c.method for c in counts.values()})))
 
 
 # ---------------------------------------------------------------------------

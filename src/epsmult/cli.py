@@ -20,10 +20,10 @@ from contextlib import contextmanager
 from itertools import product as iter_product
 
 from .asymptotics import convergence_report, extract_epsilons, fit_quasi_polynomial, length_table
-from .cohomology import delta_complex, h0_length, reduced_betti
+from .cohomology import METHOD_BOX, METHOD_TAKAYAMA, delta_complex, h0_length, reduced_betti
 from .errors import NoFitError, ParseError, PreconditionError, TheoremViolationError
 from .families import (check_structure, eval_family, family_from_json,
-                       family_to_json, growth_constants)
+                       family_to_json, growth_constants, product_grid_family)
 from .ideal_core import format_ideal, parse_ideal
 from .polyhedra import analytic_spread, newton_polyhedron, out_region
 from .repro import fit_epsilon, rat, run_case
@@ -39,7 +39,6 @@ def _common() -> _Parser:
     common.add_argument("--json", action="store_true", help="JSON output (default)")
     common.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH",
                         help="CSV output to stdout or PATH")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized reproduction cases")
     common.add_argument("--timeout", type=int, default=0, metavar="SECS")
@@ -54,8 +53,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("h0", parents=[common], help="H^0 length of R/I")
     p.add_argument("--ideal", required=True)
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--method", choices=["auto", "box", "staircase", "takayama"],
-                   default="auto")
+    p.add_argument("--method", choices=["box", "takayama"], default="box")
     p.add_argument("--witnesses", action="store_true")
 
     p = sub.add_parser("newton", parents=[common], help="Newton polyhedron data")
@@ -84,7 +82,7 @@ def build_parser() -> _Parser:
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--holdout", type=int, default=4)
 
-    p = sub.add_parser("family", parents=[common], help="graded family operations")
+    p = sub.add_parser("family", help="graded family operations")
     fam = p.add_subparsers(dest="family_cmd", required=True)
     f = fam.add_parser("eval", parents=[common])
     f.add_argument("--spec", required=True)
@@ -147,13 +145,10 @@ def _load_family(path: str):
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
-_METHOD_NAMES = {"auto": "auto", "box": "box-enumeration",
-                 "staircase": "staircase-2d", "takayama": "takayama"}
-
-
 def cmd_h0(args):
     ideal = parse_ideal(args.ideal, args.dim)
-    count = h0_length(ideal, method=_METHOD_NAMES[args.method], witnesses=args.witnesses)
+    method = METHOD_TAKAYAMA if args.method == "takayama" else METHOD_BOX
+    count = h0_length(ideal, method=method, witnesses=args.witnesses)
     payload = {"length": count.length, "method": count.method}
     if count.witnesses is not None:
         payload["witnesses"] = [list(w) for w in count.witnesses]
@@ -212,12 +207,10 @@ def cmd_mixed(args):
     if not specs:
         raise ParseError("no ideals given")
     ideals = [parse_ideal(s, args.dim) for s in specs]
-    from .families import product_grid_family
-
     family = product_grid_family(ideals)
     rng = _parse_range(args.grid)
     indices = list(iter_product(rng, repeat=len(ideals)))
-    table = length_table(family, indices, threads=args.threads)
+    table = length_table(family, indices)
     d = ideals[0].d
     degree = args.degree if args.degree is not None else d
     start = args.start if args.start is not None else d + 1
@@ -242,15 +235,15 @@ def _indices_from(args):
     return list(_parse_range(args.index_range))
 
 
-def _eval_payload(spec, idx):
-    ideal = eval_family(spec, idx)
+def _eval_payload(spec, idx, memo):
+    ideal = eval_family(spec, idx, memo)
     return {"n": list(idx) if isinstance(idx, tuple) else idx,
             "ideal": [list(g) for g in ideal.gens],
             "text": format_ideal(ideal)}
 
 
-def _growth_payload(spec, n):
-    report = growth_constants(spec, n)
+def _growth_payload(spec, n, memo):
+    report = growth_constants(spec, n, memo)
     return {"n": report.n, "max_socle_degree": report.max_socle_degree,
             "minimal_c_linear": report.minimal_c_linear,
             "minimal_c_quadratic": report.minimal_c_quadratic}
@@ -258,19 +251,20 @@ def _growth_payload(spec, n):
 
 def cmd_family(args):
     spec = _load_family(args.spec)
+    memo = {}
     if args.family_cmd == "eval":
-        rows = [_eval_payload(spec, idx) for idx in _indices_from(args)]
+        rows = [_eval_payload(spec, idx, memo) for idx in _indices_from(args)]
         return (rows[0] if args.index_range is None else {"entries": rows}), 0
     if args.family_cmd == "check":
         report = check_structure(spec, args.N, args.mode)
         return {"passed": report.passed, "mode": report.mode, "N": report.upto,
                 "violation": report.violation}, 0
     if args.family_cmd == "growth":
-        rows = [_growth_payload(spec, n) for n in _indices_from(args)]
+        rows = [_growth_payload(spec, n, memo) for n in _indices_from(args)]
         return (rows[0] if args.index_range is None else {"entries": rows}), 0
     if args.family_cmd == "run":
         rng = _parse_range(args.range)
-        table = length_table(spec, rng, threads=args.threads)
+        table = length_table(spec, rng)
         entries = [{"index": i[0], "length": v} for i, v in table.series()]
         payload = {"spec": family_to_json(spec), "entries": entries}
         if args.normalizer:

@@ -14,8 +14,7 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   subsets is exactly {empty face}, detected through reduced homology; it
   never saturates, so it checks the slab route.
 
-The slab route reports ``staircase-2d`` for d = 2 by default and
-``box-enumeration`` otherwise; both labels name the same computation.
+The slab route reports ``box-enumeration`` for every d.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import Monomial, MonomialIdeal, _minimalize_python
 
 METHOD_BOX = "box-enumeration"
-METHOD_STAIRCASE = "staircase-2d"
 METHOD_TAKAYAMA = "takayama"
 
 
@@ -166,29 +164,25 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
     return boxes
 
 
-def _count(outer: MonomialIdeal, inner: MonomialIdeal, method: str, witnesses: bool) -> H0Count:
+def _count(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool) -> H0Count:
     """Length and, when asked, the lex-sorted points of the region between
     the two ideals."""
     boxes = _slabs(outer.gens, inner.gens)
     points = None
     if witnesses:
         points = tuple(sorted(p for lo, hi, _ in boxes for p in itertools.product(*map(range, lo, hi))))
-    return H0Count(sum(n for _, _, n in boxes), method, points)
+    return H0Count(sum(n for _, _, n in boxes), METHOD_BOX, points)
 
 
-def h0_length(ideal: MonomialIdeal, method: str = "auto", witnesses: bool = False) -> H0Count:
+def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = False) -> H0Count:
     """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I."""
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
-    if method == "auto":
-        method = METHOD_STAIRCASE if ideal.d == 2 else METHOD_BOX
     if method == METHOD_TAKAYAMA:
         return h0_length_takayama(ideal, witnesses=witnesses)
-    if method == METHOD_STAIRCASE and ideal.d != 2:
-        raise PreconditionError("staircase method requires two variables")
-    if method not in (METHOD_BOX, METHOD_STAIRCASE):
+    if method != METHOD_BOX:
         raise PreconditionError(f"unknown h0 method {method!r}")
-    return _count(ideal.saturate(), ideal, method, witnesses)
+    return _count(ideal.saturate(), ideal, witnesses)
 
 
 def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool = False) -> H0Count:
@@ -201,7 +195,7 @@ def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool =
     outer._same_ring(inner)
     if not inner.is_subset(outer):
         raise PreconditionError("inner ideal is not contained in the outer ideal")
-    return _count(outer.intersect(inner.saturate()), inner, METHOD_BOX, witnesses)
+    return _count(outer.intersect(inner.saturate()), inner, witnesses)
 
 
 def max_socle_degree(ideal: MonomialIdeal) -> int:

@@ -4,15 +4,16 @@ A FamilySpec pairs an ambient dimension with one of the built-in rules
 (power, product grid, the two-generated counter family, principal ideals
 with irrational slope, hyperbola-staircase families, the recursive limit
 family, Noetherian families built from seeds, or an explicit table).
-Evaluation is memoized content-addressed on (spec, index), so the recursive
-rules pay for each index once.
+Evaluation fills a memo dict owned by the caller: the recursive rules keep
+their ideals I_0, I_1, ... under the spec and product grids one entry per
+index, so callers that share one dict pay for each ideal once, and nothing
+outlives the dict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import Optional, Union
 
@@ -137,21 +138,46 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@lru_cache(maxsize=None)
-def _eval(spec: FamilySpec, idx: Index) -> MonomialIdeal:
+def _next_rung(spec: FamilySpec, ladder: list[MonomialIdeal]) -> MonomialIdeal:
+    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder)."""
+    d, rule, m = spec.d, spec.rule, len(ladder)
+    if isinstance(rule, PowerRule):
+        return ladder[-1].multiply(MonomialIdeal.from_gens(d, rule.gens))
+    if isinstance(rule, LimitRecursiveRule):
+        if m == 1:
+            return MonomialIdeal.from_gens(2, [(1, 1)])
+        acc = MonomialIdeal.from_gens(2, [(1, m * m), (m * m, 1)])
+        for t in range(1, m // 2 + 1):
+            acc = acc.add(ladder[t].multiply(ladder[m - t]))
+        return acc
+    acc = MonomialIdeal.zero(d)
+    for deg, gens in rule.seeds:
+        if deg <= m:
+            acc = acc.add(MonomialIdeal.from_gens(d, gens).multiply(ladder[m - deg]))
+    return acc
+
+
+def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
         # I1^a ... Ik^c = (the memoized (k-1)-factor entry) * Ik^c
-        last = _eval(FamilySpec(d, PowerRule(rule.factors[-1])), idx[-1])
-        if len(idx) == 1:
-            return last
-        head = _eval(FamilySpec(d, ProductGridRule(rule.factors[:-1])), idx[:-1])
-        return head.multiply(last)
+        entry = memo.get((spec, idx))
+        if entry is None:
+            entry = _eval(FamilySpec(d, PowerRule(rule.factors[-1])), idx[-1], memo)
+            if len(idx) > 1:
+                head = _eval(FamilySpec(d, ProductGridRule(rule.factors[:-1])), idx[:-1], memo)
+                entry = head.multiply(entry)
+            memo[spec, idx] = entry
+        return entry
     n = idx
     if n == 0:
         return MonomialIdeal.unit(d)
-    if isinstance(rule, PowerRule):
-        return _eval(spec, n - 1).multiply(MonomialIdeal.from_gens(d, rule.gens))
+    if isinstance(rule, (PowerRule, LimitRecursiveRule, NoetherianSeedsRule)):
+        # I_0, I_1, ... kept under the spec and extended bottom-up
+        ladder = memo.setdefault(spec, [MonomialIdeal.unit(d)])
+        while len(ladder) <= n:
+            ladder.append(_next_rung(spec, ladder))
+        return ladder[n]
     if isinstance(rule, CounterRule):
         return MonomialIdeal.from_gens(2, [(1, rule.value(n)), (2, 0)])
     if isinstance(rule, SqrtPrincipalRule):
@@ -164,23 +190,6 @@ def _eval(spec: FamilySpec, idx: Index) -> MonomialIdeal:
         if rule.variant == "upper":
             return MonomialIdeal.from_gens(2, upper)
         return MonomialIdeal.from_gens(2, lower + upper)
-    if isinstance(rule, LimitRecursiveRule):
-        if n == 1:
-            return MonomialIdeal.from_gens(2, [(1, 1)])
-        for m in range(2, n):
-            _eval(spec, m)
-        acc = MonomialIdeal.from_gens(2, [(1, n * n), (n * n, 1)])
-        for t in range(1, n // 2 + 1):
-            acc = acc.add(_eval(spec, t).multiply(_eval(spec, n - t)))
-        return acc
-    if isinstance(rule, NoetherianSeedsRule):
-        for m in range(1, n):
-            _eval(spec, m)
-        acc = MonomialIdeal.zero(d)
-        for deg, gens in rule.seeds:
-            if deg <= n:
-                acc = acc.add(MonomialIdeal.from_gens(d, gens).multiply(_eval(spec, n - deg)))
-        return acc
     if isinstance(rule, TableRule):
         if n >= len(rule.ideals):
             raise PreconditionError(f"table family has no I_{n}")
@@ -188,21 +197,26 @@ def _eval(spec: FamilySpec, idx: Index) -> MonomialIdeal:
     raise PreconditionError(f"unknown family rule {rule!r}")
 
 
-def eval_family(spec: FamilySpec, index: Index) -> MonomialIdeal:
-    """The ideal I_index of the family, minimalized and memoized."""
+def eval_family(spec: FamilySpec, index: Index, memo: Optional[dict] = None) -> MonomialIdeal:
+    """The ideal I_index of the family, minimalized.
+
+    *memo* (None: a fresh dict) caches the ideals built on the way; it changes
+    no result, but calls that share one dict share their work.
+    """
+    memo = {} if memo is None else memo
     if isinstance(spec.rule, ProductGridRule):
         if not isinstance(index, tuple) or len(index) != spec.arity:
             raise PreconditionError(f"product grid index must be a {spec.arity}-tuple")
         if any(n < 0 for n in index):
             raise PreconditionError("family indices must be non-negative")
-        return _eval(spec, tuple(int(n) for n in index))
+        return _eval(spec, tuple(int(n) for n in index), memo)
     if isinstance(index, tuple):
         if len(index) != 1:
             raise PreconditionError("this family is singly indexed")
         index = index[0]
     if index < 0:
         raise PreconditionError("family indices must be non-negative")
-    return _eval(spec, int(index))
+    return _eval(spec, int(index), memo)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +239,16 @@ def check_structure(spec: FamilySpec, upto: int, mode: str = "graded") -> Struct
         raise PreconditionError("need N >= 2")
     if isinstance(spec.rule, ProductGridRule):
         raise PreconditionError("structure checks apply to singly indexed families")
+    memo: dict = {}
     for n in range(1, upto):
         for m in range(n, upto - n + 1):
-            prod = eval_family(spec, n).multiply(eval_family(spec, m))
-            if not prod.is_subset(eval_family(spec, n + m)):
+            prod = eval_family(spec, n, memo).multiply(eval_family(spec, m, memo))
+            if not prod.is_subset(eval_family(spec, n + m, memo)):
                 return StructureReport(False, mode, upto,
                                        {"kind": "product", "pair": (n, m)})
     if mode == "filtration":
         for n in range(upto):
-            if not eval_family(spec, n + 1).is_subset(eval_family(spec, n)):
+            if not eval_family(spec, n + 1, memo).is_subset(eval_family(spec, n, memo)):
                 return StructureReport(False, mode, upto,
                                        {"kind": "chain", "index": n + 1})
     return StructureReport(True, mode, upto, None)
@@ -245,23 +260,16 @@ def generation_degree(spec: FamilySpec, a_max: int, window: int) -> Optional[int
         raise PreconditionError("need a_max >= 1 and window >= 2")
     if isinstance(spec.rule, ProductGridRule):
         raise PreconditionError("generation degree applies to singly indexed families")
+    memo: dict = {}
     for a in range(1, a_max + 1):
-        base = eval_family(spec, a)
-        ok = True
-        for n in range(2, window + 1):
-            for r in range(a):
-                try:
-                    lhs = eval_family(spec, a * n + r)
-                except PreconditionError:
-                    ok = False
-                    break
-                if lhs != base.power(n - 1).multiply(eval_family(spec, a + r)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return a
+        base = eval_family(spec, a, memo)
+        try:
+            if all(eval_family(spec, a * n + r, memo)
+                   == base.power(n - 1).multiply(eval_family(spec, a + r, memo))
+                   for n in range(2, window + 1) for r in range(a)):
+                return a
+        except PreconditionError:  # the family has no I_{an+r}
+            continue
     return None
 
 
@@ -273,16 +281,17 @@ class GrowthReport:
     minimal_c_quadratic: int
 
 
-def growth_constants(spec: FamilySpec, n: int) -> GrowthReport:
+def growth_constants(spec: FamilySpec, n: int, memo: Optional[dict] = None) -> GrowthReport:
     """Socle degree of I_n and the minimal truncation constants at index n.
 
     The truncation identity I_n cap m^t = sat(I_n) cap m^t holds exactly when
     t exceeds the maximal socle degree, so the minimal linear (quadratic)
-    constant is ceil((max+1)/n) (resp. over n^2).
+    constant is ceil((max+1)/n) (resp. over n^2).  *memo* is passed on to
+    ``eval_family``.
     """
     if n < 1:
         raise PreconditionError("growth constants need n >= 1")
-    ideal = eval_family(spec, n)
+    ideal = eval_family(spec, n, memo)
     if ideal.is_zero:
         raise ZeroIdealError(f"I_{n} is the zero ideal")
     if ideal.is_unit:

@@ -69,9 +69,10 @@ def _ceil_sum(n: int) -> int:
 def hyperbola_sum_closed_form(n_max: int = 40) -> dict:
     """h0(J_n + J'_n) = 2 sum_a ceil(n^2/a) - (n^2 + 2n - 1), exactly."""
     spec = FamilySpec(2, HyperbolaRule("sum"))
+    memo = {}
     mismatches = []
     for n in range(1, n_max + 1):
-        direct = h0_length(eval_family(spec, n)).length
+        direct = h0_length(eval_family(spec, n, memo)).length
         formula = 2 * _ceil_sum(n) - (n * n + 2 * n - 1)
         if direct != formula:
             mismatches.append({"n": n, "direct": direct, "formula": formula})
@@ -109,11 +110,12 @@ def limit_sandwich(n_max: int = 25) -> dict:
     limit_spec = FamilySpec(2, LimitRecursiveRule())
     sum_spec = FamilySpec(2, HyperbolaRule("sum"))
     xy = MonomialIdeal.from_gens(2, [(1, 1)])
+    memo = {}
     failures = []
     for n in range(2, n_max + 1):
         lower = lower_family_ideal(n)
-        mid = eval_family(limit_spec, n)
-        upper = eval_family(sum_spec, n)
+        mid = eval_family(limit_spec, n, memo)
+        upper = eval_family(sum_spec, n, memo)
         checks = {
             "lower_in_mid": lower.is_subset(mid),
             "mid_in_upper": mid.is_subset(upper),
@@ -132,9 +134,10 @@ def limit_sandwich(n_max: int = 25) -> dict:
 def limit_trend(points: Sequence[int] = (25, 50, 100),
                 final_bounds: tuple[float, float] = (2.0, 2.6)) -> dict:
     spec = FamilySpec(2, LimitRecursiveRule())
+    memo = {}
     values = []
     for n in points:
-        length = h0_length(eval_family(spec, n)).length
+        length = h0_length(eval_family(spec, n, memo)).length
         values.append((n, length / (n * n * math.log(n))))
     decreasing = all(b < a for (_, a), (_, b) in zip(values, values[1:]))
     lo, hi = final_bounds
@@ -276,7 +279,7 @@ def takayama_agreement(seed: int = 2024, count: int = 100) -> dict:
         ideals.append(random_ideal(rng, d, max_exp=4, max_gens=4))
     mismatches = []
     for ideal in ideals:
-        a = h0_length(ideal, method="box-enumeration").length
+        a = h0_length(ideal).length
         b = h0_length_takayama(ideal).length
         if a != b:
             mismatches.append({"ideal": [list(g) for g in ideal.gens],

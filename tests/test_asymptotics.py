@@ -26,7 +26,7 @@ class TestLengthTable:
     def test_power_lengths(self):
         t = length_table(power_family(I), range(1, 4))
         assert [t.value(n) for n in (1, 2, 3)] == [2, 6, 12]
-        assert t.methods == ("staircase-2d",)
+        assert t.methods == ("box-enumeration",)
 
     def test_counter_list(self):
         t = length_table(FamilySpec(2, CounterRule((5, 7, 11))), [1, 2, 3])
@@ -40,10 +40,13 @@ class TestLengthTable:
         t = length_table(power_family(I), [0, 1])
         assert t.value(0) == 0
 
-    def test_threads_agree(self):
-        a = length_table(power_family(I), range(1, 9))
-        b = length_table(power_family(I), range(1, 9), threads=4)
-        assert a.entries == b.entries
+    def test_powers_share_one_memo(self, monkeypatch):
+        calls = []
+        multiply = MonomialIdeal.multiply
+        monkeypatch.setattr(MonomialIdeal, "multiply",
+                            lambda a, b: calls.append(1) or multiply(a, b))
+        length_table(power_family(I), range(1, 9))
+        assert len(calls) == 8
 
     def test_empty_range_rejected(self):
         with pytest.raises(PreconditionError):

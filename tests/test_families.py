@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult import families
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -109,7 +108,21 @@ class TestEval:
             eval_family(POWER, -1)
 
     def test_memoized_evaluation_is_stable(self):
-        assert eval_family(LIMIT, 6) is eval_family(LIMIT, 6)
+        # a shared memo hands back the same object; without one every call
+        # builds its own, so no state outlives a call
+        memo = {}
+        assert eval_family(LIMIT, 6, memo) is eval_family(LIMIT, 6, memo)
+        a, b = eval_family(LIMIT, 6), eval_family(LIMIT, 6)
+        assert a == b and a is not b
+
+    def test_deep_power_and_grid_indices(self):
+        # powers and product-grid entries fill bottom-up, with no recursion
+        # per power
+        I = MonomialIdeal.from_gens(2, [(1, 0), (0, 1)])
+        big = I.power(2000)
+        assert eval_family(FamilySpec(2, PowerRule(I.gens)), 2000) == big
+        J = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
+        assert eval_family(product_grid_family([I, J]), (2000, 1)) == big.multiply(J)
 
 
 class TestCheckStructure:
@@ -314,13 +327,13 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
         for idx in itertools.product(range(n), repeat=k):
             plain = reduce(MonomialIdeal.multiply, [f.power(e) for f, e in zip(factors, idx)])
             assert eval_family(spec, idx) == plain
-    # cold memo: one multiply per power of a factor and per entry of the
+    # one fresh memo: one multiply per power of a factor and per entry of the
     # 2- and 3-factor grids (the plain route multiplies k - 1 times per entry)
-    families._eval.cache_clear()
     calls = []
     multiply = MonomialIdeal.multiply
     monkeypatch.setattr(MonomialIdeal, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
     spec = product_grid_family(factors)
+    memo = {}
     for idx in itertools.product(range(n), repeat=3):
-        eval_family(spec, idx)
+        eval_family(spec, idx, memo)
     assert len(calls) == 3 * (n - 1) + n**2 + n**3
