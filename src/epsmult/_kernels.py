@@ -1,9 +1,9 @@
 """Integer lattice kernels on int64 numpy arrays.
 
-Ideal arithmetic reduces to two array jobs:
+Two array jobs of ideal arithmetic run here:
 
-* antichain minimalization of exponent vectors (the d = 2 staircase case is
-  one sort + prefix-min scan, the general case a divisibility sweep),
+* the d = 2 antichain minimalization, one sort of packed keys and a
+  prefix-min scan,
 * pairwise generator sums for ideal products.
 
 Every coordinate handed in must lie in [0, ``INT64_SAFE``) = [0, 2**31).
@@ -12,8 +12,9 @@ packs into the single int64 key (x << 31) | y = x * 2**31 + y < 2**62.  That
 key orders rows lexicographically and unpacks exactly, so the d = 2 staircase
 is one sort of m keys and one scan.  ``as_array`` returns None for rows
 outside the bound; ``ideal_core`` then takes its pure-Python big-integer
-routes.  H^0 counting does not come through here: the slab route in
-``cohomology`` works on Python ints.
+routes.  Minimalization in every other d is ``ideal_core._antichain``, the
+level sweep on Python ints.  H^0 counting does not come through here: the
+slab route in ``cohomology`` works on Python ints.
 """
 
 from __future__ import annotations
@@ -56,29 +57,6 @@ def minimal_rows_2d(arr: np.ndarray) -> np.ndarray:
     np.minimum.accumulate(ys[:-1], out=prev[1:])
     kept = key[ys < prev]
     return np.stack((kept >> _KEY_SHIFT, kept & _LOW), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# General-d minimalization: process rows by ascending total degree; a row is
-# kept iff no already-kept row divides it (degree order makes this sound).
-
-
-def minimal_rows_nd(arr: np.ndarray) -> np.ndarray:
-    """Minimal elements of an (m, d) int64 array, lex sorted."""
-    if arr.shape[0] <= 1:
-        return arr
-    deg = arr.sum(axis=1)
-    order = np.lexsort(tuple(arr[:, c] for c in range(arr.shape[1] - 1, -1, -1)) + (deg,))
-    kept: list[np.ndarray] = []
-    block = None
-    for row in arr[order]:
-        if block is not None and bool((block <= row).all(axis=1).any()):
-            continue
-        kept.append(row)
-        block = np.array(kept)
-    out = np.array(kept)
-    final = np.lexsort(tuple(out[:, c] for c in range(out.shape[1] - 1, -1, -1)))
-    return out[final]
 
 
 def pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -132,6 +132,8 @@ def _parse_index(text: str):
         values = [int(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"bad index {text!r}") from exc
+    if not values:
+        raise ParseError(f"empty index {text!r}")
     return values[0] if len(values) == 1 else tuple(values)
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, _minimalize_python
+from .ideal_core import Monomial, MonomialIdeal, _antichain
 
 METHOD_BOX = "box-enumeration"
 METHOD_TAKAYAMA = "takayama"
@@ -110,18 +110,6 @@ def _staircase_slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> li
             boxes.append(((xo, y), (xi, top), (xi - xo) * (top - y)))
         xi, y = xn, top
     return boxes
-
-
-def _antichain(gens: list[Monomial]) -> tuple[Monomial, ...]:
-    """Minimal elements of *gens*, lex sorted."""
-    if len(gens[0]) != 2:
-        return _minimalize_python(gens)
-    kept, low = [], None
-    for g in sorted(gens):
-        if low is None or g[1] < low:
-            kept.append(g)
-            low = g[1]
-    return tuple(kept)
 
 
 def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:

@@ -356,6 +356,8 @@ def family_from_json(data) -> FamilySpec:
                 for deg, gens in rule_obj["seeds"].items()))
             if not seeds:
                 raise ParseError("noetherian rule needs at least one seed")
+            if seeds[0][0] < 1:
+                raise ParseError(f"noetherian seed degrees must be >= 1, got {seeds[0][0]}")
             dim = d if d is not None else len(seeds[0][1][0])
             return FamilySpec(_checked_dim(dim, *(gens for _, gens in seeds)),
                               NoetherianSeedsRule(seeds))

@@ -6,11 +6,14 @@ generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
 
 The antichain lives in one of two forms.  While every coordinate is below
 ``_kernels.INT64_SAFE`` the working form is an (m, d) int64 array: products,
-sums, intersections and colons run on it through ``_kernels`` and hand their
-output array to the result, so a chain of operations never leaves numpy.
-``gens``, the tuple of Python-int tuples, is built from the array on first
-read and cached.  Ideals with a larger coordinate keep only the tuple form
-and use pure-Python big-integer routes, so there is no overflow ceiling.
+sums, intersections and colons form their candidate rows on it and hand the
+minimal rows to the result as an array.  ``gens``, the tuple of Python-int
+tuples, is built from the array on first read and cached.  Ideals with a
+larger coordinate keep only the tuple form and use pure-Python big-integer
+routes, so there is no overflow ceiling.
+
+Minimalization is ``_kernels.minimal_rows_2d`` on d = 2 arrays and
+``_antichain``, a level sweep on Python ints, everywhere else.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -52,17 +55,43 @@ def _check_monomial(d: int, m: Sequence[int]) -> Monomial:
     return t
 
 
-def _minimalize_python(gens: list[Monomial]) -> tuple[Monomial, ...]:
-    by_degree = sorted(set(gens), key=lambda g: (sum(g), g))
-    kept: list[Monomial] = []
-    for g in by_degree:
-        if not any(all(k[i] <= g[i] for i in range(len(g))) for k in kept):
-            kept.append(g)
+def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
+    """Minimal elements of the exponent tuples *gens*, lex sorted.
+
+    In two variables: one sort and a scan of the running least y.  Above two:
+    a sweep up the distinct last exponents z, keeping ``below``, the antichain
+    of the (d-1)-prefixes seen so far (the cut ``cohomology._slabs`` makes).  A
+    prefix at z gives a minimal element iff it is in the antichain of
+    ``below`` and z's prefixes but not in ``below``.
+    """
+    if not gens:
+        return ()
+    d = len(gens[0])
+    if d == 1:
+        return (min(gens),)
+    if d == 2:
+        kept, low = [], None
+        for g in sorted(gens):
+            if low is None or g[1] < low:
+                kept.append(g)
+                low = g[1]
+        return tuple(kept)
+    levels: dict[int, list[Monomial]] = {}
+    for g in gens:
+        levels.setdefault(g[-1], []).append(g[:-1])
+    kept, below = [], ()
+    for z in sorted(levels):
+        cut = _antichain([*below, *levels[z]])
+        kept.extend(p + (z,) for p in set(cut).difference(below))
+        below = cut
     return tuple(sorted(kept))
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
-    return _kernels.minimal_rows_2d(arr) if arr.shape[1] == 2 else _kernels.minimal_rows_nd(arr)
+    if arr.shape[1] == 2:
+        return _kernels.minimal_rows_2d(arr)
+    rows = _antichain(list(map(tuple, arr.tolist())))
+    return np.array(rows, dtype=np.int64).reshape(-1, arr.shape[1])
 
 
 def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
@@ -71,7 +100,7 @@ def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
         arr = _kernels.as_array(gens)
         if arr is not None:
             return MonomialIdeal(ambient, None, _trusted=True, arr=_minimal_rows(arr))
-    return MonomialIdeal(ambient, _minimalize_python(gens), _trusted=True)
+    return MonomialIdeal(ambient, _antichain(gens), _trusted=True)
 
 
 class MonomialIdeal:
@@ -195,7 +224,7 @@ class MonomialIdeal:
             if int(sums.max(initial=0)) < _kernels.INT64_SAFE:
                 return self._of_rows(_minimal_rows(sums))
         prods = [tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _minimalize_python(prods), _trusted=True)
+        return MonomialIdeal(self.ambient, _antichain(prods), _trusted=True)
 
     __mul__ = multiply
 
@@ -213,7 +242,7 @@ class MonomialIdeal:
         self._same_ring(other)
         if self._both_int64(other):
             return self._of_rows(_minimal_rows(np.concatenate((self.as_array(), other.as_array()))))
-        return MonomialIdeal(self.ambient, _minimalize_python(list(self.gens + other.gens)), _trusted=True)
+        return MonomialIdeal(self.ambient, _antichain(self.gens + other.gens), _trusted=True)
 
     __add__ = add
 
@@ -223,7 +252,7 @@ class MonomialIdeal:
             a, b = self.as_array(), other.as_array()
             return self._of_rows(_minimal_rows(np.maximum(a[:, None], b[None]).reshape(-1, self.d)))
         lcms = [tuple(max(a, b) for a, b in zip(g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _minimalize_python(lcms), _trusted=True)
+        return MonomialIdeal(self.ambient, _antichain(lcms), _trusted=True)
 
     def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
         """The ideal with the exponents of *variables* (1-based) set to zero."""

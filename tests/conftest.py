@@ -13,6 +13,17 @@ def rng():
     return random.Random(20240817)
 
 
+def brute_minimal(rows):
+    """Minimal elements of the exponent vectors *rows*, lex sorted, by
+    checking each against every other (degree order makes one pass sound)."""
+    rows = sorted(set(map(tuple, rows)), key=lambda g: (sum(g), g))
+    kept = []
+    for g in rows:
+        if not any(all(k[i] <= g[i] for i in range(len(g))) for k in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
 def box_points(bounds):
     """All lattice points p with 0 <= p_i <= bounds_i (inclusive)."""
     return itertools.product(*(range(b + 1) for b in bounds))

@@ -61,6 +61,23 @@ class TestExitCodes:
         assert main(["family", "eval", "--spec", str(spec), "--n", index]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_seed_degree_below_one_is_1(self, capsys, tmp_path, command, degree):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"type": "noetherian", "seeds": {degree: [[1, 0]]}}))
+        flag = "--n" if command == "eval" else "--N"
+        assert main(["family", command, "--spec", str(spec), flag, "2"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", [",", " ", " , "])
+    def test_empty_index_is_1(self, capsys, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"type": "power", "ideal": [[1, 2], [2, 0]]}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", text]) == 1
+        assert main(["delta", "--ideal", "x*y^2, x^2", "--point", text]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
 

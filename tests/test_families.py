@@ -262,6 +262,12 @@ class TestJson:
         with pytest.raises(ParseError):
             family_from_json(spec)
 
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_seed_degree_below_one_rejected(self, degree):
+        with pytest.raises(ParseError):
+            family_from_json({"rule": {"type": "noetherian",
+                                       "seeds": {degree: [[1, 0]], "1": [[0, 1]]}}})
+
     def test_matching_widths_accepted(self):
         assert family_from_json({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}).d == 2
         assert family_from_json({"rule": {"type": "product_grid",

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from epsmult import _kernels
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import (AmbientRing, MonomialIdeal, _minimalize_python, format_ideal,
-                                parse_ideal)
+from epsmult.ideal_core import AmbientRing, MonomialIdeal, format_ideal, parse_ideal
 from epsmult.repro import random_ideal
 
-from conftest import brute_members
+from conftest import brute_members, brute_minimal
 
 
 def ideal(d, *gens):
@@ -304,21 +304,21 @@ class TestParsing:
 
 
 # ---------------------------------------------------------------------------
-# The int64 array form against the pure-Python route.
+# The int64 array form and the big-integer route against the brute-force oracle.
 
 SAFE = _kernels.INT64_SAFE
 
 
 def py_mul(a, b):
-    return _minimalize_python([tuple(x + y for x, y in zip(g, h)) for g in a for h in b])
+    return brute_minimal([tuple(x + y for x, y in zip(g, h)) for g in a for h in b])
 
 
 def py_lcm(a, b):
-    return _minimalize_python([tuple(map(max, g, h)) for g in a for h in b])
+    return brute_minimal([tuple(map(max, g, h)) for g in a for h in b])
 
 
 def py_colon(a, i):
-    return _minimalize_python([g[: i - 1] + (0,) + g[i:] for g in a])
+    return brute_minimal([g[: i - 1] + (0,) + g[i:] for g in a])
 
 
 def py_subset(a, b):
@@ -332,10 +332,10 @@ def tuple_backed(d, gens):
 
 def check_against_python(d, g1, g2):
     I, J = MonomialIdeal.from_gens(d, g1), MonomialIdeal.from_gens(d, g2)
-    a, b = _minimalize_python(list(g1)), _minimalize_python(list(g2))
+    a, b = brute_minimal(g1), brute_minimal(g2)
     assert I.gens == a and J.gens == b
     assert (I * J).gens == py_mul(a, b)
-    assert (I + J).gens == _minimalize_python(list(a + b))
+    assert (I + J).gens == brute_minimal(a + b)
     assert I.intersect(J).gens == py_lcm(a, b)
     assert I.is_subset(J) == py_subset(a, b)
     assert J.is_subset(I) == py_subset(b, a)
@@ -387,6 +387,30 @@ def test_operands_straddling_the_int64_bound(rng):
         check_against_python(d, g2, g1)
 
 
+# (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.
+CLIFF_BASE = ((1, 1, 0), (0, 1, 1), (2, 0, 1))
+
+
+def test_power_80_in_three_variables_is_fast():
+    start = time.perf_counter()
+    power = ideal(3, *CLIFF_BASE).power(80)
+    elapsed = time.perf_counter() - start
+    assert len(power.gens) == 3321
+    assert elapsed < 3.0, f"power(80) took {elapsed:.2f} s"
+
+
+def test_big_integer_power_and_saturation_equal_the_scaled_ones():
+    # scaling every exponent commutes with sums, lcms and minimalization
+    def scaled(gens):
+        return tuple(tuple(e << 33 for e in g) for g in gens)
+
+    small = ideal(3, *CLIFF_BASE).power(30)
+    big = ideal(3, *scaled(CLIFF_BASE)).power(30)
+    assert not big.fits_int64()
+    assert big.gens == scaled(small.gens)
+    assert big.saturate().gens == scaled(small.saturate().gens)
+
+
 def test_sums_past_the_bound_take_the_python_route():
     I = MonomialIdeal.from_gens(2, [(SAFE - 1, 0), (1, 1), (0, SAFE - 1)])
     assert I._arr is not None
@@ -402,7 +426,7 @@ def test_equality_and_hash_across_forms(rng):
         J = random_ideal(rng, d, 5, 6)
         x1 = MonomialIdeal.from_gens(d, [(1,) + (0,) * (d - 1)])
         for op, expected in ((I.multiply, py_mul(I.gens, J.gens)),
-                             (I.add, _minimalize_python(list(I.gens + J.gens))),
+                             (I.add, brute_minimal(I.gens + J.gens)),
                              (I.intersect, py_lcm(I.gens, J.gens))):
             kernel, twin, shifted = op(J), op(J), op(J) * x1
             assert kernel == twin and kernel != shifted
@@ -441,5 +465,4 @@ def test_one_key_sort_matches_lexsort_at_the_bound():
             arr = np.concatenate((arr, arr[: n // 2]))  # duplicates
             got = _kernels.minimal_rows_2d(arr)
             assert np.array_equal(got, lexsort_minimal_rows_2d(arr))
-            assert np.array_equal(got, np.array(_minimalize_python(list(map(tuple, arr.tolist()))),
-                                                dtype=np.int64).reshape(-1, 2))
+            assert got.tolist() == [list(g) for g in brute_minimal(arr.tolist())]

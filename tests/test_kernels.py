@@ -1,18 +1,17 @@
-"""The numpy antichain and product kernels against plain-Python references."""
+"""The antichain and product kernels against the brute-force oracle."""
+
+import random
 
 import numpy as np
 import pytest
 
 from epsmult import _kernels
+from epsmult.ideal_core import _antichain
 
+from conftest import brute_minimal
 
-def reference_minimal(rows):
-    rows = sorted(set(map(tuple, rows)), key=lambda g: (sum(g), g))
-    kept = []
-    for g in rows:
-        if not any(all(k[i] <= g[i] for i in range(len(g))) for k in kept):
-            kept.append(g)
-    return sorted(kept)
+# coordinates at the int64 kernel bound and past int64 itself
+EDGES = (0, 2**31 - 1, 2**31, 2**64)
 
 
 def random_rows(rng, n, d, hi):
@@ -23,10 +22,26 @@ def random_rows(rng, n, d, hi):
 def test_minimal_rows_matches_reference(d):
     rng = np.random.default_rng(5)
     for n in (1, 2, 17, 200):
-        arr = random_rows(rng, n, d, 7)
-        fn = _kernels.minimal_rows_2d if d == 2 else _kernels.minimal_rows_nd
-        got = [tuple(int(x) for x in row) for row in fn(arr)]
-        assert got == reference_minimal(arr.tolist())
+        rows = random_rows(rng, n, d, 7).tolist()
+        rows += rows[: n // 3]  # duplicates
+        if d == 2:
+            got = _kernels.minimal_rows_2d(np.array(rows, dtype=np.int64)).tolist()
+            got = tuple(map(tuple, got))
+        else:
+            rows += [[EDGES[(i + j) % 4] for j in range(d)] for i in range(4)]
+            got = _antichain(list(map(tuple, rows)))
+        assert got == brute_minimal(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_antichain_matches_brute_force(d):
+    rng = random.Random(1000 + d)
+    for _ in range(250):
+        values = rng.choice(((0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6, 7, 8), (*EDGES, 1, 5)))
+        rows = [tuple(rng.choice(values) for _ in range(d)) for _ in range(rng.randint(1, 30))]
+        rows += rng.sample(rows, rng.randint(0, len(rows)))  # duplicates
+        assert _antichain(rows) == brute_minimal(rows)
+    assert _antichain([]) == ()
 
 
 def test_minimal_rows_handles_duplicates():
