@@ -1,20 +1,21 @@
-"""Integer lattice kernels on int64 numpy arrays.
+"""Integer lattice kernels on numpy arrays.
 
-Two array jobs of ideal arithmetic run here:
+Two jobs of ideal arithmetic run here:
 
-* the d = 2 antichain minimalization, one sort of packed keys and a
-  prefix-min scan,
-* pairwise generator sums for ideal products.
+* the d = 2 staircase, held as one sorted vector of uint64 keys,
+* pairwise generator sums for ideal products in d >= 3.
 
 Every coordinate handed in must lie in [0, ``INT64_SAFE``) = [0, 2**31).
-Then the sum of two coordinates cannot overflow, and in d = 2 a row (x, y)
-packs into the single int64 key (x << 31) | y = x * 2**31 + y < 2**62.  That
-key orders rows lexicographically and unpacks exactly, so the d = 2 staircase
-is one sort of m keys and one scan.  ``as_array`` returns None for rows
-outside the bound; ``ideal_core`` then takes its pure-Python big-integer
-routes.  Minimalization in every other d is ``ideal_core._antichain``, the
-level sweep on Python ints.  H^0 counting does not come through here: the
-slab route in ``cohomology`` works on Python ints.
+Then the sum of two coordinates cannot overflow int64.  In d = 2 a row
+(x, y) packs into the key (x << 32) | y.  Keys order rows lexicographically,
+and the sum of two keys is the key of the row sum, because two y fields
+below 2**31 add up to less than 2**32 and never carry into the x field.  So a
+product's candidate keys are the p*q sums of its factors' keys, and the
+staircase of any key vector is one sort and a scan of the running least y.
+``as_array`` returns None for rows outside the bound; ``ideal_core`` then
+takes its pure-Python big-integer routes.  Minimalization in every other d is
+``ideal_core._antichain``, the level sweep on Python ints.  H^0 counting does
+not come through here: the slab route in ``cohomology`` works on Python ints.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 # Coordinates below this bound cannot overflow int64 under pairwise addition.
 INT64_SAFE = 2**31
-_KEY_SHIFT = 31  # log2(INT64_SAFE)
-_LOW = (1 << _KEY_SHIFT) - 1
-_INT64_MAX = np.iinfo(np.int64).max
+# uint64 scalars, so that numpy 1.x does not promote key arithmetic to float
+_SHIFT = np.uint64(32)
+_MASK = np.uint64(0xFFFFFFFF)
+_UINT64_MAX = np.iinfo(np.uint64).max
 
 
 def as_array(rows) -> Optional[np.ndarray]:
@@ -41,22 +43,40 @@ def as_array(rows) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# d = 2 minimalization: sort the packed keys (x asc, then y asc), keep rows
-# whose y drops below the running minimum and unpack them.  Kept rows come out
-# with strictly increasing x, which is exactly lex order.
+# d = 2 keys.  pack and unpack are exact for coordinates in [0, 2**32).
 
 
-def minimal_rows_2d(arr: np.ndarray) -> np.ndarray:
-    """Minimal elements (componentwise) of an (m, 2) int64 array, lex sorted."""
-    if arr.shape[0] <= 1:
-        return arr
-    key = np.sort((arr[:, 0] << _KEY_SHIFT) | arr[:, 1])
-    ys = key & _LOW
+def pack(arr: np.ndarray) -> np.ndarray:
+    """The keys (x << 32) | y of the rows of an (m, 2) int64 array."""
+    u = arr.astype(np.uint64)
+    return (u[:, 0] << _SHIFT) | u[:, 1]
+
+
+def unpack(keys: np.ndarray) -> np.ndarray:
+    """The (m, 2) int64 rows of a key vector."""
+    return np.stack(((keys >> _SHIFT).astype(np.int64), (keys & _MASK).astype(np.int64)), axis=1)
+
+
+def key_extent(keys: np.ndarray) -> tuple[int, int]:
+    """(max x, max y) of a non-empty staircase held as its sorted minimal
+    keys: the last key's x and the first key's y."""
+    return int(keys[-1]) >> 32, int(keys[0]) & 0xFFFFFFFF
+
+
+def minimal_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys of the minimal rows (componentwise), ascending.
+
+    Sorts *keys* in place (x asc, then y asc) and keeps each key whose y
+    drops below the running minimum; kept rows have strictly increasing x.
+    """
+    keys.sort()
+    if keys.size <= 1:
+        return keys
+    ys = keys & _MASK
     prev = np.empty_like(ys)
-    prev[0] = _INT64_MAX
+    prev[0] = _UINT64_MAX
     np.minimum.accumulate(ys[:-1], out=prev[1:])
-    kept = key[ys < prev]
-    return np.stack((kept >> _KEY_SHIFT, kept & _LOW), axis=1)
+    return keys[ys < prev]
 
 
 def pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:

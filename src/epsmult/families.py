@@ -5,9 +5,9 @@ A FamilySpec pairs an ambient dimension with one of the built-in rules
 with irrational slope, hyperbola-staircase families, the recursive limit
 family, Noetherian families built from seeds, or an explicit table).
 Evaluation fills a memo dict owned by the caller: the recursive rules keep
-their ideals I_0, I_1, ... under the spec and product grids one entry per
-index, so callers that share one dict pay for each ideal once, and nothing
-outlives the dict.
+their seed ideals and their ideals I_0, I_1, ... under the spec and product
+grids one entry per index, so callers that share one dict pay for each ideal
+once, and nothing outlives the dict.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .ideal_core import Monomial, MonomialIdeal, json_int
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
+Seeds = tuple[tuple[int, MonomialIdeal], ...]  # (degree, seed ideal) pairs
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,21 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _next_rung(spec: FamilySpec, ladder: list[MonomialIdeal]) -> MonomialIdeal:
-    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder)."""
-    d, rule, m = spec.d, spec.rule, len(ladder)
+def _seed_ideals(spec: FamilySpec) -> Seeds:
+    """The (degree, ideal) factors a power or Noetherian rule multiplies by."""
+    rule = spec.rule
     if isinstance(rule, PowerRule):
-        return ladder[-1].multiply(MonomialIdeal.from_gens(d, rule.gens))
+        return ((1, MonomialIdeal.from_gens(spec.d, rule.gens)),)
+    if isinstance(rule, NoetherianSeedsRule):
+        return tuple((deg, MonomialIdeal.from_gens(spec.d, gens)) for deg, gens in rule.seeds)
+    return ()
+
+
+def _next_rung(spec: FamilySpec, seeds: Seeds, ladder: list[MonomialIdeal]) -> MonomialIdeal:
+    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder)."""
+    rule, m = spec.rule, len(ladder)
+    if isinstance(rule, PowerRule):
+        return ladder[-1].multiply(seeds[0][1])
     if isinstance(rule, LimitRecursiveRule):
         if m == 1:
             return MonomialIdeal.from_gens(2, [(1, 1)])
@@ -150,10 +161,10 @@ def _next_rung(spec: FamilySpec, ladder: list[MonomialIdeal]) -> MonomialIdeal:
         for t in range(1, m // 2 + 1):
             acc = acc.add(ladder[t].multiply(ladder[m - t]))
         return acc
-    acc = MonomialIdeal.zero(d)
-    for deg, gens in rule.seeds:
+    acc = MonomialIdeal.zero(spec.d)
+    for deg, seed in seeds:
         if deg <= m:
-            acc = acc.add(MonomialIdeal.from_gens(d, gens).multiply(ladder[m - deg]))
+            acc = acc.add(seed.multiply(ladder[m - deg]))
     return acc
 
 
@@ -173,10 +184,14 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     if n == 0:
         return MonomialIdeal.unit(d)
     if isinstance(rule, (PowerRule, LimitRecursiveRule, NoetherianSeedsRule)):
-        # I_0, I_1, ... kept under the spec and extended bottom-up
-        ladder = memo.setdefault(spec, [MonomialIdeal.unit(d)])
+        # the seed ideals and I_0, I_1, ... kept under the spec; the ladder
+        # is extended bottom-up
+        entry = memo.get(spec)
+        if entry is None:
+            entry = memo[spec] = (_seed_ideals(spec), [MonomialIdeal.unit(d)])
+        seeds, ladder = entry
         while len(ladder) <= n:
-            ladder.append(_next_rung(spec, ladder))
+            ladder.append(_next_rung(spec, seeds, ladder))
         return ladder[n]
     if isinstance(rule, CounterRule):
         return MonomialIdeal.from_gens(2, [(1, rule.value(n)), (2, 0)])

@@ -4,15 +4,18 @@ A ``MonomialIdeal`` holds its unique minimal generating antichain in
 lexicographic order, so equality and hashing are structural.  The empty
 generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
 
-The antichain lives in one of two forms.  While every coordinate is below
-``_kernels.INT64_SAFE`` the working form is an (m, d) int64 array: products,
-sums, intersections and colons form their candidate rows on it and hand the
-minimal rows to the result as an array.  ``gens``, the tuple of Python-int
-tuples, is built from the array on first read and cached.  Ideals with a
-larger coordinate keep only the tuple form and use pure-Python big-integer
-routes, so there is no overflow ceiling.
+The antichain lives in up to three forms, each built from another on first
+read and cached:
 
-Minimalization is ``_kernels.minimal_rows_2d`` on d = 2 arrays and
+* ``gens``, the tuple of Python-int tuples.  Ideals with a coordinate at or
+  above ``_kernels.INT64_SAFE`` have only this form and use pure-Python
+  big-integer routes, so there is no overflow ceiling.
+* ``_keys``, for an int64-safe ideal in two variables: the ascending uint64
+  keys (x << 32) | y of ``_kernels``.  Products and sums work on keys alone.
+* ``_arr``, an (m, d) int64 array: the working form of int64-safe ideals in
+  other d, and of intersections and colons in every d.
+
+Minimalization is ``_kernels.minimal_keys`` on d = 2 keys and
 ``_antichain``, a level sweep on Python ints, everywhere else.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
@@ -87,40 +90,52 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def _minimal_rows(arr: np.ndarray) -> np.ndarray:
-    if arr.shape[1] == 2:
-        return _kernels.minimal_rows_2d(arr)
+def _of_keys(ambient: AmbientRing, keys: np.ndarray) -> "MonomialIdeal":
+    """The ideal in two variables generated by the rows of *keys*, a fresh
+    vector that is sorted in place and may become the result's."""
+    return MonomialIdeal(ambient, None, _trusted=True, keys=_kernels.minimal_keys(keys))
+
+
+def _of_rows(ambient: AmbientRing, arr: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by the rows of an int64-safe (m, d) array."""
+    if ambient.d == 2:
+        return _of_keys(ambient, _kernels.pack(arr))
     rows = _antichain(list(map(tuple, arr.tolist())))
-    return np.array(rows, dtype=np.int64).reshape(-1, arr.shape[1])
+    return MonomialIdeal(ambient, None, _trusted=True,
+                         arr=np.array(rows, dtype=np.int64).reshape(-1, ambient.d))
 
 
 def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
-    """The ideal generated by *gens*, minimalized by the kernels when they fit."""
-    if len(gens) > 2:
+    """The ideal generated by *gens*: keys when d = 2 and they fit, else tuples."""
+    if ambient.d == 2 and len(gens) > 2:
         arr = _kernels.as_array(gens)
         if arr is not None:
-            return MonomialIdeal(ambient, None, _trusted=True, arr=_minimal_rows(arr))
+            return _of_rows(ambient, arr)
     return MonomialIdeal(ambient, _antichain(gens), _trusted=True)
 
 
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating antichain.
 
-    At least one of ``_gens`` (tuples) and ``_arr`` (int64 rows) is set; an
-    array is only ever stored for an int64-safe ideal.  ``_newton`` caches
-    the Newton polyhedron (``polyhedra.newton_polyhedron``).
+    At least one of ``_gens`` (tuples), ``_keys`` (d = 2 uint64 keys) and
+    ``_arr`` (int64 rows) is set; keys and arrays are only ever stored for an
+    int64-safe ideal, and read-only.  ``_newton`` caches the Newton
+    polyhedron (``polyhedra.newton_polyhedron``).
     """
 
-    __slots__ = ("ambient", "_gens", "_arr", "_newton")
+    __slots__ = ("ambient", "_gens", "_keys", "_arr", "_newton")
 
     def __init__(self, ambient: AmbientRing, gens: Optional[tuple[Monomial, ...]],
-                 _trusted: bool = False, arr: Optional[np.ndarray] = None):
+                 _trusted: bool = False, arr: Optional[np.ndarray] = None,
+                 keys: Optional[np.ndarray] = None):
         if not _trusted:
             raise PreconditionError("use MonomialIdeal.from_gens / zero / unit")
-        if arr is not None:
-            arr.flags.writeable = False
+        for form in (arr, keys):
+            if form is not None:
+                form.flags.writeable = False
         self.ambient = ambient
         self._gens = gens
+        self._keys = keys
         self._arr = arr
         self._newton = None
 
@@ -147,11 +162,14 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as lex-sorted tuples of Python ints."""
         if self._gens is None:
-            self._gens = tuple(map(tuple, self._arr.tolist()))
+            rows = self._arr if self._arr is not None else _kernels.unpack(self._keys)
+            self._gens = tuple(map(tuple, rows.tolist()))
         return self._gens
 
     def _count(self) -> int:
-        return len(self._gens) if self._gens is not None else self._arr.shape[0]
+        for form in (self._gens, self._keys, self._arr):
+            if form is not None:
+                return len(form)
 
     @property
     def is_zero(self) -> bool:
@@ -169,29 +187,39 @@ class MonomialIdeal:
         """Componentwise maximum of the minimal generators (zero ideal -> 0s)."""
         if self.is_zero:
             return (0,) * self.d
+        if self._keys is not None:
+            return _kernels.key_extent(self._keys)
         if self._gens is None:
             return tuple(self._arr.max(axis=0).tolist())
-        return tuple(max(g[i] for g in self._gens) for i in range(self.d))
+        return tuple(map(max, zip(*self._gens)))
 
     def fits_int64(self) -> bool:
-        return self._arr is not None or self.is_zero or max(self.max_exponents()) < _kernels.INT64_SAFE
+        return (self._keys is not None or self._arr is not None or self.is_zero
+                or max(self.max_exponents()) < _kernels.INT64_SAFE)
 
     def as_array(self) -> np.ndarray:
         """Generators as a read-only (m, d) int64 array (cached; requires fits_int64)."""
         if self._arr is None:
-            if not self.fits_int64():
+            if self._keys is not None:
+                arr = _kernels.unpack(self._keys)
+            elif not self.fits_int64():
                 raise PreconditionError("generators exceed the int64-safe range")
-            arr = _kernels.as_array(self._gens) if self._gens else np.empty((0, self.d), dtype=np.int64)
+            else:
+                arr = _kernels.as_array(self._gens) if self._gens else np.empty((0, self.d), dtype=np.int64)
             arr.flags.writeable = False
             self._arr = arr
         return self._arr
 
+    def _as_keys(self) -> np.ndarray:
+        """The read-only d = 2 keys (cached; requires fits_int64)."""
+        if self._keys is None:
+            keys = _kernels.pack(self.as_array())
+            keys.flags.writeable = False
+            self._keys = keys
+        return self._keys
+
     def _both_int64(self, other: "MonomialIdeal") -> bool:
         return self.fits_int64() and other.fits_int64()
-
-    def _of_rows(self, arr: np.ndarray) -> "MonomialIdeal":
-        """The ideal in this ring whose minimal generators are the rows *arr*."""
-        return MonomialIdeal(self.ambient, None, _trusted=True, arr=arr)
 
     def _same_ring(self, other: "MonomialIdeal") -> None:
         if self.d != other.d:
@@ -219,10 +247,13 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.d)
-        if self._both_int64(other):
-            sums = _kernels.pairwise_sums(self.as_array(), other.as_array())
-            if int(sums.max(initial=0)) < _kernels.INT64_SAFE:
-                return self._of_rows(_minimal_rows(sums))
+        # the largest coordinate of a product is the sum of the factors' largest
+        tops = zip(self.max_exponents(), other.max_exponents())
+        if max(a + b for a, b in tops) < _kernels.INT64_SAFE:
+            if self.d == 2:
+                sums = self._as_keys()[:, None] + other._as_keys()[None, :]
+                return _of_keys(self.ambient, sums.ravel())
+            return _of_rows(self.ambient, _kernels.pairwise_sums(self.as_array(), other.as_array()))
         prods = [tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.ambient, _antichain(prods), _trusted=True)
 
@@ -241,7 +272,9 @@ class MonomialIdeal:
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
         if self._both_int64(other):
-            return self._of_rows(_minimal_rows(np.concatenate((self.as_array(), other.as_array()))))
+            if self.d == 2:
+                return _of_keys(self.ambient, np.concatenate((self._as_keys(), other._as_keys())))
+            return _of_rows(self.ambient, np.concatenate((self.as_array(), other.as_array())))
         return MonomialIdeal(self.ambient, _antichain(self.gens + other.gens), _trusted=True)
 
     __add__ = add
@@ -250,16 +283,16 @@ class MonomialIdeal:
         self._same_ring(other)
         if self._both_int64(other):
             a, b = self.as_array(), other.as_array()
-            return self._of_rows(_minimal_rows(np.maximum(a[:, None], b[None]).reshape(-1, self.d)))
+            return _of_rows(self.ambient, np.maximum(a[:, None], b[None]).reshape(-1, self.d))
         lcms = [tuple(max(a, b) for a, b in zip(g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.ambient, _antichain(lcms), _trusted=True)
 
     def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
         """The ideal with the exponents of *variables* (1-based) set to zero."""
-        if self._arr is not None:
-            arr = self._arr.copy()
+        if self.fits_int64():
+            arr = self.as_array().copy()
             arr[:, [i - 1 for i in variables]] = 0
-            return self._of_rows(_minimal_rows(arr))
+            return _of_rows(self.ambient, arr)
         dropped = [tuple(0 if (i + 1) in variables else e for i, e in enumerate(g)) for g in self.gens]
         return _minimalize(self.ambient, dropped)
 

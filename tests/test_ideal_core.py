@@ -358,15 +358,72 @@ def test_array_route_matches_python_route(rng):
         check_against_python(d, random_gens(rng, d, hi, 1), random_gens(rng, d, hi, 0))
 
 
-def test_kernel_results_keep_their_array(rng):
+def test_kernel_results_skip_the_tuple_form(rng):
     for k in range(40):
         d = 2 + k % 3
         I = random_ideal(rng, d, 6, 6)
         J = random_ideal(rng, d, 6, 6)
-        for result in (I * J, I + J, I.intersect(J), I.colon_var_sat(1)):
-            assert result._arr is not None
-            assert result.gens == tuple(map(tuple, result._arr.tolist()))
-            assert not result.as_array().flags.writeable
+        # from_gens keeps the tuple form in d >= 3, so the colon is of a product
+        for result in (I * J, I + J, I.intersect(J), (I * J).colon_var_sat(1)):
+            assert result._gens is None
+            if d == 2:
+                # keys only, until the array is asked for
+                assert result._arr is None and not result._keys.flags.writeable
+                with pytest.raises(ValueError):
+                    result._keys.sort()
+            arr = result.as_array()
+            assert not arr.flags.writeable and result.as_array() is arr
+            assert result.gens == tuple(map(tuple, arr.tolist()))
+
+
+def key_backed(gens):
+    """The d = 2 ideal generated by *gens* (int64-safe), holding keys only."""
+    keys = _kernels.pack(np.array(brute_minimal(gens), dtype=np.int64).reshape(-1, 2))
+    return MonomialIdeal(AmbientRing(2), None, _trusted=True, keys=keys)
+
+
+def test_key_route_matches_brute_force(rng):
+    # chains of products and sums whose operands are tuple or key backed; a
+    # coordinate SAFE - 1 sends a chain past the bound within a step or two
+    steps = (0, 1, 2, 3, 4, SAFE - 1)
+
+    def draw():
+        gens = [(rng.choice(steps), rng.choice(steps)) for _ in range(rng.randint(1, 6))]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        return rng.choice((key_backed, lambda g: tuple_backed(2, brute_minimal(g)))), gens
+
+    for _ in range(300):
+        make, gens = draw()
+        acc, expected = make(gens), brute_minimal(gens)
+        for _ in range(3):
+            make, gens = draw()
+            other = make(gens)
+            both = acc.fits_int64() and other.fits_int64()
+            if rng.random() < 0.5:
+                acc, expected = acc * other, py_mul(expected, brute_minimal(gens))
+            else:
+                acc, expected = acc + other, brute_minimal(expected + brute_minimal(gens))
+            assert acc.gens == expected
+            if max(map(max, expected)) >= SAFE:
+                assert acc._keys is None and not acc.fits_int64()
+            elif both:
+                assert acc._keys is not None
+
+
+def test_key_products_straddling_the_bound():
+    top = SAFE - 1
+    cases = (([(top, 0), (0, 5)], [(1, 0), (0, 1)]),          # x: (2^31 - 1) + 1
+             ([(5, 0), (0, top)], [(1, 0), (0, 1)]),          # y: (2^31 - 1) + 1
+             ([(top, 0), (0, top)], [(top, 0), (0, top)]),    # (2^31 - 1) + (2^31 - 1)
+             ([(top - 1, 0), (0, 5)], [(1, 0), (0, 1)]))      # 2^31 - 1 exactly: keys
+    for g1, g2 in cases:
+        expected = py_mul(brute_minimal(g1), brute_minimal(g2))
+        big = max(map(max, expected)) >= SAFE
+        for I in (key_backed(g1), tuple_backed(2, brute_minimal(g1))):
+            for J in (key_backed(g2), tuple_backed(2, brute_minimal(g2))):
+                product = I * J
+                assert product.gens == expected
+                assert (product._keys is None) == big and product.fits_int64() != big
 
 
 STRADDLE = (0, 1, 2, SAFE - 1, SAFE, 2**40)
@@ -413,10 +470,10 @@ def test_big_integer_power_and_saturation_equal_the_scaled_ones():
 
 def test_sums_past_the_bound_take_the_python_route():
     I = MonomialIdeal.from_gens(2, [(SAFE - 1, 0), (1, 1), (0, SAFE - 1)])
-    assert I._arr is not None
+    assert I._keys is not None
     square = I * I
     assert square.gens == py_mul(I.gens, I.gens)
-    assert square._arr is None and not square.fits_int64()
+    assert square._keys is None and square._arr is None and not square.fits_int64()
 
 
 def test_equality_and_hash_across_forms(rng):
@@ -463,6 +520,6 @@ def test_one_key_sort_matches_lexsort_at_the_bound():
         for _ in range(20):
             arr = values[rng.integers(0, len(values), size=(n, 2))]
             arr = np.concatenate((arr, arr[: n // 2]))  # duplicates
-            got = _kernels.minimal_rows_2d(arr)
+            got = _kernels.unpack(_kernels.minimal_keys(_kernels.pack(arr)))
             assert np.array_equal(got, lexsort_minimal_rows_2d(arr))
             assert got.tolist() == [list(g) for g in brute_minimal(arr.tolist())]

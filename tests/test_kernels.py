@@ -1,4 +1,4 @@
-"""The antichain and product kernels against the brute-force oracle."""
+"""The antichain, key and product kernels against the brute-force oracle."""
 
 import random
 
@@ -14,6 +14,11 @@ from conftest import brute_minimal
 EDGES = (0, 2**31 - 1, 2**31, 2**64)
 
 
+def key_minimal(rows):
+    """The d = 2 key kernel on rows: pack, minimal_keys, unpack."""
+    return _kernels.unpack(_kernels.minimal_keys(_kernels.pack(np.array(rows, dtype=np.int64))))
+
+
 def random_rows(rng, n, d, hi):
     return rng.integers(0, hi, size=(n, d)).astype(np.int64)
 
@@ -25,8 +30,8 @@ def test_minimal_rows_matches_reference(d):
         rows = random_rows(rng, n, d, 7).tolist()
         rows += rows[: n // 3]  # duplicates
         if d == 2:
-            got = _kernels.minimal_rows_2d(np.array(rows, dtype=np.int64)).tolist()
-            got = tuple(map(tuple, got))
+            rows += [[0, 2**32 - 1], [2**32 - 1, 0], [2**31 - 1, 2**31 - 1]]
+            got = tuple(map(tuple, key_minimal(rows).tolist()))
         else:
             rows += [[EDGES[(i + j) % 4] for j in range(d)] for i in range(4)]
             got = _antichain(list(map(tuple, rows)))
@@ -45,9 +50,21 @@ def test_antichain_matches_brute_force(d):
 
 
 def test_minimal_rows_handles_duplicates():
-    arr = np.array([[1, 2], [1, 2], [2, 0], [2, 0], [3, 3]], dtype=np.int64)
-    got = [tuple(r) for r in _kernels.minimal_rows_2d(arr)]
+    got = [tuple(r) for r in key_minimal([[1, 2], [1, 2], [2, 0], [2, 0], [3, 3]]).tolist()]
     assert got == [(1, 2), (2, 0)]
+
+
+def test_keys_round_trip_and_add_without_carry():
+    top = 2**32 - 1
+    rows = np.array([[0, 0], [0, top], [top, 0], [top, top], [1, 2**31 - 1]], dtype=np.int64)
+    keys = _kernels.pack(rows)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [(x << 32) | y for x, y in rows.tolist()]
+    assert np.array_equal(_kernels.unpack(keys), rows)
+    # below 2**31 the sum of two keys is the key of the row sum
+    safe = np.array([[0, 0], [0, 2**31 - 1], [2**31 - 1, 1], [2**31 - 1, 2**31 - 1]], dtype=np.int64)
+    sums = _kernels.pack(safe)[:, None] + _kernels.pack(safe)[None, :]
+    assert np.array_equal(_kernels.unpack(sums.ravel()), _kernels.pairwise_sums(safe, safe))
 
 
 def test_pairwise_sums():
