@@ -4,10 +4,10 @@
 Every intermediate entry is a minor of the input, so all divisions are exact
 and nothing leaves the integers.  The other routines read their answers off
 its result: ``rank`` and ``affine_rank`` (boundary ranks, face dimensions,
-analytic spread), ``int_det``, ``int_solve`` (a square solve as numerators
-over one denominator) and ``int_null_vector`` (facet normals).  The
+analytic spread), ``int_det`` (simplex volumes) and ``int_null_vector``
+(the extreme rays behind facet normals and polytope vertices).  The
 quasi-polynomial fit eliminates its augmented interpolation systems with it
-directly.  Sizes are desk-scale: d <= 4 facet solves, boundary matrices of
+directly.  Sizes are desk-scale: d x (d + 1) null spaces, boundary matrices of
 complexes on at most four vertices, interpolation systems with a few dozen
 unknowns.
 """
@@ -69,18 +69,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix."""
     m, pivots, sign = bareiss(rows)
     return sign * m[-1][-1] if len(pivots) == len(m) else 0
-
-
-def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[tuple[list[int], int]]:
-    """Solution of a square integer system as (numerators, D), x = nums / D.
-
-    Returns None when the system is singular.
-    """
-    n = len(rows)
-    m, pivots, _ = bareiss([list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots[n - 1:n] != [n - 1]:
-        return None
-    return [row[n] for row in m], m[0][0]
 
 
 def int_null_vector(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:

@@ -39,8 +39,6 @@ def _common() -> _Parser:
     common.add_argument("--json", action="store_true", help="JSON output (default)")
     common.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH",
                         help="CSV output to stdout or PATH")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized reproduction cases")
     common.add_argument("--timeout", type=int, default=0, metavar="SECS")
     return common
 
@@ -112,6 +110,8 @@ def build_parser() -> _Parser:
     p.add_argument("--case", required=True,
                    choices=["example-counter", "example-limit", "jm-volume",
                             "mixed-grid", "irrational"])
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for randomized reproduction cases")
     return parser
 
 

@@ -1,19 +1,23 @@
 """Newton polyhedra, analytic spread, and the volume route to epsilon.
 
 The Newton polyhedron NP(I) = conv(generators) + R_{>=0}^d is handled in
-exact integer arithmetic (``_exactla.bareiss``).  Facets are found as
-extreme rays of the dual cone of the homogenization cone spanned by (g, 1)
-and (e_i, 0): every extreme ray (nu, c') with nu != 0 gives the facet
-<nu, u> >= -c'.  Every vertex of NP(I) is a minimal generator, so the
-vertices are the generators whose tight facet normals have rank d.
+exact integer arithmetic (``_exactla.bareiss``).  One routine,
+``_extreme_rays``, enumerates the extreme rays of a pointed cone given by
+integer inequalities, and both polyhedral jobs are such an enumeration.
+Facets are the extreme rays of the dual cone of the homogenization cone
+spanned by (g, 1) and (e_i, 0): every extreme ray (nu, c') with nu != 0
+gives the facet <nu, u> >= -c'.  Every vertex of NP(I) is a minimal
+generator, so the vertices are the generators whose tight facet normals
+have rank d.
 
 epsilon is d! times the volume trapped between NP(I) and the relaxation
 that keeps only facets whose normal has a zero coordinate; that region is
 bounded because any point escaping a strictly positive facet <nu, u> >= c
 has all coordinates below c / min_i nu_i.  Volumes of such bounded
-polyhedra come from their vertices, found by integer d x d solves in
-homogeneous coordinates, and from their vertex-facet incidences, which
-drive a pulling triangulation; no convex hull is ever recomputed.
+polyhedra come from their vertices, the extreme rays (x, D) with D > 0 of
+the cone {(u, D) : <nu, u> >= c D}, and from their vertex-facet
+incidences, which drive a pulling triangulation; no convex hull is ever
+recomputed.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, int_det, int_null_vector, int_solve, rank
+from ._exactla import affine_rank, int_det, int_null_vector, rank
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
@@ -39,9 +43,6 @@ class NewtonPolyhedron:
     facets: tuple[Facet, ...]
     facet_vertices: tuple[frozenset[int], ...]  # vertex indices per facet
     facet_rays: tuple[frozenset[int], ...]      # 1-based coordinate rays per facet
-
-    def bounded_facets(self) -> list[int]:
-        return [i for i, (nu, _) in enumerate(self.facets) if all(v > 0 for v in nu)]
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,32 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {v : <r, v> >= 0 for every row r}.
+
+    Each ray is a primitive integer vector.  An extreme ray spans the null
+    space of some n - 1 of the n-column rows, so every such subset's null
+    vector is signed into the cone, or dropped when neither sign fits.
+    """
+    seen: set[tuple[int, ...]] = set()
+    rays: set[tuple[int, ...]] = set()
+    for combo in itertools.combinations(rows, len(rows[0]) - 1):
+        vec = int_null_vector(combo)
+        if vec is None or vec in seen:
+            continue
+        seen.add(vec)
+        pos = neg = False
+        for r in rows:
+            t = _dot(r, vec)
+            pos |= t > 0
+            neg |= t < 0
+            if pos and neg:
+                break  # neither sign fits
+        else:
+            rays.add(tuple(-v for v in vec) if neg else vec)
+    return rays
+
+
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """H- and V-representation of conv(generator exponents) + orthant.
 
@@ -78,20 +105,8 @@ def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     d = ideal.d
     rows = [tuple(g) + (1,) for g in ideal.gens]
     rows += [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
-    normals: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(rows, d):
-        vec = int_null_vector(combo)
-        if vec is None:
-            continue
-        if all(_dot(r, vec) >= 0 for r in rows):
-            cand = vec
-        else:
-            cand = tuple(-v for v in vec)
-            if not all(_dot(r, cand) >= 0 for r in rows):
-                continue
-        if any(cand[:d]):
-            normals.add(cand)
-    facets: list[Facet] = sorted((tuple(v[:d]), -v[d]) for v in normals)
+    # a ray (nu, c') with nu != 0 is the facet <nu, u> >= -c'
+    facets: list[Facet] = sorted((v[:d], -v[d]) for v in _extreme_rays(rows) if any(v[:d]))
     vertices = sorted(g for g in ideal.gens
                       if rank([nu for nu, c in facets if _dot(nu, g) == c]) == d)
     if not vertices:
@@ -152,23 +167,9 @@ def _vertices(constraints: Sequence[Facet], d: int) -> tuple[list[Point], list[f
     for nu, c in constraints:
         c = Fraction(c)
         rows.append(tuple(c.denominator * x for x in nu) + (-c.numerator,))
-    seen: set[Point] = set()
-    found: list[Point] = []
-    for combo in itertools.combinations(rows, d):
-        sol = int_solve([r[:d] for r in combo], [-r[d] for r in combo])
-        if sol is None:
-            continue
-        nums, den = sol
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        pt = tuple(x // g for x in nums) + (den // g,)
-        if pt in seen:
-            continue
-        seen.add(pt)
-        if all(_dot(r, pt) >= 0 for r in rows):
-            found.append(pt)
-    found.sort(key=lambda p: [Fraction(x, p[-1]) for x in p[:-1]])
+    # the vertices (x, D) are the rays of the homogenized cone with D > 0
+    found = sorted((p for p in _extreme_rays(rows) if p[d] > 0),
+                   key=lambda p: [Fraction(x, p[-1]) for x in p[:-1]])
     tight = [frozenset(i for i, p in enumerate(found) if _dot(r, p) == 0) for r in rows]
     return found, tight
 

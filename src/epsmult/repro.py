@@ -14,7 +14,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .asymptotics import extract_epsilons, fit_quasi_polynomial, length_table
-from .cohomology import h0_length, h0_length_takayama
+from .cohomology import h0_length
 from .families import (CounterRule, FamilySpec, HyperbolaRule, LimitRecursiveRule,
                        SqrtPrincipalRule, _ceil_div, eval_family, power_family,
                        product_grid_family)
@@ -259,32 +259,6 @@ def irrational_case(n: int = 10_000, k: int = 2) -> dict:
         "isqrt_value": isqrt(k * n * n) + 1,
         "pass": lower_ok and upper_ok and length == isqrt(k * n * n) + 1,
     }
-
-
-# ---------------------------------------------------------------------------
-# Takayama cross-validation (used by the acceptance suite).
-
-
-def takayama_agreement(seed: int = 2024, count: int = 100) -> dict:
-    rng = random.Random(seed)
-    fixed = [
-        MonomialIdeal.from_gens(2, [(1, 2), (2, 0)]),
-        MonomialIdeal.from_gens(2, [(1, 0)]),
-        MonomialIdeal.from_gens(2, [(2, 0), (0, 2)]),
-        MonomialIdeal.from_gens(3, [(1, 1, 1)]),
-    ]
-    ideals = list(fixed)
-    while len(ideals) < count + len(fixed):
-        d = rng.choice((1, 2, 3))
-        ideals.append(random_ideal(rng, d, max_exp=4, max_gens=4))
-    mismatches = []
-    for ideal in ideals:
-        a = h0_length(ideal).length
-        b = h0_length_takayama(ideal).length
-        if a != b:
-            mismatches.append({"ideal": [list(g) for g in ideal.gens],
-                               "box": a, "takayama": b})
-    return {"checked": len(ideals), "mismatches": mismatches, "pass": not mismatches}
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,60 @@ class TestNewtonCommand:
         code, out = run(capsys, "newton", "--ideal", "x*y", "--spread")
         assert json.loads(out) == {"spread": 1}
 
+    # name -> (d, generators, power)
+    IDEALS = {
+        "x^3": (2, [(3, 0)], 1),
+        "x^2*y": (2, [(2, 1)], 1),
+        "x*y^2, x^2": (2, [(1, 2), (2, 0)], 1),
+        "x*y, y^3": (2, [(1, 1), (0, 3)], 1),
+        "x^4, x^2*y, y^3": (2, [(4, 0), (2, 1), (0, 3)], 1),
+        "x^6, x*y, y^6": (2, [(6, 0), (1, 1), (0, 6)], 1),
+        "x^5, x^3*y, x*y^2, y^4": (2, [(5, 0), (3, 1), (1, 2), (0, 4)], 1),
+        **{f"(xy, yz, x^2z)^{n}": (3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)], n)
+           for n in range(1, 5)},
+        **{f"(x1^2x4, x2^2x4, x3^2x4, x1x2x3)^{n}":
+           (4, [(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0)], n)
+           for n in (1, 2)},
+    }
+    # sha256 of the full `eps newton` report (facets, vertices, spread,
+    # epsilon, volume, box bound) of each ideal above
+    PINNED = {
+        "(x1^2x4, x2^2x4, x3^2x4, x1x2x3)^1":
+            "78264fd12d767824b89d8392c1901f1486fcd0501fb55f89192a59d1d03b681f",
+        "(x1^2x4, x2^2x4, x3^2x4, x1x2x3)^2":
+            "33a67fa7bee10bb528cd9d1bddc24eeefdf4799af51e774c2d840a3b1f9ce255",
+        "(xy, yz, x^2z)^1":
+            "8f36eb1142043ae9f8f34e5878c3daf8e1c23b47acb72e33b20a8c844371623a",
+        "(xy, yz, x^2z)^2":
+            "b68a50b9318f59d9dc84e7949dd7f42678b20ea7c95f1a94faf6fe12fcdfd885",
+        "(xy, yz, x^2z)^3":
+            "a0a99d7074145beafaaa391f9b3348ddc35a72f129da88617f2333d6c25e420c",
+        "(xy, yz, x^2z)^4":
+            "bdfbdf384c8f667e09092f9a2efb529b07fdd334f941db4e7acf04630cfb1284",
+        "x*y, y^3":
+            "483e446534c0762568e0e8899f3cadda3e7fba957ab7586a507db91eb0840551",
+        "x*y^2, x^2":
+            "1f0ff863c114aefa55564f665311ad64f306251253192768bd48d9b511bfa121",
+        "x^2*y":
+            "fe4b0c7c5d73d7109c2fde1882e2413787ef4e4eca9713f7f65e6676330f9d67",
+        "x^3":
+            "9b6e571e13405137a08c1add31adc4f14fc1274a15f771ca267089c2f5b4475b",
+        "x^4, x^2*y, y^3":
+            "c44321cde215c4baadbc4e9153c487bbac3d525591aa0f7f6857732fdb727bcf",
+        "x^5, x^3*y, x*y^2, y^4":
+            "29505e26ddc3a16bb5d33428b2b1ed42c7bac0afb5b5a32dd67171bf8a71a841",
+        "x^6, x*y, y^6":
+            "507f25991dceaaf5f1555fdeb099d3d2295aa6fc3d22cfbbda460d32d991b686",
+    }
+
+    @pytest.mark.parametrize("name", sorted(IDEALS))
+    def test_output_is_pinned(self, capsys, name):
+        d, gens, n = self.IDEALS[name]
+        power = MonomialIdeal.from_gens(d, gens).power(n)
+        code, out = run(capsys, "newton", "--ideal", json.dumps([list(g) for g in power.gens]))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[name]
+
 
 class TestMixedCommand:
     def test_grid(self, capsys):
@@ -226,6 +280,14 @@ class TestFamilyCommands:
         assert main(["mixed", "--ideals", "x*y^2, x^2; x*y^2, x^2", "--grid", "1:3",
                      "--threads", "2"]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_seed_is_only_for_repro(self, capsys, counter_spec):
+        assert main(["h0", "--ideal", "x*y^2, x^2", "--seed", "3"]) == 1
+        assert main(["newton", "--ideal", "x*y^2, x^2", "--seed", "3"]) == 1
+        assert main(["family", "run", "--spec", counter_spec, "--range", "1:3",
+                     "--seed", "3"]) == 1
+        assert capsys.readouterr().out == ""
+        assert main(["repro", "--case", "example-counter", "--seed", "3"]) == 0
 
 
 class TestDeltaCommand:

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from epsmult._exactla import affine_rank, bareiss, int_det, int_null_vector, int_solve, rank
+from epsmult._exactla import affine_rank, bareiss, int_det, int_null_vector, rank
 
 
 def fraction_rref(rows):
@@ -90,26 +90,6 @@ class TestDet:
         assert int_det([[1, 2], [2, 4]]) == 0
         assert int_det([[0, 0], [0, 0]]) == 0
         assert int_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-
-
-class TestSolve:
-    def test_matches_fractions(self, mats):
-        for _ in range(300):
-            n = mats.randint(1, 5)
-            rows = random_matrix(mats, n, n, mats.choice((None, None, mats.randint(0, n))))
-            rhs = [mats.randint(-9, 9) for _ in range(n)]
-            got = int_solve(rows, rhs)
-            ref = fraction_rref([r + [b] for r, b in zip(rows, rhs)])[0]
-            if fraction_rref(rows)[2] == 0:
-                assert got is None
-            else:
-                nums, den = got
-                assert den != 0
-                assert [Fraction(x, den) for x in nums] == [row[n] for row in ref]
-
-    def test_rational_solution(self):
-        nums, den = int_solve([[2, 0], [0, 3]], [1, 1])
-        assert (Fraction(nums[0], den), Fraction(nums[1], den)) == (Fraction(1, 2), Fraction(1, 3))
 
 
 class TestNullVector:

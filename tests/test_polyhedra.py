@@ -120,11 +120,20 @@ class TestOutRegion:
             assert out_region(ideal(2, (a, 0), (0, b))).epsilon == a * b
 
     def test_scaling_in_powers(self, rng):
-        for _ in range(6):
-            I = random_ideal(rng, 2, 4, 4)
-            base = out_region(I).epsilon
-            for k in (2, 3):
-                assert out_region(I.power(k)).epsilon == k ** 2 * base
+        # NP(I^n) = n * NP(I); a power has many generators on each facet
+        # hyperplane, so one facet is found from many subsets
+        for _ in range(40):
+            d, n = rng.choice((2, 3, 4)), rng.randint(2, 3)
+            I = random_ideal(rng, d, 3, 4)
+            if rng.random() < 0.5:  # m-primary, so epsilon > 0
+                I = I.add(ideal(d, *(tuple(rng.randint(1, 4) if j == i else 0 for j in range(d))
+                                     for i in range(d))))
+            J = I.power(n)
+            np_I, np_J = newton_polyhedron(I), newton_polyhedron(J)
+            assert np_J.facets == tuple((nu, n * c) for nu, c in np_I.facets)
+            assert np_J.vertices == tuple(tuple(n * x for x in v) for v in np_I.vertices)
+            assert out_region(J).epsilon == n ** d * out_region(I).epsilon
+            assert analytic_spread(J) == analytic_spread(I)
 
     def test_positivity_equivalence(self, rng):
         for _ in range(25):
