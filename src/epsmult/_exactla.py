@@ -4,12 +4,13 @@
 Every intermediate entry is a minor of the input, so all divisions are exact
 and nothing leaves the integers.  The other routines read their answers off
 its result: ``rank`` and ``affine_rank`` (boundary ranks, face dimensions,
-analytic spread), ``int_det`` (simplex volumes) and ``int_null_vector``
-(the extreme rays behind facet normals and polytope vertices).  The
-quasi-polynomial fit eliminates its augmented interpolation systems with it
-directly.  Sizes are desk-scale: d x (d + 1) null spaces, boundary matrices of
-complexes on at most four vertices, interpolation systems with a few dozen
-unknowns.
+analytic spread), ``int_det`` (simplex volumes) and ``int_null_vector``, which
+only seeds the simplicial cone that starts each double-description run
+in ``polyhedra._extreme_rays`` (the rest of that run is integer ray
+combinations).  The quasi-polynomial fit eliminates its augmented
+interpolation systems with it directly.  Sizes are desk-scale: d x (d + 1)
+null spaces, boundary matrices of complexes on at most four vertices,
+interpolation systems with a few dozen unknowns.
 """
 
 from __future__ import annotations

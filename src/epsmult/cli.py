@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import signal
 import sys
 from contextlib import contextmanager
@@ -387,7 +388,14 @@ def main(argv=None) -> int:
     except TimeoutError as exc:
         print(f"eps: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`); send the flush at exit to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

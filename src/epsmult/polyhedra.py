@@ -4,6 +4,10 @@ The Newton polyhedron NP(I) = conv(generators) + R_{>=0}^d is handled in
 exact integer arithmetic (``_exactla.bareiss``).  One routine,
 ``_extreme_rays``, enumerates the extreme rays of a pointed cone given by
 integer inequalities, and both polyhedral jobs are such an enumeration.
+It is the double description method (Fukuda-Prodon): a simplicial cone on
+n independent rows is cut by the other rows one at a time, and each cut
+joins only adjacent rays, found from the rows each ray is tight on, so
+the work follows the actual rays rather than the row subsets.
 Facets are the extreme rays of the dual cone of the homogenization cone
 spanned by (g, 1) and (e_i, 0): every extreme ray (nu, c') with nu != 0
 gives the facet <nu, u> >= -c'.  Every vertex of NP(I) is a minimal
@@ -16,19 +20,18 @@ bounded because any point escaping a strictly positive facet <nu, u> >= c
 has all coordinates below c / min_i nu_i.  Volumes of such bounded
 polyhedra come from their vertices, the extreme rays (x, D) with D > 0 of
 the cone {(u, D) : <nu, u> >= c D}, and from their vertex-facet
-incidences, which drive a pulling triangulation; no convex hull is ever
-recomputed.
+incidences, read off the tight rows of each ray, which drive a pulling
+triangulation; no convex hull is ever recomputed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, int_det, int_null_vector, rank
+from ._exactla import affine_rank, bareiss, int_det, int_null_vector, rank
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
@@ -63,29 +66,50 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _extreme_rays(rows: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+def _extreme_rays(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Extreme rays of the pointed cone {v : <r, v> >= 0 for every row r}.
 
-    Each ray is a primitive integer vector.  An extreme ray spans the null
-    space of some n - 1 of the n-column rows, so every such subset's null
-    vector is signed into the cone, or dropped when neither sign fits.
+    Each ray is a primitive integer vector, mapped to the bitmask of the rows
+    it is tight on (bit i for rows[i]).  Double description: start from the
+    simplicial cone of n linearly independent rows, then cut by one row at a
+    time.  A cut keeps the rays on its nonnegative side and joins each
+    adjacent pair across it; two rays are adjacent when their common tight
+    rows number at least n - 2 and no third ray is tight on all of them.
+    Rows of rank below n leave a line in the cone, so there are no rays.
     """
-    seen: set[tuple[int, ...]] = set()
-    rays: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(rows, len(rows[0]) - 1):
-        vec = int_null_vector(combo)
-        if vec is None or vec in seen:
+    n = len(rows[0])
+    basis = bareiss(list(zip(*rows)))[1]  # pivot columns of the transpose
+    if len(basis) < n:
+        return {}
+    done = sum(1 << i for i in basis)
+    rays: dict[tuple[int, ...], int] = {}
+    for i in basis:
+        v = int_null_vector([rows[j] for j in basis if j != i])
+        rays[v if _dot(rows[i], v) > 0 else tuple(-x for x in v)] = done & ~(1 << i)
+    for i, r in enumerate(rows):
+        if done >> i & 1:
             continue
-        seen.add(vec)
-        pos = neg = False
-        for r in rows:
-            t = _dot(r, vec)
-            pos |= t > 0
-            neg |= t < 0
-            if pos and neg:
-                break  # neither sign fits
-        else:
-            rays.add(tuple(-v for v in vec) if neg else vec)
+        bit = 1 << i
+        masks = list(rays.values())
+        pos, neg, cut = [], [], {}
+        for v, z in rays.items():
+            t = _dot(r, v)
+            if t > 0:
+                pos.append((v, z, t))
+                cut[v] = z
+            elif t < 0:
+                neg.append((v, z, t))
+            else:
+                cut[v] = z | bit
+        for p, zp, tp in pos:
+            for q, zq, tq in neg:
+                common = zp & zq
+                if (common.bit_count() >= n - 2
+                        and sum((z & common) == common for z in masks) == 2):
+                    w = [tp * b - tq * a for a, b in zip(p, q)]
+                    g = gcd(*w)
+                    cut[tuple(x // g for x in w)] = common | bit
+        rays = cut
     return rays
 
 
@@ -167,10 +191,10 @@ def _vertices(constraints: Sequence[Facet], d: int) -> tuple[list[Point], list[f
     for nu, c in constraints:
         c = Fraction(c)
         rows.append(tuple(c.denominator * x for x in nu) + (-c.numerator,))
-    # the vertices (x, D) are the rays of the homogenized cone with D > 0
-    found = sorted((p for p in _extreme_rays(rows) if p[d] > 0),
+    rays = _extreme_rays(rows)  # the vertices (x, D) are the rays with D > 0
+    found = sorted((p for p in rays if p[d] > 0),
                    key=lambda p: [Fraction(x, p[-1]) for x in p[:-1]])
-    tight = [frozenset(i for i, p in enumerate(found) if _dot(r, p) == 0) for r in rows]
+    tight = [frozenset(k for k, p in enumerate(found) if rays[p] >> i & 1) for i in range(len(rows))]
     return found, tight
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from epsmult._exactla import int_null_vector
 from epsmult.ideal_core import MonomialIdeal
 
 
@@ -56,3 +57,29 @@ def brute_count(box, sat, outer, inner):
             count += 1
             maxdeg = max(maxdeg, sum(p))
     return count, maxdeg
+
+
+def brute_extreme_rays(rows):
+    """Extreme rays of the cone {v : <r, v> >= 0} as a set of primitive
+    vectors, by scanning every subset of n - 1 rows: an extreme ray spans
+    the null space of some such subset, signed into the cone, or dropped
+    when neither sign fits."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+    seen = set()
+    rays = set()
+    for combo in itertools.combinations(rows, len(rows[0]) - 1):
+        vec = int_null_vector(combo)
+        if vec is None or vec in seen:
+            continue
+        seen.add(vec)
+        pos = neg = False
+        for r in rows:
+            t = dot(r, vec)
+            pos |= t > 0
+            neg |= t < 0
+            if pos and neg:
+                break  # neither sign fits
+        else:
+            rays.add(tuple(-v for v in vec) if neg else vec)
+    return rays

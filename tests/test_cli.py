@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epsmult
 from epsmult.cli import main
 from epsmult.ideal_core import MonomialIdeal, parse_ideal
 
@@ -110,6 +114,20 @@ def test_exit_codes_on_random_ideal_strings(command, ideal, dim):
     argv = command + ["--ideal", ideal] + ([] if dim is None else ["--dim", str(dim)])
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2, 3)
+
+
+def test_closed_pipe_is_silent_and_keeps_the_code():
+    # the reader end is closed before the run starts, so every write hits EPIPE
+    reader, writer = os.pipe()
+    os.close(reader)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsmult.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "epsmult.cli", "newton", "--ideal", "x, y"],
+                              stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 class TestEpsilonCommand:

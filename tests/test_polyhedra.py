@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import brute_extreme_rays
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult import polyhedra
 from epsmult.ideal_core import MonomialIdeal
@@ -13,6 +14,78 @@ from epsmult.repro import fit_epsilon, random_ideal
 
 def ideal(d, *gens):
     return MonomialIdeal.from_gens(d, gens)
+
+
+def recorded_systems(monkeypatch):
+    """Every row system handed to ``_extreme_rays`` from now on."""
+    systems = []
+    enumerate_rays = polyhedra._extreme_rays
+    monkeypatch.setattr(polyhedra, "_extreme_rays",
+                        lambda rows: systems.append(list(rows)) or enumerate_rays(rows))
+    return systems
+
+
+def check_against_scan(rows):
+    rays = polyhedra._extreme_rays(rows)
+    assert set(rays) == brute_extreme_rays(rows)
+    for v, tight in rays.items():  # each mask is exactly the set of tight rows
+        assert tight == sum(1 << i for i, r in enumerate(rows) if polyhedra._dot(r, v) == 0)
+
+
+class TestExtremeRays:
+    """Double description against the scan over every (n - 1)-subset of rows."""
+
+    def test_newton_and_vertex_systems(self, rng, monkeypatch):
+        systems = recorded_systems(monkeypatch)
+        for _ in range(60):
+            d = rng.choice((2, 3, 4))
+            I = random_ideal(rng, d, 4, 4)
+            if rng.random() < 0.5:  # m-primary, so both vertex systems are built
+                I = I.add(ideal(d, *(tuple(rng.randint(1, 4) if j == i else 0 for j in range(d))
+                                     for i in range(d))))
+            if rng.random() < 0.25:
+                I = I.power(2)
+            out_region(I)
+        monkeypatch.undo()
+        # Newton rows (d + 1 columns, last entries 0 or 1), then loose + box and
+        # full systems, whose box rows repeat a loose facet <e_i, u> >= 0
+        assert any(len(set(rows)) < len(rows) for rows in systems)
+        assert len(systems) > 60
+        for rows in systems:
+            check_against_scan(rows)
+
+    @pytest.mark.parametrize("cons, d", [
+        ([((1, 0), 0), ((-1, 0), Fraction(-3, 2)), ((0, 1), 0), ((0, -1), Fraction(-2, 3))], 2),
+        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), Fraction(-1, 2))], 3),
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], 2),  # a segment
+    ])
+    def test_rational_and_degenerate_systems(self, monkeypatch, cons, d):
+        systems = recorded_systems(monkeypatch)
+        volume_from_constraints(cons, d)
+        monkeypatch.undo()
+        assert len(systems) == 1
+        check_against_scan(systems[0])
+
+    def test_duplicated_and_shuffled_rows(self, rng):
+        for _ in range(40):
+            d = rng.choice((2, 3, 4))
+            I = random_ideal(rng, d, 4, 4)
+            rows = [tuple(g) + (1,) for g in I.gens]
+            rows += [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
+            rows += rng.choices(rows, k=rng.randint(1, 3))
+            rng.shuffle(rows)
+            check_against_scan(rows)
+
+    def test_rank_deficient_rows_have_no_rays(self, rng):
+        # rank n - 1: the cone holds the line through (0, 0, 1), so it has no
+        # extreme ray (the scan returns that line's direction)
+        assert polyhedra._extreme_rays([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == {}
+        # rank n - 2 or less: the scan finds no one-dimensional null space either
+        for _ in range(30):
+            n = rng.randint(3, 5)
+            rows = [tuple(rng.randint(-3, 3) for _ in range(n - 2)) + (0, 0)
+                    for _ in range(rng.randint(1, 6))]
+            assert polyhedra._extreme_rays(rows) == {} and brute_extreme_rays(rows) == set()
 
 
 class TestNewtonPolyhedron:
@@ -134,6 +207,16 @@ class TestOutRegion:
             assert np_J.vertices == tuple(tuple(n * x for x in v) for v in np_I.vertices)
             assert out_region(J).epsilon == n ** d * out_region(I).epsilon
             assert analytic_spread(J) == analytic_spread(I)
+
+    @pytest.mark.parametrize("d, gens, n, epsilon", [
+        # epsilon((xy, yz, x^2 z)) = 2/3 and NP(I^n) = n * NP(I)
+        (3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)], 16, 16 ** 3 * Fraction(2, 3)),
+        (4, [(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0)], 6, 6 ** 4 * Fraction(8, 3)),
+    ])
+    def test_high_powers(self, d, gens, n, epsilon):
+        t0 = time.perf_counter()
+        assert out_region(ideal(d, *gens).power(n)).epsilon == epsilon
+        assert time.perf_counter() - t0 < 10
 
     def test_positivity_equivalence(self, rng):
         for _ in range(25):
