@@ -3,20 +3,18 @@
 ``bareiss`` is fraction-free Gauss-Jordan elimination of an integer matrix.
 Every intermediate entry is a minor of the input, so all divisions are exact
 and nothing leaves the integers.  The other routines read their answers off
-its result: ``rank`` and ``affine_rank`` (boundary ranks, face dimensions,
-analytic spread), ``int_det`` (simplex volumes) and ``int_null_vector``, which
-only seeds the simplicial cone that starts each double-description run
-in ``polyhedra._extreme_rays`` (the rest of that run is integer ray
-combinations).  The quasi-polynomial fit eliminates its augmented
-interpolation systems with it directly.  Sizes are desk-scale: d x (d + 1)
-null spaces, boundary matrices of complexes on at most four vertices,
-interpolation systems with a few dozen unknowns.
+its result: ``rank`` and ``affine_rank`` (boundary ranks, polytope
+dimensions, analytic spread) and ``int_det`` (simplex volumes).  Two callers
+eliminate augmented systems with it directly: ``polyhedra._extreme_rays``
+seeds each double-description run with the columns of det(B) B^-1 read off
+[B | I], and the quasi-polynomial fit solves its interpolation systems.
+Sizes are desk-scale: n x 2n seed systems, boundary matrices of complexes on
+at most four vertices, interpolation systems with a few dozen unknowns.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -70,29 +68,3 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix."""
     m, pivots, sign = bareiss(rows)
     return sign * m[-1][-1] if len(pivots) == len(m) else 0
-
-
-def int_null_vector(rows: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Primitive integer spanning vector of a one-dimensional null space.
-
-    The free coordinate is positive.  Returns None unless the null space has
-    dimension exactly 1.
-    """
-    if not rows:
-        return None
-    m, pivots, _ = bareiss(rows)
-    free = [c for c in range(len(m[0])) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    scale = m[0][pivots[0]] if pivots else 1
-    vec = [0] * len(m[0])
-    vec[fc] = scale
-    for row, col in zip(m, pivots):
-        vec[col] = -row[fc]
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if scale < 0:
-        g = -g
-    return tuple(v // g for v in vec)

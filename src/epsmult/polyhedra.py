@@ -3,25 +3,27 @@
 The Newton polyhedron NP(I) = conv(generators) + R_{>=0}^d is handled in
 exact integer arithmetic (``_exactla.bareiss``).  One routine,
 ``_extreme_rays``, enumerates the extreme rays of a pointed cone given by
-integer inequalities, and both polyhedral jobs are such an enumeration.
-It is the double description method (Fukuda-Prodon): a simplicial cone on
-n independent rows is cut by the other rows one at a time, and each cut
-joins only adjacent rays, found from the rows each ray is tight on, so
-the work follows the actual rays rather than the row subsets.
-Facets are the extreme rays of the dual cone of the homogenization cone
-spanned by (g, 1) and (e_i, 0): every extreme ray (nu, c') with nu != 0
-gives the facet <nu, u> >= -c'.  Every vertex of NP(I) is a minimal
-generator, so the vertices are the generators whose tight facet normals
-have rank d.
+integer inequalities, each with the bitmask of the rows it is tight on, and
+both polyhedral jobs are such an enumeration.  It is the double description
+method (Fukuda-Prodon): a simplicial cone on n independent rows is cut by
+the other rows one at a time, and each cut joins only adjacent rays, found
+from their masks, so the work follows the actual rays rather than the row
+subsets.  Facets are the extreme rays of the dual cone of the
+homogenization cone spanned by (g, 1) and (e_i, 0): every extreme ray
+(nu, c') with nu != 0 gives the facet <nu, u> >= -c', and its mask names
+the generators on it.  Every vertex of NP(I) is a minimal generator, and a
+generator is a vertex iff no other generator lies on all of its facets.
 
 epsilon is d! times the volume trapped between NP(I) and the relaxation
-that keeps only facets whose normal has a zero coordinate; that region is
-bounded because any point escaping a strictly positive facet <nu, u> >= c
-has all coordinates below c / min_i nu_i.  Volumes of such bounded
-polyhedra come from their vertices, the extreme rays (x, D) with D > 0 of
-the cone {(u, D) : <nu, u> >= c D}, and from their vertex-facet
-incidences, read off the tight rows of each ray, which drive a pulling
-triangulation; no convex hull is ever recomputed.
+that keeps only facets whose normal has a zero coordinate.  Any point of
+that region misses some strictly positive facet <nu, u> >= c, so its
+coordinates are below c / min_i nu_i, and one halfspace sum u_i <= d (M - 1)
+with M = 1 + max c / min_i nu_i bounds it; the two polytopes are cut by
+that halfspace and u >= 0.  Volumes of such bounded polyhedra come from
+their vertices, the extreme rays (x, D) with D > 0 of the cone
+{(u, D) : <nu, u> >= c D}, and from their vertex-facet incidences, read
+off the masks, which drive a pulling triangulation; no convex hull is ever
+recomputed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, bareiss, int_det, int_null_vector, rank
+from ._exactla import affine_rank, bareiss, int_det, rank
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
@@ -71,21 +73,25 @@ def _extreme_rays(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
 
     Each ray is a primitive integer vector, mapped to the bitmask of the rows
     it is tight on (bit i for rows[i]).  Double description: start from the
-    simplicial cone of n linearly independent rows, then cut by one row at a
-    time.  A cut keeps the rays on its nonnegative side and joins each
-    adjacent pair across it; two rays are adjacent when their common tight
-    rows number at least n - 2 and no third ray is tight on all of them.
-    Rows of rank below n leave a line in the cone, so there are no rays.
+    simplicial cone of n linearly independent rows B, whose rays are the
+    columns of det(B) B^-1 read off one elimination of [B | I], then cut by
+    one row at a time.  A cut keeps the rays on its nonnegative side and
+    joins each adjacent pair across it; two rays are adjacent when their
+    common tight rows number at least n - 2 and no third ray is tight on all
+    of them.  Rows of rank below n leave a line in the cone, so there are no
+    rays.
     """
     n = len(rows[0])
     basis = bareiss(list(zip(*rows)))[1]  # pivot columns of the transpose
     if len(basis) < n:
         return {}
     done = sum(1 << i for i in basis)
+    m = bareiss([list(rows[i]) + [int(j == k) for j in range(n)] for k, i in enumerate(basis)])[0]
     rays: dict[tuple[int, ...], int] = {}
-    for i in basis:
-        v = int_null_vector([rows[j] for j in basis if j != i])
-        rays[v if _dot(rows[i], v) > 0 else tuple(-x for x in v)] = done & ~(1 << i)
+    for k, i in enumerate(basis):  # column k of D B^-1: D on rows[i], 0 on the other basis rows
+        v = [row[n + k] for row in m]
+        g = gcd(*v) if m[0][0] > 0 else -gcd(*v)
+        rays[tuple(x // g for x in v)] = done & ~(1 << i)
     for i, r in enumerate(rows):
         if done >> i & 1:
             continue
@@ -127,24 +133,28 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     _require_proper(ideal)
     d = ideal.d
-    rows = [tuple(g) + (1,) for g in ideal.gens]
+    gens = ideal.gens
+    rows = [tuple(g) + (1,) for g in gens]
     rows += [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
-    # a ray (nu, c') with nu != 0 is the facet <nu, u> >= -c'
-    facets: list[Facet] = sorted((v[:d], -v[d]) for v in _extreme_rays(rows) if any(v[:d]))
-    vertices = sorted(g for g in ideal.gens
-                      if rank([nu for nu, c in facets if _dot(nu, g) == c]) == d)
-    if not vertices:
+    # a ray (nu, c') with nu != 0 is the facet <nu, u> >= -c', tight on the rows of its mask
+    found = sorted((v[:d], -v[d], z) for v, z in _extreme_rays(rows).items() if any(v[:d]))
+    facets: list[Facet] = [(nu, c) for nu, c, _ in found]
+    on = [sum(1 << f for f, (_, _, z) in enumerate(found) if z >> j & 1) for j in range(len(gens))]
+    # g is a vertex iff no other generator lies on all of its facets: the least
+    # face holding g is a vertex or holds another vertex, and vertices are generators
+    keep = [j for j, s in enumerate(on) if not any(t & s == s for k, t in enumerate(on) if k != j)]
+    if not keep:
         raise PreconditionError("no vertex found; Newton polyhedron degenerate")
     facet_vertices = []
     facet_rays = []
-    for nu, c in facets:
-        active = frozenset(i for i, v in enumerate(vertices) if _dot(nu, v) == c)
+    for f, (nu, c) in enumerate(facets):
+        active = frozenset(i for i, j in enumerate(keep) if on[j] >> f & 1)
         rays = frozenset(i + 1 for i in range(d) if nu[i] == 0)
         if len(active) + len(rays) < d:
             raise PreconditionError("facet supported by fewer than d vertices and rays")
         facet_vertices.append(active)
         facet_rays.append(rays)
-    return NewtonPolyhedron(d, tuple(vertices), tuple(facets),
+    return NewtonPolyhedron(d, tuple(gens[j] for j in keep), tuple(facets),
                             tuple(facet_vertices), tuple(facet_rays))
 
 
@@ -206,38 +216,35 @@ def triangulate_points(points: Sequence[Point],
     sorted lexicographically; facet_sets hold the vertex indices of each
     facet (sets of lower faces, or empty ones, may be mixed in).  Pulling
     triangulation: a k-face F is coned from its least vertex over its
-    (k-1)-faces that miss that vertex, and those are the distinct sets
-    F & G, G in facet_sets, of affine rank k - 1.
+    facets that miss that vertex.  Every face of F is a cut F & G, G in
+    facet_sets, so the facets of F are the inclusion-maximal cuts other
+    than F itself.  Only the dimension of conv(points) takes a rank: a
+    k-face with k + 1 vertices is a simplex.
     """
-    ranks: dict[frozenset[int], int] = {}
-
-    def dim(face: frozenset[int]) -> int:
-        if face not in ranks:
-            ranks[face] = rank([points[i] for i in face]) - 1
-        return ranks[face]
-
     def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
         if len(face) == k + 1:
             return [tuple(sorted(face))]
         apex = min(face)
+        cuts = dict.fromkeys(face & g for g in facet_sets)
+        cuts.pop(face, None)
         out: list[tuple[int, ...]] = []
-        for sub in dict.fromkeys(face & g for g in facet_sets):
-            if apex not in sub and len(sub) >= k and dim(sub) == k - 1:
+        for sub in cuts:
+            if apex not in sub and not any(sub < c for c in cuts):
                 out += [(apex,) + s for s in pull(sub, k - 1)]
         return out
 
-    full = frozenset(range(len(points)))
-    k = dim(full)
-    return pull(full, k) if k > 0 else []
+    k = rank(points) - 1
+    return pull(frozenset(range(len(points))), k) if k > 0 else []
 
 
 def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
     """Exact volume of the (bounded) polyhedron cut out by the constraints."""
     vertices, tight = _vertices(constraints, d)
-    if rank(vertices) < d + 1:
+    simplices = triangulate_points(vertices, tight)
+    if not simplices or len(simplices[0]) < d + 1:  # conv(vertices) is lower-dimensional
         return Fraction(0)
     total = Fraction(0)
-    for simplex in triangulate_points(vertices, tight):
+    for simplex in simplices:
         rows = [vertices[i] for i in simplex]
         total += Fraction(abs(int_det(rows)), prod(r[-1] for r in rows))
     return total / factorial(d)
@@ -256,12 +263,10 @@ def out_region(ideal: MonomialIdeal) -> OutRegionReport:
     if not strict:
         return OutRegionReport(Fraction(0), Fraction(0), None)
     m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
-    box: list[Facet] = []
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        box.append((e, 0))
-        box.append((tuple(-x for x in e), -m_bound))
-    vol_q = volume_from_constraints(loose + box, d)
-    vol_np = volume_from_constraints(list(np_.facets) + box, d)
+    # a point that misses a strict facet has every coordinate below m_bound - 1
+    cut: list[Facet] = [(tuple(int(j == i) for j in range(d)), 0) for i in range(d)]
+    cut.append(((-1,) * d, -d * (m_bound - 1)))
+    vol_q = volume_from_constraints(loose + cut, d)
+    vol_np = volume_from_constraints(list(np_.facets) + cut, d)
     volume = vol_q - vol_np
     return OutRegionReport(volume, factorial(d) * volume, m_bound)

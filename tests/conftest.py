@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
-from epsmult._exactla import int_null_vector
+from epsmult._exactla import bareiss, rank
 from epsmult.ideal_core import MonomialIdeal
+from epsmult.polyhedra import OutRegionReport, newton_polyhedron, volume_from_constraints
 
 
 @pytest.fixture
@@ -59,13 +62,41 @@ def brute_count(box, sat, outer, inner):
     return count, maxdeg
 
 
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def int_null_vector(rows):
+    """Primitive integer spanning vector of a one-dimensional null space.
+
+    The free coordinate is positive.  Returns None unless the null space has
+    dimension exactly 1.
+    """
+    if not rows:
+        return None
+    m, pivots, _ = bareiss(rows)
+    free = [c for c in range(len(m[0])) if c not in pivots]
+    if len(free) != 1:
+        return None
+    fc = free[0]
+    scale = m[0][pivots[0]] if pivots else 1
+    vec = [0] * len(m[0])
+    vec[fc] = scale
+    for row, col in zip(m, pivots):
+        vec[col] = -row[fc]
+    g = 0
+    for v in vec:
+        g = gcd(g, v)
+    if scale < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
 def brute_extreme_rays(rows):
     """Extreme rays of the cone {v : <r, v> >= 0} as a set of primitive
     vectors, by scanning every subset of n - 1 rows: an extreme ray spans
     the null space of some such subset, signed into the cone, or dropped
     when neither sign fits."""
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
     seen = set()
     rays = set()
     for combo in itertools.combinations(rows, len(rows[0]) - 1):
@@ -83,3 +114,55 @@ def brute_extreme_rays(rows):
         else:
             rays.add(tuple(-v for v in vec) if neg else vec)
     return rays
+
+
+def brute_newton_vertices(gens, facets, d):
+    """(vertices, vertex indices per facet) of the Newton polyhedron with the
+    given facets: a generator is a vertex iff the normals of the facets it
+    lies on have rank d."""
+    vertices = sorted(g for g in gens if rank([nu for nu, c in facets if dot(nu, g) == c]) == d)
+    return vertices, [frozenset(i for i, v in enumerate(vertices) if dot(nu, v) == c)
+                      for nu, c in facets]
+
+
+def brute_triangulate(points, facet_sets):
+    """Pulling triangulation of conv(points) that finds the faces by rank: a
+    k-face is coned from its least vertex over the distinct cuts F & G that
+    miss it and have affine rank k - 1."""
+    def dim(face):
+        return rank([points[i] for i in face]) - 1
+
+    def pull(face, k):
+        if len(face) == k + 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+        out = []
+        for sub in dict.fromkeys(face & g for g in facet_sets):
+            if apex not in sub and len(sub) >= k and dim(sub) == k - 1:
+                out += [(apex,) + s for s in pull(sub, k - 1)]
+        return out
+
+    full = frozenset(range(len(points)))
+    k = dim(full)
+    return pull(full, k) if k > 0 else []
+
+
+def brute_out_region(ideal):
+    """The volume between NP(I) and its zero-coordinate-normal relaxation,
+    both cut by the box 0 <= u_i <= M, M = 1 + max c / min(nu) over the
+    strictly positive facets <nu, u> >= c."""
+    np_ = newton_polyhedron(ideal)
+    d = np_.d
+    strict = [(nu, c) for nu, c in np_.facets if all(v > 0 for v in nu)]
+    loose = [(nu, c) for nu, c in np_.facets if not all(v > 0 for v in nu)]
+    if not strict:
+        return OutRegionReport(Fraction(0), Fraction(0), None)
+    m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
+    box = []
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        box.append((e, 0))
+        box.append((tuple(-x for x in e), -m_bound))
+    volume = (volume_from_constraints(loose + box, d)
+              - volume_from_constraints(list(np_.facets) + box, d))
+    return OutRegionReport(volume, factorial(d) * volume, m_bound)

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from epsmult._exactla import affine_rank, bareiss, int_det, int_null_vector, rank
+from conftest import int_null_vector
+from epsmult._exactla import affine_rank, bareiss, int_det, rank
 
 
 def fraction_rref(rows):
@@ -93,6 +94,8 @@ class TestDet:
 
 
 class TestNullVector:
+    """The null-vector helper of the ray-scan oracle in conftest."""
+
     @pytest.mark.parametrize("nullity", [1, 2])
     def test_wide_matrices(self, mats, nullity):
         for _ in range(200):

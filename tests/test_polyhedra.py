@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_extreme_rays
+from conftest import (brute_extreme_rays, brute_newton_vertices, brute_out_region,
+                      brute_triangulate)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult import polyhedra
 from epsmult.ideal_core import MonomialIdeal
@@ -16,13 +17,25 @@ def ideal(d, *gens):
     return MonomialIdeal.from_gens(d, gens)
 
 
-def recorded_systems(monkeypatch):
-    """Every row system handed to ``_extreme_rays`` from now on."""
+def recorded_systems(monkeypatch, name="_extreme_rays"):
+    """The argument tuple of every call of ``polyhedra.<name>`` from now on."""
     systems = []
-    enumerate_rays = polyhedra._extreme_rays
-    monkeypatch.setattr(polyhedra, "_extreme_rays",
-                        lambda rows: systems.append(list(rows)) or enumerate_rays(rows))
+    fn = getattr(polyhedra, name)
+    monkeypatch.setattr(polyhedra, name, lambda *args: systems.append(args) or fn(*args))
     return systems
+
+
+def seeded_ideals(rng, count, dims=(2, 3, 4)):
+    """Random ideals, about half of them made m-primary and a quarter squared."""
+    for _ in range(count):
+        d = rng.choice(dims)
+        I = random_ideal(rng, d, 4, 4)
+        if rng.random() < 0.5:
+            I = I.add(ideal(d, *(tuple(rng.randint(1, 4) if j == i else 0 for j in range(d))
+                                 for i in range(d))))
+        if rng.random() < 0.25:
+            I = I.power(2)
+        yield I
 
 
 def check_against_scan(rows):
@@ -37,21 +50,14 @@ class TestExtremeRays:
 
     def test_newton_and_vertex_systems(self, rng, monkeypatch):
         systems = recorded_systems(monkeypatch)
-        for _ in range(60):
-            d = rng.choice((2, 3, 4))
-            I = random_ideal(rng, d, 4, 4)
-            if rng.random() < 0.5:  # m-primary, so both vertex systems are built
-                I = I.add(ideal(d, *(tuple(rng.randint(1, 4) if j == i else 0 for j in range(d))
-                                     for i in range(d))))
-            if rng.random() < 0.25:
-                I = I.power(2)
+        for I in seeded_ideals(rng, 60):  # m-primary ones build both vertex systems
             out_region(I)
         monkeypatch.undo()
-        # Newton rows (d + 1 columns, last entries 0 or 1), then loose + box and
-        # full systems, whose box rows repeat a loose facet <e_i, u> >= 0
-        assert any(len(set(rows)) < len(rows) for rows in systems)
+        # Newton rows (d + 1 columns, last entries 0 or 1), then loose + cut and
+        # full systems, whose rows u_i >= 0 repeat a loose facet <e_i, u> >= 0
+        assert any(len(set(rows)) < len(rows) for rows, in systems)
         assert len(systems) > 60
-        for rows in systems:
+        for rows, in systems:
             check_against_scan(rows)
 
     @pytest.mark.parametrize("cons, d", [
@@ -64,7 +70,7 @@ class TestExtremeRays:
         volume_from_constraints(cons, d)
         monkeypatch.undo()
         assert len(systems) == 1
-        check_against_scan(systems[0])
+        check_against_scan(systems[0][0])
 
     def test_duplicated_and_shuffled_rows(self, rng):
         for _ in range(40):
@@ -88,6 +94,65 @@ class TestExtremeRays:
             assert polyhedra._extreme_rays(rows) == {} and brute_extreme_rays(rows) == set()
 
 
+class TestMasks:
+    """Vertices, facet incidences and faces read off tight-row masks, against
+    the rank-based oracles."""
+
+    def test_newton_vertices_and_incidences(self, rng, monkeypatch):
+        built = recorded_systems(monkeypatch, "_build_newton")
+        for I in seeded_ideals(rng, 80):
+            out_region(I)
+        monkeypatch.undo()
+        assert len(built) == 80
+        for I, in built:
+            np_ = newton_polyhedron(I)
+            vertices, incidences = brute_newton_vertices(I.gens, np_.facets, I.d)
+            assert list(np_.vertices) == vertices
+            assert list(np_.facet_vertices) == incidences
+
+    def test_triangulations(self, rng, monkeypatch):
+        # the box route's polytopes have many more faces than the cut route's
+        systems = recorded_systems(monkeypatch, "triangulate_points")
+        for I in seeded_ideals(rng, 80):
+            out_region(I)
+            brute_out_region(I)
+        monkeypatch.undo()
+        assert len(systems) > 100
+        assert any(len(brute_triangulate(*args)) > 20 for args in systems)
+        for points, facet_sets in systems:
+            assert polyhedra.triangulate_points(points, facet_sets) \
+                == brute_triangulate(points, facet_sets)
+
+    def test_lower_dimensional_polytopes(self):
+        square = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+        edges = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2, 3})]
+        assert polyhedra.triangulate_points(square, edges) == brute_triangulate(square, edges)
+        assert len(polyhedra.triangulate_points(square, edges)) == 2
+        # the same square inside R^3 (homogeneous rows of length 4)
+        lifted = [p[:2] + (0,) + p[2:] for p in square]
+        assert polyhedra.triangulate_points(lifted, edges + [frozenset(range(4))]) \
+            == brute_triangulate(square, edges)
+        assert polyhedra.triangulate_points([(2, 1)], [frozenset({0})]) == []
+        assert polyhedra.triangulate_points([], []) == []
+
+    def test_rank_calls(self, rng, monkeypatch):
+        volumes = recorded_systems(monkeypatch, "volume_from_constraints")
+        for I in seeded_ideals(rng, 30):
+            out_region(I)
+        monkeypatch.undo()
+        assert len(volumes) > 20
+        calls = []
+        count_rank = polyhedra.rank
+        monkeypatch.setattr(polyhedra, "rank", lambda rows: calls.append(1) or count_rank(rows))
+        for I in seeded_ideals(rng, 30):
+            polyhedra._build_newton(I)
+        assert calls == []  # the vertex test reads the masks
+        for args in volumes:
+            calls.clear()
+            volume_from_constraints(*args)
+            assert len(calls) <= 1  # the dimension of the polytope
+
+
 class TestNewtonPolyhedron:
     def test_two_generator_example(self):
         np_ = newton_polyhedron(ideal(2, (1, 2), (2, 0)))
@@ -102,6 +167,15 @@ class TestNewtonPolyhedron:
     def test_m_primary(self):
         np_ = newton_polyhedron(ideal(2, (2, 0), (0, 2)))
         assert set(np_.facets) == {((0, 1), 0), ((1, 0), 0), ((1, 1), 2)}
+
+    def test_generator_above_an_edge_is_no_vertex(self):
+        # x^2yz = (x y^2 + x z^2) / 2 + x: only the vertices before it in lex
+        # order lie on every facet through it
+        I = ideal(3, (1, 2, 0), (1, 0, 2), (2, 1, 1))
+        np_ = newton_polyhedron(I)
+        assert np_.vertices == ((1, 0, 2), (1, 2, 0))
+        assert (list(np_.vertices), list(np_.facet_vertices)) \
+            == brute_newton_vertices(I.gens, np_.facets, 3)
 
     def test_generators_satisfy_all_facets(self):
         I = ideal(3, (2, 0, 1), (0, 3, 0), (1, 1, 2))
@@ -226,6 +300,33 @@ class TestOutRegion:
 
     def test_d1_principal(self):
         assert out_region(MonomialIdeal.from_gens(1, [(5,)])).epsilon == 5
+
+    def test_halfspace_cut_matches_box(self, rng):
+        # the out-region lies both in the simplex u >= 0, sum u <= d (M - 1)
+        # and in the oracle's box 0 <= u_i <= M
+        ideals = list(seeded_ideals(rng, 240, dims=(1, 2, 3, 4)))
+        assert sum(I.d == 1 for I in ideals) > 20
+        assert sum(out_region(I).epsilon > 0 for I in ideals) > 120
+        for I in ideals:
+            assert out_region(I) == brute_out_region(I)
+
+    @pytest.mark.parametrize("gens, epsilon", [
+        # pure powers plus mixed generators, of which the last one (d = 6) and
+        # the last two (d = 7) are no vertices; d = 6 is three blocks
+        # (x^3, xy, y^3) of multiplicity 6 each
+        ([tuple(3 if j == i else 0 for j in range(6)) for i in range(6)]
+         + [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), (0, 1, 1, 0, 1, 0)], 216),
+        ([tuple(2 + i % 2 if j == i else 0 for j in range(7)) for i in range(7)]
+         + [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1),
+            (0, 1, 0, 1, 0, 1, 0)], 300),
+    ])
+    def test_m_primary_high_dimension(self, gens, epsilon):
+        # a box 0 <= u_i <= M fans both polytopes out into about d! simplices
+        # around (M, ..., M), 0.2 s at d = 6 and 1.6 s at d = 7
+        I = ideal(len(gens[0]), *gens)
+        t0 = time.perf_counter()
+        assert out_region(I).epsilon == epsilon
+        assert time.perf_counter() - t0 < 1
 
 
 class TestVolumes:
