@@ -7,9 +7,10 @@ its result: ``rank`` and ``affine_rank`` (boundary ranks, polytope
 dimensions, analytic spread) and ``int_det`` (simplex volumes).  Two callers
 eliminate augmented systems with it directly: ``polyhedra._extreme_rays``
 seeds each double-description run with the columns of det(B) B^-1 read off
-[B | I], and the quasi-polynomial fit solves its interpolation systems.
-Sizes are desk-scale: n x 2n seed systems, boundary matrices of complexes on
-at most four vertices, interpolation systems with a few dozen unknowns.
+[B | I], and the quasi-polynomial fit solves the k x (k+1) normal equations
+of each residue class.  Sizes are desk-scale: n x 2n seed systems, boundary
+matrices of complexes on at most four vertices, normal equations with a few
+dozen unknowns.
 """
 
 from __future__ import annotations

@@ -57,6 +57,11 @@ def unpack(keys: np.ndarray) -> np.ndarray:
     return np.stack(((keys >> _SHIFT).astype(np.int64), (keys & _MASK).astype(np.int64)), axis=1)
 
 
+def key_rows(keys: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The rows of a key vector as (x, y) tuples of Python ints."""
+    return tuple(zip((keys >> _SHIFT).tolist(), (keys & _MASK).tolist()))
+
+
 def key_extent(keys: np.ndarray) -> tuple[int, int]:
     """(max x, max y) of a non-empty staircase held as its sorted minimal
     keys: the last key's x and the first key's y."""

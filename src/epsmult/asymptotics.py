@@ -4,10 +4,13 @@ Fitting is exact rational interpolation, never least squares: eventual
 quasi-polynomiality is a theorem for Noetherian monomial families, so any
 residual means the window is wrong, and the fitter says so instead of
 approximating.  The period search ascends and accepts the first exact fit.
-For each residue class the interpolation system is the integer matrix of
-rows [n^e for e in the monomial basis | length at n]; one fraction-free
-elimination (``_exactla.bareiss``) of it tells full column rank, consistency
-and the coefficients, which are the last column over the shared pivot.
+A residue class with interpolation rows A = [n^e for e in the monomial
+basis] and lengths l is solved through its k x (k+1) normal equations
+[A^T A | A^T l], formed in Python ints and eliminated fraction-free once
+(``_exactla.bareiss``).  Over the rationals rank(A^T A) = rank(A), so a
+singular A^T A is exactly a class without full column rank; otherwise the
+elimination gives D x = num, the only possible solution, and the class is
+consistent iff every row satisfies D l_i == A_i . num in integers.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
+from operator import add, mul
 from typing import Optional, Sequence
 
 from ._exactla import bareiss
@@ -102,7 +107,7 @@ class QuasiPolynomial:
         for e in _monomial_basis(self.arity, self.degree):
             c = self.coeffs.get((res, e), Fraction(0))
             if c:
-                total += c * math.prod(n ** p for n, p in zip(i, e))
+                total += c * math.prod(map(pow, i, e))
         return total
 
     def top_form(self) -> dict[Index, dict[Index, Fraction]]:
@@ -122,21 +127,39 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
     must be reproduced exactly; ``start`` drops indices with any coordinate
     below it before fitting.  Entries must be Python ints (lengths).
     """
+    for name, value, least in (("degree", degree, 0), ("period_max", period_max, 1),
+                               ("holdout", holdout, 0)):
+        if value < least:
+            raise PreconditionError(f"fit {name} must be at least {least}, got {value}")
     if any(type(v) is not int for v in table.entries.values()):
         raise PreconditionError("length table entries must be integers")
     r = table.arity
     window = table.indices()
     if start is not None:
-        window = [i for i in window if all(c >= start for c in i)]
+        window = [i for i in window if min(i) >= start]
     if len(window) <= holdout:
         raise InsufficientDataError("window smaller than the holdout")
     fit_idx = window[: len(window) - holdout] if holdout else window
     hold_idx = window[len(window) - holdout:] if holdout else []
     basis = _monomial_basis(r, degree)
     k = len(basis)
-    # interpolation row of each index, augmented by its length: [n^e ... | l_n]
-    augmented = {i: [math.prod(n ** p for n, p in zip(i, e)) for e in basis] + [table.entries[i]]
-                 for i in fit_idx}
+    # basis[j] is basis[lower] times the variable v, with lower < j
+    steps = []
+    for e in basis[1:]:
+        v = next(v for v, p in enumerate(e) if p)
+        steps.append((basis.index(e[:v] + (e[v] - 1,) + e[v + 1:]), v))
+    # the Gram entry (u, w) is the moment of the exponent basis[u] + basis[w];
+    # pairs holds one (u, w) per distinct such exponent, slots[u][w] its place
+    pairs: list[tuple[int, int]] = []
+    slot: dict[Index, int] = {}
+    slots = [[0] * k for _ in range(k)]
+    for u, eu in enumerate(basis):
+        for w, ew in enumerate(basis):
+            f = tuple(map(add, eu, ew))
+            if f not in slot:
+                slot[f] = len(pairs)
+                pairs.append((u, w))
+            slots[u][w] = slot[f]
 
     best: tuple[int, int, Optional[Index]] = (-1, 1 << 60, None)
     tried_any = False
@@ -144,26 +167,31 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
         classes: dict[Index, list[Index]] = {}
         for i in fit_idx:
             classes.setdefault(tuple(n % a for n in i), []).append(i)
-        full: dict[Index, int] = {}
-        for i in window:
-            res = tuple(n % a for n in i)
-            full[res] = full.get(res, 0) + 1
+        held = Counter(tuple(n % a for n in i) for i in hold_idx)
         # every class needs k points to interpolate and at least one more,
         # in-window or held out, to actually verify the claimed fit
-        if any(len(pts) < k for pts in classes.values()):
+        if any(len(pts) < k or len(pts) + held[res] < k + 1 for res, pts in classes.items()):
             continue
-        if any(full.get(res, 0) < k + 1 for res in classes):
-            continue
-        # one elimination per class: k pivots in the first k columns mean full
-        # column rank, a further pivot (in the length column) inconsistency,
-        # and otherwise the solution is column k over the shared pivot
+        # per class the normal equations [A^T A | A^T l] of its rows A = [n^e]
+        # and lengths l; the module docstring says why they decide rank and
+        # consistency exactly
         solutions: dict[Index, Optional[list[Fraction]]] = {}
         for res, pts in sorted(classes.items()):
-            m, pivots, _ = bareiss([augmented[i] for i in pts])
-            if pivots[:k] != list(range(k)):
+            cols = [[1] * len(pts)]
+            coords = list(zip(*pts))
+            for lower, v in steps:
+                cols.append(list(map(mul, cols[lower], coords[v])))
+            lengths = [table.entries[i] for i in pts]
+            moments = [sum(map(mul, cols[u], cols[w])) for u, w in pairs]
+            m, pivots, _ = bareiss([[moments[t] for t in row] + [sum(map(mul, col, lengths))]
+                                    for row, col in zip(slots, cols)])
+            if pivots != list(range(k)):
                 break
-            solutions[res] = (None if len(pivots) > k else
-                              [Fraction(m[j][k], m[k - 1][k - 1]) for j in range(k)])
+            den = m[k - 1][k - 1]
+            num = [m[j][k] for j in range(k)]
+            consistent = all(den * li == sum(map(mul, row, num))
+                             for row, li in zip(zip(*cols), lengths))
+            solutions[res] = [Fraction(x, den) for x in num] if consistent else None
         if len(solutions) < len(classes):
             continue  # a rank-deficient class: the period cannot be decided
         tried_any = True

@@ -212,10 +212,12 @@ def cmd_mixed(args):
     ideals = [parse_ideal(s, args.dim) for s in specs]
     family = product_grid_family(ideals)
     rng = _parse_range(args.grid)
-    indices = list(iter_product(rng, repeat=len(ideals)))
-    table = length_table(family, indices)
     d = ideals[0].d
     degree = args.degree if args.degree is not None else d
+    if degree < d:
+        raise PreconditionError(f"--degree {degree} is below the ambient dimension {d}")
+    indices = list(iter_product(rng, repeat=len(ideals)))
+    table = length_table(family, indices)
     start = args.start if args.start is not None else d + 1
     quasi = fit_quasi_polynomial(table, degree=degree, period_max=args.period_max,
                                  holdout=args.holdout, start=start)

@@ -162,8 +162,8 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as lex-sorted tuples of Python ints."""
         if self._gens is None:
-            rows = self._arr if self._arr is not None else _kernels.unpack(self._keys)
-            self._gens = tuple(map(tuple, rows.tolist()))
+            self._gens = (tuple(map(tuple, self._arr.tolist())) if self._arr is not None
+                          else _kernels.key_rows(self._keys))
         return self._gens
 
     def _count(self) -> int:

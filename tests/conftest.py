@@ -1,13 +1,17 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial, gcd
+from typing import Optional
 
 import pytest
 
 from epsmult._exactla import bareiss, rank
+from epsmult.asymptotics import Index, LengthTable, QuasiPolynomial, _monomial_basis
+from epsmult.errors import InsufficientDataError, NoFitError, PreconditionError
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import OutRegionReport, newton_polyhedron, volume_from_constraints
 
@@ -166,3 +170,86 @@ def brute_out_region(ideal):
     volume = (volume_from_constraints(loose + box, d)
               - volume_from_constraints(list(np_.facets) + box, d))
     return OutRegionReport(volume, factorial(d) * volume, m_bound)
+
+
+def tall_fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
+                              holdout: int = 0, start: Optional[int] = None) -> QuasiPolynomial:
+    """``asymptotics.fit_quasi_polynomial`` by one tall elimination per
+    residue class: Bareiss of the rows [n^e for e in the basis | length at n]
+    tells full column rank (k pivots in the first k columns), consistency (no
+    pivot in the length column) and the coefficients (that column over the
+    shared pivot)."""
+    if any(type(v) is not int for v in table.entries.values()):
+        raise PreconditionError("length table entries must be integers")
+    r = table.arity
+    window = table.indices()
+    if start is not None:
+        window = [i for i in window if all(c >= start for c in i)]
+    if len(window) <= holdout:
+        raise InsufficientDataError("window smaller than the holdout")
+    fit_idx = window[: len(window) - holdout] if holdout else window
+    hold_idx = window[len(window) - holdout:] if holdout else []
+    basis = _monomial_basis(r, degree)
+    k = len(basis)
+    # interpolation row of each index, augmented by its length: [n^e ... | l_n]
+    augmented = {i: [math.prod(n ** p for n, p in zip(i, e)) for e in basis] + [table.entries[i]]
+                 for i in fit_idx}
+
+    best: tuple[int, int, Optional[Index]] = (-1, 1 << 60, None)
+    tried_any = False
+    for a in range(1, period_max + 1):
+        classes: dict[Index, list[Index]] = {}
+        for i in fit_idx:
+            classes.setdefault(tuple(n % a for n in i), []).append(i)
+        full: dict[Index, int] = {}
+        for i in window:
+            res = tuple(n % a for n in i)
+            full[res] = full.get(res, 0) + 1
+        # every class needs k points to interpolate and at least one more,
+        # in-window or held out, to actually verify the claimed fit
+        if any(len(pts) < k for pts in classes.values()):
+            continue
+        if any(full.get(res, 0) < k + 1 for res in classes):
+            continue
+        # one elimination per class: k pivots in the first k columns mean full
+        # column rank, a further pivot (in the length column) inconsistency,
+        # and otherwise the solution is column k over the shared pivot
+        solutions: dict[Index, Optional[list[Fraction]]] = {}
+        for res, pts in sorted(classes.items()):
+            m, pivots, _ = bareiss([augmented[i] for i in pts])
+            if pivots[:k] != list(range(k)):
+                break
+            solutions[res] = (None if len(pivots) > k else
+                              [Fraction(m[j][k], m[k - 1][k - 1]) for j in range(k)])
+        if len(solutions) < len(classes):
+            continue  # a rank-deficient class: the period cannot be decided
+        tried_any = True
+        coeffs: dict[tuple[Index, Index], Fraction] = {}
+        fails = 0
+        first_fail: Optional[Index] = None
+        for res, sol in solutions.items():
+            if sol is None:
+                fails += 1
+                if first_fail is None:
+                    first_fail = classes[res][0]
+                continue
+            for e, c in zip(basis, sol):
+                coeffs[(res, e)] = c
+        candidate = QuasiPolynomial(r, a, degree, coeffs)
+        if fails == 0:
+            for i in hold_idx:
+                res = tuple(n % a for n in i)
+                if res not in classes or candidate.evaluate(i) != table.entries[i]:
+                    fails += 1
+                    if first_fail is None:
+                        first_fail = i
+        if fails == 0:
+            return candidate
+        if fails < best[1]:
+            best = (a, fails, first_fail)
+    if not tried_any:
+        raise InsufficientDataError(
+            f"no period <= {period_max} has {k} independent points per residue class")
+    raise NoFitError(
+        f"no exact quasi-polynomial of degree <= {degree} and period <= {period_max}",
+        best_period=best[0], first_fail=best[2])

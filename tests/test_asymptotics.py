@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tall_fit_quasi_polynomial
+from epsmult import asymptotics
 from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons,
                                  fit_quasi_polynomial, length_table)
 from epsmult.errors import (InsufficientDataError, NoFitError, PreconditionError,
@@ -153,6 +156,104 @@ class TestFit:
         t = LengthTable(2, {(n, n): fn(n) for n in range(1, 21)}, "test", ())
         with pytest.raises(InsufficientDataError):
             fit_quasi_polynomial(t, degree=1, period_max=4)
+
+
+    @pytest.mark.parametrize("kwargs", [{"degree": -1}, {"period_max": 0}, {"holdout": -3}])
+    def test_bad_arguments_rejected(self, kwargs):
+        t = table_from(lambda n: n * n, 12)
+        with pytest.raises(PreconditionError):
+            fit_quasi_polynomial(t, **{"degree": 2, **kwargs})
+
+
+def random_fit_case(rng):
+    """(table, fit arguments) of a seeded random quasi-polynomial table.
+
+    The values are sum c_{res,e} prod_i C(n_i, e_i) with integer c per
+    residue class mod the period, so the lengths are integers and the
+    monomial coefficients fractions.  Some entries are perturbed (classes
+    turn inconsistent), and some windows lie on a line, are thinned or have
+    few values of the first coordinate (classes turn rank-deficient).
+    """
+    arity, degree, period = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 4)
+    while arity == 3 and period * (degree + 1) > 8:
+        period = rng.randint(1, 4)
+    k = math.comb(arity + degree, degree)
+    side = {1: period * (k + 3) + rng.randint(0, 6),
+            2: period * (degree + 2) + rng.randint(0, 3),
+            3: period * (degree + 1) + rng.randint(0, 1)}[arity]
+    basis = [e for e in itertools.product(range(degree + 1), repeat=arity) if sum(e) <= degree]
+    coeffs = {(res, e): rng.randint(-3, 3)
+              for res in itertools.product(range(period), repeat=arity) for e in basis}
+    window = list(itertools.product(range(1, side + 1), repeat=arity))
+    shape = rng.choice(["full"] * 5 + ["line", "thin", "slab"]) if arity > 1 else "full"
+    if shape == "line":
+        window = [i for i in window if i[0] == i[-1]]
+    elif shape == "thin":
+        window = [i for i in window if rng.random() < 0.5]
+    elif shape == "slab":
+        window = [i for i in window if i[0] <= max(degree, 1)]
+    entries = {}
+    for i in window:
+        res = tuple(n % period for n in i)
+        entries[i] = sum(c * math.prod(map(math.comb, i, e))
+                         for e in basis if (c := coeffs[(res, e)]))
+    if rng.random() < 0.3:
+        for i in rng.sample(window, min(len(window), rng.randint(1, 3))):
+            entries[i] += rng.choice([-2, -1, 1, 2])
+    kwargs = {"degree": max(0, degree + rng.choice([-1, 0, 0, 0, 1])),
+              "period_max": rng.randint(1, 5), "holdout": rng.randint(0, 4),
+              "start": rng.choice([None, 1, 2, 3])}
+    return LengthTable(arity, entries, "random", ()), kwargs
+
+
+def fit_outcome(fit, table, kwargs):
+    """(period, coefficients) of a fit, or what the fit raised."""
+    try:
+        q = fit(table, **kwargs)
+    except NoFitError as exc:
+        return ("no fit", exc.best_period, exc.first_fail)
+    except InsufficientDataError as exc:
+        return ("insufficient", str(exc))
+    return ("fit", q.period, q.coeffs)
+
+
+class TestNormalEquations:
+    """The fit solves each residue class through its k x (k+1) normal
+    equations; the tall elimination of every interpolation row, in
+    conftest, is its oracle."""
+
+    CASES = 300
+
+    def test_matches_tall_elimination(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(self.CASES):
+            table, kwargs = random_fit_case(rng)
+            got = fit_outcome(fit_quasi_polynomial, table, kwargs)
+            assert got == fit_outcome(tall_fit_quasi_polynomial, table, kwargs), (table, kwargs)
+            kinds.add((got[0], table.arity))
+        # every outcome is reached, and every arity fits exactly
+        assert {kind for kind, _ in kinds} == {"fit", "no fit", "insufficient"}
+        assert {("fit", arity) for arity in (1, 2, 3)} <= kinds
+
+    def test_every_elimination_is_k_by_k_plus_one(self, monkeypatch):
+        shapes = []
+        bareiss = asymptotics.bareiss
+
+        def recording(rows):
+            shapes.append((len(rows), {len(row) for row in rows}))
+            return bareiss(rows)
+        monkeypatch.setattr(asymptotics, "bareiss", recording)
+        rng = random.Random(20261019)
+        calls = 0
+        for _ in range(self.CASES // 2):
+            table, kwargs = random_fit_case(rng)
+            k = math.comb(table.arity + kwargs["degree"], kwargs["degree"])
+            shapes.clear()
+            fit_outcome(fit_quasi_polynomial, table, kwargs)
+            assert all(shape == (k, {k + 1}) for shape in shapes), (k, shapes)
+            calls += len(shapes)
+        assert calls > 0
 
 
 def fraction_solve(rows, rhs):

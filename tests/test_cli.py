@@ -85,6 +85,24 @@ class TestExitCodes:
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["mixed", "--ideals", "x*y^2, x^2; x*y, y^3", "--grid", "1:10", "--holdout", "-3"],
+        ["mixed", "--ideals", "x*y^2, x^2; x*y, y^3", "--grid", "1:10", "--period-max", "0"],
+        ["epsilon", "--ideal", "x*y^2, x^2", "--method", "fit", "--holdout", "-5"],
+    ])
+    def test_bad_fit_argument_is_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("degree", ["1", "-1"])
+    def test_mixed_degree_below_d_is_2_before_the_table(self, capsys, monkeypatch, degree):
+        from epsmult import cli as cli_mod
+        monkeypatch.setattr(cli_mod, "length_table",
+                            lambda *args: pytest.fail("length table built"))
+        assert main(["mixed", "--ideals", "x*y^2, x^2; x*y, y^3", "--grid", "1:10",
+                     "--degree", degree]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_inconclusive_is_3(self, capsys, monkeypatch):
         from epsmult import cli as cli_mod
         from epsmult.errors import NoFitError
@@ -219,6 +237,23 @@ class TestMixedCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["mixed"] == {"0,2": "2/1", "1,1": "2/1", "2,0": "2/1"}
+
+    # sha256 of the full `eps mixed` stdout (degree, period, mixed values,
+    # leading form) on each grid
+    PINNED = {
+        ("x*y^2, x^2; x*y, y^3", "1:10"):
+            "27fa6bb34862f8b40ae2f89d5413efa8e750ab726896f162b38644031d15ca6a",
+        ("x*y^2, x^2; x^3*y, y^2", "1:10"):
+            "4a401268159d935418d9514251bbfbef0a37e7fedfb8e7093fe16a9bcdff879b",
+        ("x^3, x*y^2; x^2, x*y^3; x^2*y, y^2", "1:8"):
+            "9e55cb6496be72f1d7537081d6e1e55ed91f2151781cd871c8deebea4e5d8a85",
+    }
+
+    @pytest.mark.parametrize("ideals, grid", sorted(PINNED))
+    def test_output_is_pinned(self, capsys, ideals, grid):
+        code, out = run(capsys, "mixed", "--ideals", ideals, "--grid", grid)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[(ideals, grid)]
 
 
 class TestFamilyCommands:
