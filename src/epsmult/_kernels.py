@@ -1,21 +1,17 @@
-"""Integer lattice kernels on numpy arrays.
+"""The d = 2 staircase kernels: an ideal in two variables held as one sorted
+vector of uint64 keys.
 
-Two jobs of ideal arithmetic run here:
-
-* the d = 2 staircase, held as one sorted vector of uint64 keys,
-* pairwise generator sums for ideal products in d >= 3.
-
-Every coordinate handed in must lie in [0, ``INT64_SAFE``) = [0, 2**31).
-Then the sum of two coordinates cannot overflow int64.  In d = 2 a row
-(x, y) packs into the key (x << 32) | y.  Keys order rows lexicographically,
-and the sum of two keys is the key of the row sum, because two y fields
-below 2**31 add up to less than 2**32 and never carry into the x field.  So a
-product's candidate keys are the p*q sums of its factors' keys, and the
-staircase of any key vector is one sort and a scan of the running least y.
-``as_array`` returns None for rows outside the bound; ``ideal_core`` then
-takes its pure-Python big-integer routes.  Minimalization in every other d is
-``ideal_core._antichain``, the level sweep on Python ints.  H^0 counting does
-not come through here: the slab route in ``cohomology`` works on Python ints.
+Every coordinate handed in must lie in [0, ``INT64_SAFE``) = [0, 2**31).  A
+row (x, y) packs into the key (x << 32) | y.  Keys order rows
+lexicographically, and the sum of two keys is the key of the row sum,
+because two y fields below 2**31 add up to less than 2**32 and never carry
+into the x field.  So a product's candidate keys are the p*q sums of its
+factors' keys, and the staircase of any key vector is one sort and a scan of
+the running least y.  ``as_array`` returns None for rows outside the bound;
+``ideal_core`` then takes its pure-Python big-integer routes.  Ideals in
+every other d never come here: ``ideal_core`` holds them as Python-int
+tuples.  Nor do H^0 counts: the slab route in ``cohomology`` works on
+Python ints.
 """
 
 from __future__ import annotations
@@ -43,18 +39,13 @@ def as_array(rows) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# d = 2 keys.  pack and unpack are exact for coordinates in [0, 2**32).
+# d = 2 keys.  pack and key_rows are exact for coordinates in [0, 2**32).
 
 
 def pack(arr: np.ndarray) -> np.ndarray:
     """The keys (x << 32) | y of the rows of an (m, 2) int64 array."""
     u = arr.astype(np.uint64)
     return (u[:, 0] << _SHIFT) | u[:, 1]
-
-
-def unpack(keys: np.ndarray) -> np.ndarray:
-    """The (m, 2) int64 rows of a key vector."""
-    return np.stack(((keys >> _SHIFT).astype(np.int64), (keys & _MASK).astype(np.int64)), axis=1)
 
 
 def key_rows(keys: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -82,8 +73,3 @@ def minimal_keys(keys: np.ndarray) -> np.ndarray:
     prev[0] = _UINT64_MAX
     np.minimum.accumulate(ys[:-1], out=prev[1:])
     return keys[ys < prev]
-
-
-def pairwise_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All sums a_i + b_j of rows (generators of an ideal product)."""
-    return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])

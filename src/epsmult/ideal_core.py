@@ -4,19 +4,19 @@ A ``MonomialIdeal`` holds its unique minimal generating antichain in
 lexicographic order, so equality and hashing are structural.  The empty
 generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
 
-The antichain lives in up to three forms, each built from another on first
-read and cached:
+The antichain lives in one of two forms:
 
-* ``gens``, the tuple of Python-int tuples.  Ideals with a coordinate at or
-  above ``_kernels.INT64_SAFE`` have only this form and use pure-Python
-  big-integer routes, so there is no overflow ceiling.
 * ``_keys``, for an int64-safe ideal in two variables: the ascending uint64
-  keys (x << 32) | y of ``_kernels``.  Products and sums work on keys alone.
-* ``_arr``, an (m, d) int64 array: the working form of int64-safe ideals in
-  other d, and of intersections and colons in every d.
+  keys (x << 32) | y of ``_kernels``.  Products and sums work on keys alone,
+  and intersections and colons of more than two candidate rows end as keys;
+  ``gens`` is built from the keys on first read and cached.
+* ``gens``, the tuple of Python-int tuples, for every other ideal: every
+  ideal in d != 2, and d = 2 ideals with a coordinate at or above
+  ``_kernels.INT64_SAFE``, so there is no overflow ceiling.
 
 Minimalization is ``_kernels.minimal_keys`` on d = 2 keys and
-``_antichain``, a level sweep on Python ints, everywhere else.
+``_antichain``, a level sweep on Python ints, everywhere else.  Saturation
+in d >= 3 is ``_saturation``, the same sweep over the slices of sat(I).
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import reduce
+import operator
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -90,19 +90,42 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
+def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
+    """Minimal generators of sat(I), lex sorted, for the lex-sorted minimal
+    generators *gens* of a nonzero ideal I.
+
+    One variable: the unit ideal.  Two: the staircase corner (x of the first
+    generator, y of the last).  Above two: a sweep up the distinct last
+    exponents z, as in ``_antichain``.  The slice of sat(I) at x_d = z is
+    sat(I_z) & I_top, where I_z is the (d-1)-variable cut of I at z and I_top
+    the cut at z = oo.  A generator of a slice is new at z iff it is not a
+    generator of the previous slice; once a slice reaches I_top, no later
+    one grows.
+    """
+    d = len(gens[0])
+    if d == 1:
+        return ((0,),)
+    if d == 2:
+        return ((gens[0][0], gens[-1][1]),)
+    levels: dict[int, list[Monomial]] = {}
+    for g in gens:
+        levels.setdefault(g[-1], []).append(g[:-1])
+    top = _antichain([g[:-1] for g in gens])
+    kept, cut, below = [], (), ()
+    for z in sorted(levels):
+        cut = _antichain([*cut, *levels[z]])
+        piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
+        kept.extend(p + (z,) for p in set(piece).difference(below))
+        if piece == top:
+            break
+        below = piece
+    return tuple(sorted(kept))
+
+
 def _of_keys(ambient: AmbientRing, keys: np.ndarray) -> "MonomialIdeal":
     """The ideal in two variables generated by the rows of *keys*, a fresh
     vector that is sorted in place and may become the result's."""
     return MonomialIdeal(ambient, None, _trusted=True, keys=_kernels.minimal_keys(keys))
-
-
-def _of_rows(ambient: AmbientRing, arr: np.ndarray) -> "MonomialIdeal":
-    """The ideal generated by the rows of an int64-safe (m, d) array."""
-    if ambient.d == 2:
-        return _of_keys(ambient, _kernels.pack(arr))
-    rows = _antichain(list(map(tuple, arr.tolist())))
-    return MonomialIdeal(ambient, None, _trusted=True,
-                         arr=np.array(rows, dtype=np.int64).reshape(-1, ambient.d))
 
 
 def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
@@ -110,33 +133,30 @@ def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
     if ambient.d == 2 and len(gens) > 2:
         arr = _kernels.as_array(gens)
         if arr is not None:
-            return _of_rows(ambient, arr)
+            return _of_keys(ambient, _kernels.pack(arr))
     return MonomialIdeal(ambient, _antichain(gens), _trusted=True)
 
 
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating antichain.
 
-    At least one of ``_gens`` (tuples), ``_keys`` (d = 2 uint64 keys) and
-    ``_arr`` (int64 rows) is set; keys and arrays are only ever stored for an
-    int64-safe ideal, and read-only.  ``_newton`` caches the Newton
-    polyhedron (``polyhedra.newton_polyhedron``).
+    At least one of ``_gens`` (tuples) and ``_keys`` (d = 2 uint64 keys) is
+    set; keys are only ever stored for an int64-safe ideal in two variables,
+    and read-only.  ``_newton`` caches the Newton polyhedron
+    (``polyhedra.newton_polyhedron``).
     """
 
-    __slots__ = ("ambient", "_gens", "_keys", "_arr", "_newton")
+    __slots__ = ("ambient", "_gens", "_keys", "_newton")
 
     def __init__(self, ambient: AmbientRing, gens: Optional[tuple[Monomial, ...]],
-                 _trusted: bool = False, arr: Optional[np.ndarray] = None,
-                 keys: Optional[np.ndarray] = None):
+                 _trusted: bool = False, keys: Optional[np.ndarray] = None):
         if not _trusted:
             raise PreconditionError("use MonomialIdeal.from_gens / zero / unit")
-        for form in (arr, keys):
-            if form is not None:
-                form.flags.writeable = False
+        if keys is not None:
+            keys.flags.writeable = False
         self.ambient = ambient
         self._gens = gens
         self._keys = keys
-        self._arr = arr
         self._newton = None
 
     @classmethod
@@ -162,14 +182,11 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as lex-sorted tuples of Python ints."""
         if self._gens is None:
-            self._gens = (tuple(map(tuple, self._arr.tolist())) if self._arr is not None
-                          else _kernels.key_rows(self._keys))
+            self._gens = _kernels.key_rows(self._keys)
         return self._gens
 
     def _count(self) -> int:
-        for form in (self._gens, self._keys, self._arr):
-            if form is not None:
-                return len(form)
+        return len(self._gens if self._gens is not None else self._keys)
 
     @property
     def is_zero(self) -> bool:
@@ -189,37 +206,19 @@ class MonomialIdeal:
             return (0,) * self.d
         if self._keys is not None:
             return _kernels.key_extent(self._keys)
-        if self._gens is None:
-            return tuple(self._arr.max(axis=0).tolist())
         return tuple(map(max, zip(*self._gens)))
 
     def fits_int64(self) -> bool:
-        return (self._keys is not None or self._arr is not None or self.is_zero
+        return (self._keys is not None or self.is_zero
                 or max(self.max_exponents()) < _kernels.INT64_SAFE)
 
-    def as_array(self) -> np.ndarray:
-        """Generators as a read-only (m, d) int64 array (cached; requires fits_int64)."""
-        if self._arr is None:
-            if self._keys is not None:
-                arr = _kernels.unpack(self._keys)
-            elif not self.fits_int64():
-                raise PreconditionError("generators exceed the int64-safe range")
-            else:
-                arr = _kernels.as_array(self._gens) if self._gens else np.empty((0, self.d), dtype=np.int64)
-            arr.flags.writeable = False
-            self._arr = arr
-        return self._arr
-
     def _as_keys(self) -> np.ndarray:
-        """The read-only d = 2 keys (cached; requires fits_int64)."""
+        """The read-only d = 2 keys of a nonzero ideal (cached; requires fits_int64)."""
         if self._keys is None:
-            keys = _kernels.pack(self.as_array())
+            keys = _kernels.pack(_kernels.as_array(self._gens))
             keys.flags.writeable = False
             self._keys = keys
         return self._keys
-
-    def _both_int64(self, other: "MonomialIdeal") -> bool:
-        return self.fits_int64() and other.fits_int64()
 
     def _same_ring(self, other: "MonomialIdeal") -> None:
         if self.d != other.d:
@@ -232,11 +231,7 @@ class MonomialIdeal:
         return any(all(g[i] <= mono[i] for i in range(self.d)) for g in self.gens)
 
     def is_subset(self, other: "MonomialIdeal") -> bool:
-        self._same_ring(other)
-        if self._both_int64(other):
-            a, b = self.as_array(), other.as_array()
-            return bool((b[None] <= a[:, None]).all(-1).any(-1).all())
-        return all(other.contains(g) for g in self.gens)
+        return self.add(other) == other
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return self.is_subset(other)
@@ -249,12 +244,10 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.d)
         # the largest coordinate of a product is the sum of the factors' largest
         tops = zip(self.max_exponents(), other.max_exponents())
-        if max(a + b for a, b in tops) < _kernels.INT64_SAFE:
-            if self.d == 2:
-                sums = self._as_keys()[:, None] + other._as_keys()[None, :]
-                return _of_keys(self.ambient, sums.ravel())
-            return _of_rows(self.ambient, _kernels.pairwise_sums(self.as_array(), other.as_array()))
-        prods = [tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens]
+        if self.d == 2 and max(a + b for a, b in tops) < _kernels.INT64_SAFE:
+            sums = self._as_keys()[:, None] + other._as_keys()[None, :]
+            return _of_keys(self.ambient, sums.ravel())
+        prods = [tuple(map(operator.add, g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.ambient, _antichain(prods), _trusted=True)
 
     __mul__ = multiply
@@ -271,30 +264,22 @@ class MonomialIdeal:
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
-        if self._both_int64(other):
-            if self.d == 2:
-                return _of_keys(self.ambient, np.concatenate((self._as_keys(), other._as_keys())))
-            return _of_rows(self.ambient, np.concatenate((self.as_array(), other.as_array())))
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        if self.d == 2 and self.fits_int64() and other.fits_int64():
+            return _of_keys(self.ambient, np.concatenate((self._as_keys(), other._as_keys())))
         return MonomialIdeal(self.ambient, _antichain(self.gens + other.gens), _trusted=True)
 
     __add__ = add
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
-        if self._both_int64(other):
-            a, b = self.as_array(), other.as_array()
-            return _of_rows(self.ambient, np.maximum(a[:, None], b[None]).reshape(-1, self.d))
-        lcms = [tuple(max(a, b) for a, b in zip(g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _antichain(lcms), _trusted=True)
+        return _minimalize(self.ambient, [tuple(map(max, g, h)) for g in self.gens for h in other.gens])
 
     def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
         """The ideal with the exponents of *variables* (1-based) set to zero."""
-        if self.fits_int64():
-            arr = self.as_array().copy()
-            arr[:, [i - 1 for i in variables]] = 0
-            return _of_rows(self.ambient, arr)
-        dropped = [tuple(0 if (i + 1) in variables else e for i, e in enumerate(g)) for g in self.gens]
-        return _minimalize(self.ambient, dropped)
+        keep = [int(i not in variables) for i in range(1, self.d + 1)]
+        return _minimalize(self.ambient, [tuple(map(operator.mul, g, keep)) for g in self.gens])
 
     def colon_var_sat(self, i: int) -> "MonomialIdeal":
         """The stable colon I : xi^infinity (variable index 1-based)."""
@@ -308,17 +293,14 @@ class MonomialIdeal:
         """I : m^infinity, the intersection of the I : xi^infinity.
 
         In one variable that is the unit ideal; in two it is principal, at
-        the corner of the staircase (x of the first generator in lex order,
-        y of the last).
+        the corner of the staircase.  Above two, ``_saturation`` builds it
+        slice by slice along the last variable: the slice at x_d = z is
+        sat(I_z) & I_top, for the (d-1)-variable cuts I_z of I at z and I_top
+        at z = oo.
         """
         if self.is_zero:
             raise ZeroIdealError("saturation of the zero ideal is undefined")
-        if self.d == 1:
-            return MonomialIdeal.unit(1)
-        if self.d == 2:
-            return MonomialIdeal(self.ambient, ((self.gens[0][0], self.gens[-1][1]),), _trusted=True)
-        parts = [self.colon_var_sat(i) for i in range(1, self.d + 1)]
-        return reduce(lambda a, b: a.intersect(b), parts)
+        return MonomialIdeal(self.ambient, _saturation(self.gens), _trusted=True)
 
     def localize(self, variables: Iterable[int]) -> "MonomialIdeal":
         """Monomial image after inverting the given variables (1-based)."""

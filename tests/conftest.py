@@ -47,10 +47,17 @@ def brute_members(gens, bounds):
 
 
 def brute_socle(ideal: MonomialIdeal, bounds):
-    """Points of sat(I) \\ I inside the (inclusive) box, by raw scanning."""
-    sat = ideal.saturate()
+    """Points of sat(I) \\ I inside the (inclusive) box, by raw scanning: p is
+    in sat(I) iff p + K e_i is in I for every i, K the largest exponent of a
+    generator (then p + k e_i in I for some k implies it for k = K)."""
+    gens = ideal.gens
+    big = max(map(max, gens))
+
+    def hit(p):
+        return any(all(g[i] <= p[i] for i in range(len(p))) for g in gens)
+
     return {p for p in box_points(bounds)
-            if sat.contains(p) and not ideal.contains(p)}
+            if not hit(p) and all(hit(p[:i] + (p[i] + big,) + p[i + 1:]) for i in range(len(p)))}
 
 
 def brute_count(box, sat, outer, inner):

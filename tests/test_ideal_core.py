@@ -304,7 +304,8 @@ class TestParsing:
 
 
 # ---------------------------------------------------------------------------
-# The int64 array form and the big-integer route against the brute-force oracle.
+# The d = 2 key form, the tuple form and the big-integer route against the
+# brute-force oracle.
 
 SAFE = _kernels.INT64_SAFE
 
@@ -326,7 +327,7 @@ def py_subset(a, b):
 
 
 def tuple_backed(d, gens):
-    """The ideal with generators *gens* (already minimal), holding no array."""
+    """The ideal with generators *gens* (already minimal), holding no keys."""
     return MonomialIdeal(AmbientRing(d), tuple(gens), _trusted=True)
 
 
@@ -359,21 +360,31 @@ def test_array_route_matches_python_route(rng):
 
 
 def test_kernel_results_skip_the_tuple_form(rng):
-    for k in range(40):
+    # two forms, not three: a d = 2 int64-safe result of a product, sum,
+    # intersection or colon holds read-only keys only, every other result
+    # holds tuples only
+    assert MonomialIdeal.__slots__ == ("ambient", "_gens", "_keys", "_newton")
+    assert not hasattr(MonomialIdeal, "as_array")
+    for k in range(60):
         d = 2 + k % 3
-        I = random_ideal(rng, d, 6, 6)
-        J = random_ideal(rng, d, 6, 6)
-        # from_gens keeps the tuple form in d >= 3, so the colon is of a product
-        for result in (I * J, I + J, I.intersect(J), (I * J).colon_var_sat(1)):
-            assert result._gens is None
+        while True:  # in d = 2, more than two candidate rows for every result
+            I = random_ideal(rng, d, 6, 6)
+            J = random_ideal(rng, d, 6, 6)
+            if min(len(I.gens), len(J.gens), len((I * J).gens)) > 2:
+                break
+        # from_gens keeps the tuple form below three generators, so the colon
+        # is of a product
+        for result in (I * J, I + J, I.intersect(J), (I * J).colon_var_sat(1),
+                       (I * J).localize((2,))):
             if d == 2:
-                # keys only, until the array is asked for
-                assert result._arr is None and not result._keys.flags.writeable
+                assert result._gens is None and not result._keys.flags.writeable
                 with pytest.raises(ValueError):
                     result._keys.sort()
-            arr = result.as_array()
-            assert not arr.flags.writeable and result.as_array() is arr
-            assert result.gens == tuple(map(tuple, arr.tolist()))
+                assert result.gens == _kernels.key_rows(result._keys)
+            else:
+                assert result._keys is None and type(result._gens) is tuple
+        sat = I.saturate()
+        assert sat._keys is None and type(sat._gens) is tuple
 
 
 def key_backed(gens):
@@ -473,7 +484,9 @@ def test_sums_past_the_bound_take_the_python_route():
     assert I._keys is not None
     square = I * I
     assert square.gens == py_mul(I.gens, I.gens)
-    assert square._keys is None and square._arr is None and not square.fits_int64()
+    assert square._keys is None and not square.fits_int64()
+    for result in (square + I, square.intersect(I * I), square.colon_var_sat(2)):
+        assert result._keys is None and type(result._gens) is tuple
 
 
 def test_equality_and_hash_across_forms(rng):
@@ -520,6 +533,26 @@ def test_one_key_sort_matches_lexsort_at_the_bound():
         for _ in range(20):
             arr = values[rng.integers(0, len(values), size=(n, 2))]
             arr = np.concatenate((arr, arr[: n // 2]))  # duplicates
-            got = _kernels.unpack(_kernels.minimal_keys(_kernels.pack(arr)))
-            assert np.array_equal(got, lexsort_minimal_rows_2d(arr))
-            assert got.tolist() == [list(g) for g in brute_minimal(arr.tolist())]
+            got = _kernels.key_rows(_kernels.minimal_keys(_kernels.pack(arr)))
+            assert got == tuple(map(tuple, lexsort_minimal_rows_2d(arr).tolist()))
+            assert got == brute_minimal(arr.tolist())
+
+
+# (x1^2x4, x2^2x4, x3^2x4, x1x2x3): not m-primary in d = 4.
+D4_BASE = ((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0))
+
+
+def test_saturation_sweep_matches_the_colon_intersection(rng):
+    # the slice sweep of saturate against reduce(py_lcm, py_colon) where its
+    # recursion goes deep (d = 5, 6), where slices have many generators
+    # (powers) and past the int64 bound
+    for k in range(120):
+        d = 5 + k % 2
+        hi = rng.choice((2, 4, 9))
+        check_against_python(d, random_gens(rng, d, hi, 1), random_gens(rng, d, hi, 0))
+    for base, powers in ((CLIFF_BASE, (*range(1, 9), 13, 21, 30, 40)), (D4_BASE, range(1, 7))):
+        d = len(base)
+        for n in powers:
+            check_against_python(d, ideal(d, *base).power(n).gens, [])
+    big = [tuple(e << 33 for e in g) for g in ideal(4, *D4_BASE).power(3).gens]
+    check_against_python(4, big, random_gens(rng, 4, 3, 0))

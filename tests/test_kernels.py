@@ -1,4 +1,4 @@
-"""The antichain, key and product kernels against the brute-force oracle."""
+"""The antichain and d = 2 key kernels against the brute-force oracle."""
 
 import random
 
@@ -15,8 +15,8 @@ EDGES = (0, 2**31 - 1, 2**31, 2**64)
 
 
 def key_minimal(rows):
-    """The d = 2 key kernel on rows: pack, minimal_keys, unpack."""
-    return _kernels.unpack(_kernels.minimal_keys(_kernels.pack(np.array(rows, dtype=np.int64))))
+    """The d = 2 key kernel on rows: pack, minimal_keys, key_rows."""
+    return _kernels.key_rows(_kernels.minimal_keys(_kernels.pack(np.array(rows, dtype=np.int64))))
 
 
 def random_rows(rng, n, d, hi):
@@ -31,7 +31,7 @@ def test_minimal_rows_matches_reference(d):
         rows += rows[: n // 3]  # duplicates
         if d == 2:
             rows += [[0, 2**32 - 1], [2**32 - 1, 0], [2**31 - 1, 2**31 - 1]]
-            got = tuple(map(tuple, key_minimal(rows).tolist()))
+            got = key_minimal(rows)
         else:
             rows += [[EDGES[(i + j) % 4] for j in range(d)] for i in range(4)]
             got = _antichain(list(map(tuple, rows)))
@@ -50,8 +50,7 @@ def test_antichain_matches_brute_force(d):
 
 
 def test_minimal_rows_handles_duplicates():
-    got = [tuple(r) for r in key_minimal([[1, 2], [1, 2], [2, 0], [2, 0], [3, 3]]).tolist()]
-    assert got == [(1, 2), (2, 0)]
+    assert key_minimal([[1, 2], [1, 2], [2, 0], [2, 0], [3, 3]]) == ((1, 2), (2, 0))
 
 
 def test_keys_round_trip_and_add_without_carry():
@@ -60,14 +59,9 @@ def test_keys_round_trip_and_add_without_carry():
     keys = _kernels.pack(rows)
     assert keys.dtype == np.uint64
     assert keys.tolist() == [(x << 32) | y for x, y in rows.tolist()]
-    assert np.array_equal(_kernels.unpack(keys), rows)
+    assert _kernels.key_rows(keys) == tuple(map(tuple, rows.tolist()))
     # below 2**31 the sum of two keys is the key of the row sum
     safe = np.array([[0, 0], [0, 2**31 - 1], [2**31 - 1, 1], [2**31 - 1, 2**31 - 1]], dtype=np.int64)
     sums = _kernels.pack(safe)[:, None] + _kernels.pack(safe)[None, :]
-    assert np.array_equal(_kernels.unpack(sums.ravel()), _kernels.pairwise_sums(safe, safe))
-
-
-def test_pairwise_sums():
-    a = np.array([[1, 2], [2, 0]], dtype=np.int64)
-    got = sorted(map(tuple, _kernels.pairwise_sums(a, a).tolist()))
-    assert got == [(2, 4), (3, 2), (3, 2), (4, 0)]
+    rows = tuple((a + c, b + e) for a, b in safe.tolist() for c, e in safe.tolist())
+    assert _kernels.key_rows(sums.ravel()) == rows
