@@ -1,16 +1,16 @@
 """Small dense exact linear algebra on one routine.
 
 ``bareiss`` is fraction-free Gauss-Jordan elimination of an integer matrix.
-Every intermediate entry is a minor of the input, so all divisions are exact
-and nothing leaves the integers.  The other routines read their answers off
-its result: ``rank`` and ``affine_rank`` (boundary ranks, polytope
-dimensions, analytic spread) and ``int_det`` (simplex volumes).  Two callers
-eliminate augmented systems with it directly: ``polyhedra._extreme_rays``
-seeds each double-description run with the columns of det(B) B^-1 read off
-[B | I], and the quasi-polynomial fit solves the k x (k+1) normal equations
-of each residue class.  Sizes are desk-scale: n x 2n seed systems, boundary
-matrices of complexes on at most four vertices, normal equations with a few
-dozen unknowns.
+Every intermediate entry is a minor of the input, so all divisions are
+exact and nothing leaves the integers.  The other routines read their
+answers off its result: ``rank`` (boundary ranks, polytope dimensions) and
+``int_det`` (simplex volumes).  Two callers eliminate augmented systems
+with it directly: ``polyhedra._extreme_rays`` seeds each double-description
+run with the columns of det(B) B^-1 read off [B | I], and the
+quasi-polynomial fit solves the k x (k+1) normal equations of each residue
+class.  Sizes are desk-scale: n x 2n seed systems, boundary matrices of
+complexes on at most four vertices, normal equations with a few dozen
+unknowns.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix."""
     return len(bareiss(rows)[1])
-
-
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine hull of an integer point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    base = points[0]
-    return rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

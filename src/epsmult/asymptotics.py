@@ -69,7 +69,7 @@ def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
     counts = {}
     for idx in idxs:
         if idx not in counts:
-            ideal = eval_family(spec, idx if spec.arity > 1 else idx[0], memo)
+            ideal = eval_family(spec, idx, memo)
             if ideal.is_zero:
                 raise ZeroIdealError(f"I_{idx} is the zero ideal")
             counts[idx] = h0_length(ideal)

@@ -398,6 +398,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except OSError as exc:  # e.g. --csv PATH in a missing directory
+        target = args.csv if getattr(args, "csv", None) not in (None, "-") else "stdout"
+        print(f"eps: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return code
 
 

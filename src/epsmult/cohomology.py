@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
@@ -243,6 +243,14 @@ def reduced_betti(complex_: SimplicialComplex, q: int) -> int:
     return dim_q - rank_down - rank_up
 
 
+def _lex_points(box: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The lattice points of [0, box) in lex order, built one at a time
+    (``itertools.product`` would first turn every range into a tuple)."""
+    if not box:
+        return iter([()])
+    return ((x,) + rest for x in range(box[0]) for rest in _lex_points(box[1:]))
+
+
 def h0_length_takayama(ideal: MonomialIdeal, witnesses: bool = False) -> H0Count:
     """H^0 length by summing homology ranks of the inverted-variable complexes.
 
@@ -263,7 +271,7 @@ def h0_length_takayama(ideal: MonomialIdeal, witnesses: bool = False) -> H0Count
     box = ideal.max_exponents()
     count = 0
     pts = []
-    for p in itertools.product(*(range(c) for c in box)):
+    for p in _lex_points(box):
         faces = frozenset(f for f, loc in localizations.items() if not loc.contains(p))
         complex_ = SimplicialComplex(d, faces)
         if reduced_betti(complex_, -1) == 1:

@@ -14,6 +14,13 @@ homogenization cone spanned by (g, 1) and (e_i, 0): every extreme ray
 the generators on it.  Every vertex of NP(I) is a minimal generator, and a
 generator is a vertex iff no other generator lies on all of its facets.
 
+Faces are index sets, walked by one rule, ``_facets_of``: a face is the cut
+of the facets that hold it, so the facets of F are its maximal cuts F & G.
+The analytic spread is 1 + the largest dimension of a bounded face
+(Bivia-Ausina 2003): the walk descends from the facets of NP(I), as sets of
+vertices and rays e_i (nu_i = 0), one dimension per level, and stops at the
+first level with a ray-free face.
+
 epsilon is d! times the volume trapped between NP(I) and the relaxation
 that keeps only facets whose normal has a zero coordinate.  Any point of
 that region misses some strictly positive facet <nu, u> >= c, so its
@@ -33,7 +40,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Optional, Sequence
 
-from ._exactla import affine_rank, bareiss, int_det, rank
+from ._exactla import bareiss, int_det, rank
 from .errors import PreconditionError, ZeroIdealError
 from .ideal_core import MonomialIdeal
 
@@ -47,7 +54,6 @@ class NewtonPolyhedron:
     vertices: tuple[tuple[int, ...], ...]
     facets: tuple[Facet, ...]
     facet_vertices: tuple[frozenset[int], ...]  # vertex indices per facet
-    facet_rays: tuple[frozenset[int], ...]      # 1-based coordinate rays per facet
 
 
 @dataclass(frozen=True)
@@ -146,48 +152,41 @@ def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     if not keep:
         raise PreconditionError("no vertex found; Newton polyhedron degenerate")
     facet_vertices = []
-    facet_rays = []
     for f, (nu, c) in enumerate(facets):
         active = frozenset(i for i, j in enumerate(keep) if on[j] >> f & 1)
-        rays = frozenset(i + 1 for i in range(d) if nu[i] == 0)
-        if len(active) + len(rays) < d:
+        if len(active) + nu.count(0) < d:  # e_i lies on the facet iff nu_i = 0
             raise PreconditionError("facet supported by fewer than d vertices and rays")
         facet_vertices.append(active)
-        facet_rays.append(rays)
-    return NewtonPolyhedron(d, tuple(gens[j] for j in keep), tuple(facets),
-                            tuple(facet_vertices), tuple(facet_rays))
+    return NewtonPolyhedron(d, tuple(gens[j] for j in keep), tuple(facets), tuple(facet_vertices))
 
 
 # ---------------------------------------------------------------------------
-# Analytic spread via the face lattice.
+# Faces as index sets, and the analytic spread.
 
 
-def _face_closure(np_: NewtonPolyhedron):
-    """All nonempty faces as (vertex index set, ray set) pairs."""
-    faces = {(np_.facet_vertices[i], np_.facet_rays[i]) for i in range(len(np_.facets))}
-    frontier = set(faces)
-    while frontier:
-        fresh = set()
-        for v1, r1 in frontier:
-            for v2, r2 in faces:
-                cand = (v1 & v2, r1 & r2)
-                if (cand[0] or cand[1]) and cand not in faces and cand not in fresh:
-                    fresh.add(cand)
-        faces |= fresh
-        frontier = fresh
-    return faces
+def _facets_of(face: frozenset[int], facet_sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The facets of a face: its inclusion-maximal cuts face & G, G in
+    facet_sets, other than face itself."""
+    cuts = dict.fromkeys(face & g for g in facet_sets)
+    cuts.pop(face, None)
+    return [sub for sub in cuts if not any(sub < c for c in cuts)]
 
 
 def analytic_spread(ideal: MonomialIdeal) -> int:
-    """1 + the maximal dimension of a bounded face of the Newton polyhedron."""
+    """1 + the largest dimension of a bounded face of the Newton polyhedron.
+
+    A face is the set of its vertex indices and of n + i for each ray
+    e_(i+1) in it; level k holds the k-faces that hold a vertex.
+    """
     np_ = newton_polyhedron(ideal)
-    best = 0
-    for verts, rays in _face_closure(np_):
-        if rays or not verts:
-            continue
-        pts = [np_.vertices[i] for i in sorted(verts)]
-        best = max(best, affine_rank(pts))
-    return 1 + best
+    n, k = len(np_.vertices), np_.d - 1
+    facet_sets = [verts | {n + i for i, x in enumerate(nu) if x == 0}
+                  for verts, (nu, _) in zip(np_.facet_vertices, np_.facets)]
+    level = set(facet_sets)
+    while all(max(face) >= n for face in level):
+        level = {sub for face in level for sub in _facets_of(face, facet_sets) if min(sub) < n}
+        k -= 1
+    return 1 + k
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +215,15 @@ def triangulate_points(points: Sequence[Point],
     sorted lexicographically; facet_sets hold the vertex indices of each
     facet (sets of lower faces, or empty ones, may be mixed in).  Pulling
     triangulation: a k-face F is coned from its least vertex over its
-    facets that miss that vertex.  Every face of F is a cut F & G, G in
-    facet_sets, so the facets of F are the inclusion-maximal cuts other
-    than F itself.  Only the dimension of conv(points) takes a rank: a
-    k-face with k + 1 vertices is a simplex.
+    facets (``_facets_of``) that miss that vertex.  Only the dimension of
+    conv(points) takes a rank: a k-face with k + 1 vertices is a simplex.
     """
     def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
         if len(face) == k + 1:
             return [tuple(sorted(face))]
         apex = min(face)
-        cuts = dict.fromkeys(face & g for g in facet_sets)
-        cuts.pop(face, None)
-        out: list[tuple[int, ...]] = []
-        for sub in cuts:
-            if apex not in sub and not any(sub < c for c in cuts):
-                out += [(apex,) + s for s in pull(sub, k - 1)]
-        return out
+        return [(apex,) + s for sub in _facets_of(face, facet_sets) if apex not in sub
+                for s in pull(sub, k - 1)]
 
     k = rank(points) - 1
     return pull(frozenset(range(len(points))), k) if k > 0 else []

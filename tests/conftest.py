@@ -179,6 +179,33 @@ def brute_out_region(ideal):
     return OutRegionReport(volume, factorial(d) * volume, m_bound)
 
 
+def brute_spread(ideal):
+    """1 + the largest dimension of a bounded face of NP(I), from the closure
+    of the facets under pairwise intersection: a face is a (vertex index
+    set, coordinate ray set) pair, the rays of a facet <nu, u> >= c are the
+    e_i with nu_i = 0, and a bounded face's dimension is the rank of its
+    vertices' differences."""
+    np_ = newton_polyhedron(ideal)
+    faces = {(verts, frozenset(i for i, x in enumerate(nu) if x == 0))
+             for verts, (nu, _) in zip(np_.facet_vertices, np_.facets)}
+    frontier = set(faces)
+    while frontier:
+        fresh = set()
+        for v1, r1 in frontier:
+            for v2, r2 in faces:
+                cand = (v1 & v2, r1 & r2)
+                if (cand[0] or cand[1]) and cand not in faces:
+                    fresh.add(cand)
+        faces |= fresh
+        frontier = fresh
+    best = 0
+    for verts, rays in faces:
+        if verts and not rays:
+            pts = [np_.vertices[i] for i in sorted(verts)]
+            best = max(best, rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]))
+    return 1 + best
+
+
 def tall_fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
                               holdout: int = 0, start: Optional[int] = None) -> QuasiPolynomial:
     """``asymptotics.fit_quasi_polynomial`` by one tall elimination per

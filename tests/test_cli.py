@@ -103,6 +103,12 @@ class TestExitCodes:
                      "--degree", degree]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_unwritable_csv_path_is_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        assert main(["h0", "--ideal", "x*y^2, x^2", "--csv", str(path)]) == 1
+        assert capsys.readouterr().err \
+            == f"eps: error: cannot write {path}: No such file or directory\n"
+
     def test_inconclusive_is_3(self, capsys, monkeypatch):
         from epsmult import cli as cli_mod
         from epsmult.errors import NoFitError
@@ -146,6 +152,17 @@ def test_closed_pipe_is_silent_and_keeps_the_code():
         os.close(writer)
     assert proc.returncode == 0
     assert proc.stderr == b""
+
+
+def test_takayama_timeout_past_int32_exponents():
+    # a box side past 2^31: the scan must start at once so that --timeout fires
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsmult.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "epsmult.cli", "h0", "--method", "takayama",
+                           "--timeout", "1", "--ideal", "[[2147483655,0,0],[0,1,0],[0,0,1]]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "eps: timed out after 1s\n"
 
 
 class TestEpsilonCommand:
@@ -237,6 +254,14 @@ class TestMixedCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["mixed"] == {"0,2": "2/1", "1,1": "2/1", "2,0": "2/1"}
+
+    def test_one_ideal_is_its_epsilon(self, capsys):
+        code, out = run(capsys, "mixed", "--ideals", "x*y^2, x^2", "--grid", "1:12",
+                        "--degree", "2")
+        assert code == 0
+        assert json.loads(out)["mixed"] == {"2": "2/1"}
+        code, out = run(capsys, "epsilon", "--ideal", "x*y^2, x^2")
+        assert json.loads(out)["epsilon"] == "2/1"
 
     # sha256 of the full `eps mixed` stdout (degree, period, mixed values,
     # leading form) on each grid

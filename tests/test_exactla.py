@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from conftest import int_null_vector
-from epsmult._exactla import affine_rank, bareiss, int_det, rank
+from epsmult._exactla import bareiss, int_det, rank
 
 
 def fraction_rref(rows):
@@ -155,23 +155,3 @@ class TestRank:
         assert rank([[0, 0, 0]]) == 0
         assert rank([[0], [0]]) == 0
         assert rank([[1, 2], [2, 4], [3, 6]]) == 1
-
-
-class TestAffineRank:
-    def test_matches_fractions(self, mats):
-        for _ in range(200):
-            npts, d = mats.randint(2, 12), mats.randint(1, 5)
-            base = [mats.randint(-5, 5) for _ in range(d)]
-            r = mats.choice((None, mats.randint(0, min(npts - 1, d))))
-            diffs = random_matrix(mats, npts - 1, d, r)
-            points = [base] + [[b + x for b, x in zip(base, row)] for row in diffs]
-            mats.shuffle(points)
-            ref = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
-            assert affine_rank(points) == len(fraction_rref(ref)[1])
-
-    def test_small_sets(self):
-        assert affine_rank([]) == -1
-        assert affine_rank([(3, 1)]) == 0
-        assert affine_rank([(1, 0), (2, 0), (5, 0)]) == 1
-        assert affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
-        assert affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]) == 3

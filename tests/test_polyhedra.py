@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (brute_extreme_rays, brute_newton_vertices, brute_out_region,
-                      brute_triangulate)
+                      brute_spread, brute_triangulate)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult import polyhedra
 from epsmult.ideal_core import MonomialIdeal
@@ -203,8 +203,8 @@ class TestNewtonPolyhedron:
             d = np_.d
             for i in range(len(np_.vertices)):
                 assert sum(1 for act in np_.facet_vertices if i in act) >= d
-            for act, rays in zip(np_.facet_vertices, np_.facet_rays):
-                assert len(act) + len(rays) >= d
+            for act, (nu, _) in zip(np_.facet_vertices, np_.facets):
+                assert len(act) + nu.count(0) >= d  # e_i lies on the facet iff nu_i = 0
             # extreme points of conv(gens) + orthant are generator points
             gens = set(I.gens)
             for v in np_.vertices:
@@ -239,12 +239,33 @@ class TestAnalyticSpread:
         assert analytic_spread(ideal(3, (1, 1, 1))) == 1
         assert analytic_spread(ideal(3, (2, 0, 0), (0, 2, 0), (0, 0, 2))) == 3
 
-    def test_bounded_facet_iff_strictly_positive_normal(self, rng):
-        for _ in range(15):
-            I = random_ideal(rng, rng.choice((2, 3)), 5, 4)
-            np_ = newton_polyhedron(I)
-            for i, (nu, _) in enumerate(np_.facets):
-                assert (len(np_.facet_rays[i]) == 0) == all(v > 0 for v in nu)
+    def test_walk_matches_closure(self, rng):
+        ideals = list(seeded_ideals(rng, 300, dims=(1, 2, 3, 4, 5)))
+        spreads = [analytic_spread(I) for I in ideals]
+        assert sum(I.d == 5 for I in ideals) > 40
+        assert sum(1 < s < I.d for I, s in zip(ideals, spreads)) > 40
+        assert [brute_spread(I) for I in ideals] == spreads
+
+    @pytest.mark.parametrize("gens, spread", [
+        # squares of ideals with no pure power, so none is m-primary
+        ([(1, 4, 0, 0, 2, 1), (2, 1, 4, 0, 4, 3), (3, 2, 1, 2, 1, 2), (3, 4, 2, 2, 3, 0),
+          (4, 0, 0, 4, 1, 4), (4, 0, 2, 1, 1, 1), (4, 3, 4, 4, 3, 0)], 4),
+        ([(0, 4, 1, 3, 1, 4), (1, 0, 1, 3, 0, 3), (2, 3, 0, 2, 1, 3), (3, 3, 2, 3, 3, 2),
+          (4, 1, 1, 4, 3, 0)], 3),
+        ([(0, 0, 1, 3, 3, 2, 0), (0, 2, 0, 1, 1, 0, 0), (0, 3, 3, 2, 0, 1, 0),
+          (1, 1, 1, 3, 2, 3, 2), (2, 0, 3, 1, 2, 3, 0), (2, 1, 3, 2, 1, 1, 2),
+          (3, 1, 2, 0, 2, 0, 3)], 5),
+        ([(0, 0, 1, 2, 3, 0, 0), (0, 2, 2, 2, 0, 2, 1), (0, 3, 2, 1, 2, 3, 0),
+          (2, 2, 3, 0, 3, 2, 2), (3, 0, 3, 2, 0, 0, 2), (3, 2, 2, 0, 1, 2, 3)], 5),
+    ])
+    def test_squared_high_dimension(self, gens, spread):
+        # brute_spread, the pairwise closure of the faces, takes 0.1-1 s on these
+        I = ideal(len(gens[0]), *gens).power(2)
+        newton_polyhedron(I)
+        t0 = time.perf_counter()
+        assert analytic_spread(I) == spread
+        assert time.perf_counter() - t0 < 1
+        assert brute_spread(I) == spread
 
 
 class TestOutRegion:
