@@ -7,7 +7,9 @@ family, Noetherian families built from seeds, or an explicit table).
 Evaluation fills a memo dict owned by the caller: the recursive rules keep
 their seed ideals and their ideals I_0, I_1, ... under the spec and product
 grids one entry per index, so callers that share one dict pay for each ideal
-once, and nothing outlives the dict.
+once, and nothing outlives the dict.  Each rung I_m of a recursive rule is
+one call of ``ideal_core.sum_of_products``, minimalized once; a power family
+is the Noetherian rule with its one seed in degree 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Union
 
 from .cohomology import max_socle_degree
 from .errors import ParseError, PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, json_int
+from .ideal_core import AmbientRing, Monomial, MonomialIdeal, json_int, sum_of_products
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
@@ -150,22 +152,15 @@ def _seed_ideals(spec: FamilySpec) -> Seeds:
 
 
 def _next_rung(spec: FamilySpec, seeds: Seeds, ladder: list[MonomialIdeal]) -> MonomialIdeal:
-    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder)."""
-    rule, m = spec.rule, len(ladder)
-    if isinstance(rule, PowerRule):
-        return ladder[-1].multiply(seeds[0][1])
-    if isinstance(rule, LimitRecursiveRule):
-        if m == 1:
-            return MonomialIdeal.from_gens(2, [(1, 1)])
-        acc = MonomialIdeal.from_gens(2, [(1, m * m), (m * m, 1)])
-        for t in range(1, m // 2 + 1):
-            acc = acc.add(ladder[t].multiply(ladder[m - t]))
-        return acc
-    acc = MonomialIdeal.zero(spec.d)
-    for deg, seed in seeds:
-        if deg <= m:
-            acc = acc.add(seed.multiply(ladder[m - deg]))
-    return acc
+    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder): one
+    ``sum_of_products`` call.  The limit rule sums I_t I_(m-t) for t <= m/2
+    and (x y^(m^2), x^(m^2) y), which is (x y) at m = 1; a power or Noetherian
+    rule sums seed * I_(m-deg) over its seeds of degree deg <= m."""
+    m, ambient = len(ladder), AmbientRing(spec.d)
+    if isinstance(spec.rule, LimitRecursiveRule):
+        return sum_of_products(ambient, [(ladder[t], ladder[m - t]) for t in range(1, m // 2 + 1)],
+                               [MonomialIdeal.from_gens(2, [(1, m * m), (m * m, 1)])])
+    return sum_of_products(ambient, [(seed, ladder[m - deg]) for deg, seed in seeds if deg <= m])
 
 
 def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:

@@ -15,8 +15,11 @@ The antichain lives in one of two forms:
   ``_kernels.INT64_SAFE``, so there is no overflow ceiling.
 
 Minimalization is ``_kernels.minimal_keys`` on d = 2 keys and
-``_antichain``, a level sweep on Python ints, everywhere else.  Saturation
-in d >= 3 is ``_saturation``, the same sweep over the slices of sat(I).
+``_antichain``, a level sweep on Python ints, everywhere else.
+``sum_of_products`` builds a sum of products of ideals (a rung of a
+recursive family) and minimalizes it once: by ``_kernels.product_keys`` on
+d = 2 keys, by one ``_antichain`` otherwise.  Saturation in d >= 3 is
+``_saturation``, the same sweep over the slices of sat(I).
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -126,6 +129,38 @@ def _of_keys(ambient: AmbientRing, keys: np.ndarray) -> "MonomialIdeal":
     """The ideal in two variables generated by the rows of *keys*, a fresh
     vector that is sorted in place and may become the result's."""
     return MonomialIdeal(ambient, None, _trusted=True, keys=_kernels.minimal_keys(keys))
+
+
+def _product_fits(a: "MonomialIdeal", b: "MonomialIdeal") -> bool:
+    """Whether the nonzero d = 2 product a*b is int64-safe: its largest
+    coordinate is the sum of the factors' largest."""
+    return max(map(operator.add, a.max_exponents(), b.max_exponents())) < _kernels.INT64_SAFE
+
+
+def sum_of_products(ambient: AmbientRing, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]],
+                    extra: Iterable["MonomialIdeal"] = ()) -> "MonomialIdeal":
+    """The ideal sum of a*b over *pairs* plus the ideals in *extra*,
+    minimalized once.
+
+    In d = 2, with every product and extra int64-safe, ``_kernels.product_keys``
+    unions the products' staircases; otherwise one ``_antichain`` runs over
+    all their rows as Python-int tuples.
+    """
+    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
+    extra = [e for e in extra if not e.is_zero]
+    for ideal in (*(f for pair in pairs for f in pair), *extra):
+        if ideal.d != ambient.d:
+            raise DimensionMismatchError(f"ideals live in {ideal.d} and {ambient.d} variables")
+    if not (pairs or extra):
+        return MonomialIdeal.zero(ambient.d)
+    if (ambient.d == 2 and all(_product_fits(a, b) for a, b in pairs)
+            and all(e.fits_int64() for e in extra)):
+        keys = _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs],
+                                     [e._as_keys() for e in extra])
+        return MonomialIdeal(ambient, None, _trusted=True, keys=keys)
+    rows = [tuple(map(operator.add, g, h)) for a, b in pairs for g in a.gens for h in b.gens]
+    return MonomialIdeal(ambient, _antichain(rows + [g for e in extra for g in e.gens]),
+                         _trusted=True)
 
 
 def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
@@ -242,9 +277,7 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.d)
-        # the largest coordinate of a product is the sum of the factors' largest
-        tops = zip(self.max_exponents(), other.max_exponents())
-        if self.d == 2 and max(a + b for a, b in tops) < _kernels.INT64_SAFE:
+        if self.d == 2 and _product_fits(self, other):
             sums = self._as_keys()[:, None] + other._as_keys()[None, :]
             return _of_keys(self.ambient, sums.ravel())
         prods = [tuple(map(operator.add, g, h)) for g in self.gens for h in other.gens]

@@ -32,6 +32,14 @@ def brute_minimal(rows):
     return tuple(sorted(kept))
 
 
+def brute_rung(pairs, extra=()):
+    """A sum of products by tuples alone: the minimal elements of every sum
+    g + h, g in a and h in b, over the generator sets (a, b) in *pairs*, and
+    of the generators in the sets in *extra*."""
+    return brute_minimal([tuple(x + y for x, y in zip(g, h)) for a, b in pairs for g in a for h in b]
+                         + [g for e in extra for g in e])
+
+
 def box_points(bounds):
     """All lattice points p with 0 <= p_i <= bounds_i (inclusive)."""
     return itertools.product(*(range(b + 1) for b in bounds))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tall_fit_quasi_polynomial
-from epsmult import asymptotics
+from epsmult import asymptotics, families
 from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons,
                                  fit_quasi_polynomial, length_table)
 from epsmult.errors import (InsufficientDataError, NoFitError, PreconditionError,
@@ -44,10 +44,11 @@ class TestLengthTable:
         assert t.value(0) == 0
 
     def test_powers_share_one_memo(self, monkeypatch):
+        # one rung, one sum_of_products call, per power
         calls = []
-        multiply = MonomialIdeal.multiply
-        monkeypatch.setattr(MonomialIdeal, "multiply",
-                            lambda a, b: calls.append(1) or multiply(a, b))
+        rung = families.sum_of_products
+        monkeypatch.setattr(families, "sum_of_products",
+                            lambda *args: calls.append(1) or rung(*args))
         length_table(power_family(I), range(1, 9))
         assert len(calls) == 8
 

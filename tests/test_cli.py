@@ -352,6 +352,18 @@ class TestFamilyCommands:
         assert code == 0
         assert len(json.loads(out)["ideal"]) == count
 
+    # sha256 of `eps family run` on the recursive limit family over 2..100:
+    # the lengths, the normalized values and the trend tag
+    LIMIT_RUN_SHA256 = "71b06c9618c31b7774d6c47a56fbc86d8bfb2c218c2bbc3755d5fb464686b9d5"
+
+    def test_limit_family_run_is_pinned(self, capsys, tmp_path):
+        spec = tmp_path / "limit.json"
+        spec.write_text('{"type": "limit_recursive"}')
+        code, out = run(capsys, "family", "run", "--spec", str(spec), "--range", "2:100",
+                        "--normalizer", "n^2*ln(n)")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.LIMIT_RUN_SHA256
+
     def test_threads_flag_is_gone(self, capsys, counter_spec):
         assert main(["family", "run", "--spec", counter_spec, "--range", "1:3",
                      "--threads", "2"]) == 1

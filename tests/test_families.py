@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import time
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsmult import families
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -16,6 +18,8 @@ from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.repro import random_ideal
+
+from conftest import brute_rung
 
 COUNTER = FamilySpec(2, CounterRule("n^2"))
 LIMIT = FamilySpec(2, LimitRecursiveRule())
@@ -333,13 +337,65 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
         for idx in itertools.product(range(n), repeat=k):
             plain = reduce(MonomialIdeal.multiply, [f.power(e) for f, e in zip(factors, idx)])
             assert eval_family(spec, idx) == plain
-    # one fresh memo: one multiply per power of a factor and per entry of the
-    # 2- and 3-factor grids (the plain route multiplies k - 1 times per entry)
-    calls = []
-    multiply = MonomialIdeal.multiply
+    # one fresh memo: one rung per power of a factor, and one multiply per
+    # entry of the 2- and 3-factor grids (the plain route multiplies k - 1
+    # times per entry)
+    calls, rungs = [], []
+    multiply, rung = MonomialIdeal.multiply, families.sum_of_products
     monkeypatch.setattr(MonomialIdeal, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    monkeypatch.setattr(families, "sum_of_products", lambda *args: rungs.append(1) or rung(*args))
     spec = product_grid_family(factors)
     memo = {}
     for idx in itertools.product(range(n), repeat=3):
         eval_family(spec, idx, memo)
-    assert len(calls) == 3 * (n - 1) + n**2 + n**3
+    assert len(rungs) == 3 * (n - 1)
+    assert len(calls) == n**2 + n**3
+
+
+def oracle_ladder(spec, n):
+    """I_0 .. I_n of a limit or Noetherian family, each rung by ``brute_rung``."""
+    ladder = [((0,) * spec.d,)]
+    for m in range(1, n + 1):
+        if isinstance(spec.rule, LimitRecursiveRule):
+            ladder.append(brute_rung([(ladder[t], ladder[m - t]) for t in range(1, m // 2 + 1)],
+                                     [((1, m * m), (m * m, 1))]))
+        else:
+            ladder.append(brute_rung([(gens, ladder[m - deg])
+                                      for deg, gens in spec.rule.seeds if deg <= m]))
+    return ladder
+
+
+LADDERS = {
+    "limit": (LIMIT, 40),
+    "seeds-1-2": (FamilySpec(2, NoetherianSeedsRule(((1, ((1, 3), (2, 1), (4, 0))),
+                                                    (2, ((0, 5), (3, 2), (7, 0)))))), 30),
+    # seeds in degrees 3, 4, 5 only: the gaps make I_1 = I_2 = 0
+    "seeds-3-4-5": (FamilySpec(2, NoetherianSeedsRule(((3, ((2, 1), (0, 4))), (4, ((5, 0), (1, 2))),
+                                                      (5, ((3, 3),))))), 30),
+    "d3-seeds-1-2": (FamilySpec(3, NoetherianSeedsRule(((1, ((1, 1, 0), (0, 1, 1), (2, 0, 1))),
+                                                       (2, ((0, 0, 3), (1, 2, 0)))))), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_matches_the_rung_oracle(name):
+    spec, n = LADDERS[name]
+    expected = oracle_ladder(spec, n)
+    memo = {}
+    for m in range(n + 1):
+        assert eval_family(spec, m, memo).gens == expected[m], m
+    for m in range(n + 1):
+        assert eval_family(spec, m).gens == expected[m], m
+    if name == "seeds-3-4-5":
+        assert expected[1] == expected[2] == () and all(expected[3:])
+    if spec.d != 2:
+        assert eval_family(spec, n)._keys is None  # the tuple route
+
+
+def test_limit_family_to_100_is_fast():
+    # a rung sums up to 50 products, minimalized once
+    start = time.perf_counter()
+    ideal = eval_family(LIMIT, 100)
+    elapsed = time.perf_counter() - start
+    assert len(ideal.gens) == 199
+    assert elapsed < 1.0, f"I_100 of the limit family took {elapsed:.2f} s"

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from epsmult import _kernels
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import AmbientRing, MonomialIdeal, format_ideal, parse_ideal
+from epsmult.ideal_core import (AmbientRing, MonomialIdeal, format_ideal, parse_ideal,
+                                sum_of_products)
 from epsmult.repro import random_ideal
 
-from conftest import brute_members, brute_minimal
+from conftest import brute_members, brute_minimal, brute_rung
 
 
 def ideal(d, *gens):
@@ -453,6 +454,61 @@ def test_operands_straddling_the_int64_bound(rng):
             assert not J.fits_int64()
         check_against_python(d, g1, g2)
         check_against_python(d, g2, g1)
+
+
+@pytest.mark.parametrize("cutoff", [_kernels.PRUNE_MIN_SUMS, 0])
+def test_sum_of_products_matches_brute_force(rng, monkeypatch, cutoff):
+    # zero and unit ideals among the pairs and the extras, empty and repeated
+    # pairs, and in d = 2 factors at or past the int64 bound (the tuple
+    # route) next to int64-safe ones; cutoff 0 prunes every d = 2 product
+    monkeypatch.setattr(_kernels, "PRUNE_MIN_SUMS", cutoff)
+    routes = set()
+
+    def draw(d):
+        roll = rng.random()
+        if roll < 0.1:
+            return MonomialIdeal.zero(d)
+        if roll < 0.2:
+            return MonomialIdeal.unit(d)
+        if d == 2 and roll > 0.5:  # a staircase of up to 10 steps for the prune
+            k = rng.randint(2, 11)
+            gens = tuple(zip(sorted(rng.sample(range(24), k)),
+                             sorted(rng.sample(range(24), k), reverse=True)))
+        else:
+            values = STRADDLE if d == 2 and roll < 0.3 else range(6)
+            gens = brute_minimal(tuple(rng.choice(values) for _ in range(d))
+                                 for _ in range(rng.randint(1, 7)))
+        if d == 2 and max(map(max, gens)) < SAFE and rng.random() < 0.5:
+            return key_backed(gens)
+        return tuple_backed(d, gens)
+
+    def top(f):
+        return tuple(map(max, zip(*f.gens)))
+
+    for k in range(400):
+        d = 1 + k % 4
+        pairs = [(draw(d), draw(d)) for _ in range(rng.choice((0, 1, 1, 2, 3, 5)))]
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated pairs
+        extra = [draw(d) for _ in range(rng.randint(0, 2))]
+        got = sum_of_products(AmbientRing(d), pairs, extra)
+        assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs], [e.gens for e in extra])
+        if d == 2 and not got.is_zero:
+            # keys iff every nonzero product and extra is int64-safe
+            tops = [[x + y for x, y in zip(top(a), top(b))]
+                    for a, b in pairs if not (a.is_zero or b.is_zero)]
+            tops += [top(e) for e in extra if not e.is_zero]
+            assert (got._keys is not None) == all(max(t) < SAFE for t in tops)
+            routes.add(got._keys is not None)
+    assert routes == {False, True}
+
+
+def test_sum_of_products_checks_the_ring():
+    I2, I3 = ideal(2, (1, 0), (0, 1)), ideal(3, (1, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        sum_of_products(AmbientRing(2), [(I2, I3)])
+    with pytest.raises(DimensionMismatchError):
+        sum_of_products(AmbientRing(2), [], [I3])
+    assert sum_of_products(AmbientRing(3), []) == MonomialIdeal.zero(3)
 
 
 # (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.
