@@ -7,12 +7,10 @@ lexicographically, and the sum of two keys is the key of the row sum,
 because two y fields below 2**31 add up to less than 2**32 and never carry
 into the x field.  So a product's candidate keys are the p*q sums of its
 factors' keys, and the staircase of any key vector is one sort and a scan of
-the running least y.  ``product_keys`` unions the staircases of several
-products (and of further ideals) and minimalizes the union once more; in a
-large product it sorts only the sums that no anti-diagonal neighbour covers.
-``as_array`` returns None for rows outside the bound;
-``ideal_core`` then takes its pure-Python big-integer routes.  Ideals in
-every other d never come here: ``ideal_core`` holds them as Python-int
+the running least y.  ``product_keys`` minimalizes the sums of several
+products in one sort.  ``as_array`` returns None for rows outside the
+bound; ``ideal_core`` then takes its pure-Python big-integer routes.  Ideals
+in every other d never come here: ``ideal_core`` holds them as Python-int
 tuples.  Nor do H^0 counts: the slab route in ``cohomology`` works on
 Python ints.
 """
@@ -29,10 +27,6 @@ INT64_SAFE = 2**31
 _SHIFT = np.uint64(32)
 _MASK = np.uint64(0xFFFFFFFF)
 _UINT64_MAX = np.iinfo(np.uint64).max
-# A product with fewer candidate sums than this is sorted whole: below it the
-# prune's masks cost more than the sort they save.  On the limit family the
-# crossover is near 2,048; pruning every product, or none, was slower.
-PRUNE_MIN_SUMS = 2048
 
 
 def as_array(rows) -> Optional[np.ndarray]:
@@ -82,64 +76,10 @@ def minimal_keys(keys: np.ndarray) -> np.ndarray:
     return keys[ys < prev]
 
 
-def _steps(staircases: list[np.ndarray]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{id(keys): (widths, drops)} of each staircase in *staircases*: the
-    int32 x[i+1] - x[i] > 0 and y[i] - y[i+1] > 0 of its sorted minimal keys,
-    read off one diff over their concatenation, once per call."""
-    if not staircases:
-        return {}
-    keys = np.concatenate(staircases)
-    x, y = keys >> _SHIFT, keys & _MASK
-    widths, drops = (x[1:] - x[:-1]).astype(np.int32), (y[:-1] - y[1:]).astype(np.int32)
-    out, start = {}, 0
-    for k in staircases:
-        end = start + k.size - 1
-        out[id(k)] = widths[start:end], drops[start:end]
-        start = end + 1
-    return out
-
-
-def _uncovered(a_steps, b_steps) -> np.ndarray:
-    """The (p, q) mask of the sums a_i + b_j of two staircases that no
-    neighbour on their anti-diagonal covers.
-
-    a_(i+1) + b_(j-1) covers a_i + b_j iff step i of a is no wider and no
-    shallower than step j-1 of b.  The mirrored neighbour a_(i-1) + b_(j+1)
-    counts only when it covers strictly, so that of two equal sums one stays.
-    Covering is a partial order and both rules step along one line, so every
-    pruned sum is covered by a kept one.
-    """
-    (wa, da), (wb, db) = a_steps, b_steps
-    keep = np.ones((wa.size + 1, wb.size + 1), dtype=bool)
-    left = wa[:, None] <= wb
-    left &= da[:, None] >= db
-    np.logical_not(left, out=keep[:-1, 1:])
-    right = wa[:, None] >= wb
-    right &= da[:, None] <= db
-    right &= keep[:-1, 1:]
-    keep[1:, :-1] &= ~right
-    return keep
-
-
-def product_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                 extra: Sequence[np.ndarray] = ()) -> np.ndarray:
+def product_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The minimal keys of the ideal generated by the products a*b of the
-    staircases (a, b) in *pairs* and by the keys in *extra*, ascending.
-
-    Each product's sums are minimalized on their own, then their union with
-    *extra* once more; one product with no extra is its own staircase.  A
-    product of at least ``PRUNE_MIN_SUMS`` sums drops the covered ones first
-    (``_uncovered``).  Every sum must be int64-safe, and *pairs* and *extra*
-    must not both be empty.
+    staircases (a, b) in *pairs*, ascending: one sort over the p*q sums of
+    every pair.  Every sum must be int64-safe, and *pairs* must not be
+    empty.
     """
-    big = [a.size * b.size >= PRUNE_MIN_SUMS for a, b in pairs]
-    steps = _steps([k for pair, cut in zip(pairs, big) if cut for k in pair])
-    parts = []
-    for (a, b), cut in zip(pairs, big):
-        sums = a[:, None] + b
-        if cut:
-            sums = sums[_uncovered(steps[id(a)], steps[id(b)])]
-        parts.append(minimal_keys(sums.ravel()))
-    if len(parts) == 1 and not extra:
-        return parts[0]
-    return minimal_keys(np.concatenate(parts + list(extra)))
+    return minimal_keys(np.concatenate([(a[:, None] + b).ravel() for a, b in pairs]))

@@ -4,12 +4,15 @@ A FamilySpec pairs an ambient dimension with one of the built-in rules
 (power, product grid, the two-generated counter family, principal ideals
 with irrational slope, hyperbola-staircase families, the recursive limit
 family, Noetherian families built from seeds, or an explicit table).
-Evaluation fills a memo dict owned by the caller: the recursive rules keep
-their seed ideals and their ideals I_0, I_1, ... under the spec and product
-grids one entry per index, so callers that share one dict pay for each ideal
-once, and nothing outlives the dict.  Each rung I_m of a recursive rule is
-one call of ``ideal_core.sum_of_products``, minimalized once; a power family
-is the Noetherian rule with its one seed in degree 1.
+Evaluation fills a memo dict owned by the caller: the seeds rules keep
+their seed ideals and their ideals I_0, I_1, ... under the spec, and a
+product grid keeps one dict of entries keyed by index prefix, so callers
+that share one dict pay for each ideal once, and nothing outlives the dict.
+Power, Noetherian and limit families are all seeds rules: I_m is the sum of
+seed * I_(m-deg) over the seeds of degree deg <= m, one call of
+``ideal_core.sum_of_products``, minimalized once.  A power family has one
+seed, in degree 1; the limit family has S_k = (x y^(k^2), x^(k^2) y) in
+every degree k.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ from .ideal_core import AmbientRing, Monomial, MonomialIdeal, json_int, sum_of_p
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
-Seeds = tuple[tuple[int, MonomialIdeal], ...]  # (degree, seed ideal) pairs
+Seeds = list[tuple[int, MonomialIdeal]]  # (degree, seed ideal) pairs
 
 
 @dataclass(frozen=True)
 class PowerRule:
     gens: Gens
+
+    def seed_gens(self, m: int) -> list[Gens]:
+        return [self.gens] if m == 1 else []
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,24 @@ class HyperbolaRule:
 
 @dataclass(frozen=True)
 class LimitRecursiveRule:
-    pass
+    """I_m = sum over 0 < t < m of I_t I_(m-t), plus (x y^(m^2), x^(m^2) y).
+
+    Unrolled, I_m is the sum of the products S_(k_1)...S_(k_r) with
+    k_1 + ... + k_r = m, where S_k = (x y^(k^2), x^(k^2) y).  Each lies in
+    S_(k_1) I_(m-k_1), and S_k I_(m-k) lies in I_k I_(m-k), so I_m is the sum
+    of S_k I_(m-k) over 1 <= k <= m: a seeds rule with S_k in degree k.
+    """
+
+    def seed_gens(self, m: int) -> list[Gens]:
+        return [((1, m * m), (m * m, 1))]
 
 
 @dataclass(frozen=True)
 class NoetherianSeedsRule:
     seeds: tuple[tuple[int, Gens], ...]  # sorted (degree, generators)
+
+    def seed_gens(self, m: int) -> list[Gens]:
+        return [gens for deg, gens in self.seeds if deg == m]
 
     @property
     def maxdeg(self) -> int:
@@ -141,52 +159,43 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _seed_ideals(spec: FamilySpec) -> Seeds:
-    """The (degree, ideal) factors a power or Noetherian rule multiplies by."""
-    rule = spec.rule
-    if isinstance(rule, PowerRule):
-        return ((1, MonomialIdeal.from_gens(spec.d, rule.gens)),)
-    if isinstance(rule, NoetherianSeedsRule):
-        return tuple((deg, MonomialIdeal.from_gens(spec.d, gens)) for deg, gens in rule.seeds)
-    return ()
-
-
-def _next_rung(spec: FamilySpec, seeds: Seeds, ladder: list[MonomialIdeal]) -> MonomialIdeal:
-    """I_m of a recursive rule from I_0 .. I_(m-1), where m = len(ladder): one
-    ``sum_of_products`` call.  The limit rule sums I_t I_(m-t) for t <= m/2
-    and (x y^(m^2), x^(m^2) y), which is (x y) at m = 1; a power or Noetherian
-    rule sums seed * I_(m-deg) over its seeds of degree deg <= m."""
-    m, ambient = len(ladder), AmbientRing(spec.d)
-    if isinstance(spec.rule, LimitRecursiveRule):
-        return sum_of_products(ambient, [(ladder[t], ladder[m - t]) for t in range(1, m // 2 + 1)],
-                               [MonomialIdeal.from_gens(2, [(1, m * m), (m * m, 1)])])
-    return sum_of_products(ambient, [(seed, ladder[m - deg]) for deg, seed in seeds if deg <= m])
+def _next_rung(ambient: AmbientRing, seeds: Seeds, ladder: list[MonomialIdeal]) -> MonomialIdeal:
+    """I_m of a seeds rule from I_0 .. I_(m-1), where m = len(ladder), and
+    its seeds of degree at most m: the sum of seed * I_(m-deg) over them, one
+    ``sum_of_products`` call."""
+    m = len(ladder)
+    return sum_of_products(ambient, [(seed, ladder[m - deg]) for deg, seed in seeds])
 
 
 def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
-        # I1^a ... Ik^c = (the memoized (k-1)-factor entry) * Ik^c
-        entry = memo.get((spec, idx))
-        if entry is None:
-            entry = _eval(FamilySpec(d, PowerRule(rule.factors[-1])), idx[-1], memo)
-            if len(idx) > 1:
-                head = _eval(FamilySpec(d, ProductGridRule(rule.factors[:-1])), idx[:-1], memo)
-                entry = head.multiply(entry)
-            memo[spec, idx] = entry
+        # one dict per grid, keyed by index prefix: the entry of (a, ..., c)
+        # is the entry of (a, ...) times the power Ik^c
+        grid = memo.setdefault(spec, {})
+        k = len(idx)
+        while k and idx[:k] not in grid:
+            k -= 1
+        entry = grid[idx[:k]] if k else None
+        for j in range(k, len(idx)):
+            power = _eval(FamilySpec(d, PowerRule(rule.factors[j])), idx[j], memo)
+            entry = grid[idx[:j + 1]] = power if entry is None else entry.multiply(power)
         return entry
     n = idx
     if n == 0:
         return MonomialIdeal.unit(d)
     if isinstance(rule, (PowerRule, LimitRecursiveRule, NoetherianSeedsRule)):
-        # the seed ideals and I_0, I_1, ... kept under the spec; the ladder
-        # is extended bottom-up
+        # the seeds of degree below len(ladder) and I_0, I_1, ... kept under
+        # the spec; the ladder is extended bottom-up, each rung m after the
+        # seeds of degree m
         entry = memo.get(spec)
         if entry is None:
-            entry = memo[spec] = (_seed_ideals(spec), [MonomialIdeal.unit(d)])
+            entry = memo[spec] = ([], [MonomialIdeal.unit(d)])
         seeds, ladder = entry
         while len(ladder) <= n:
-            ladder.append(_next_rung(spec, seeds, ladder))
+            m = len(ladder)
+            seeds += [(m, MonomialIdeal.from_gens(d, gens)) for gens in rule.seed_gens(m)]
+            ladder.append(_next_rung(AmbientRing(d), seeds, ladder))
         return ladder[n]
     if isinstance(rule, CounterRule):
         return MonomialIdeal.from_gens(2, [(1, rule.value(n)), (2, 0)])

@@ -17,8 +17,8 @@ The antichain lives in one of two forms:
 Minimalization is ``_kernels.minimal_keys`` on d = 2 keys and
 ``_antichain``, a level sweep on Python ints, everywhere else.
 ``sum_of_products`` builds a sum of products of ideals (a rung of a
-recursive family) and minimalizes it once: by ``_kernels.product_keys`` on
-d = 2 keys, by one ``_antichain`` otherwise.  Saturation in d >= 3 is
+recursive family) and minimalizes it once: by one ``_kernels.product_keys``
+sort on d = 2 keys, by one ``_antichain`` otherwise.  Saturation in d >= 3 is
 ``_saturation``, the same sweep over the slices of sat(I).
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
@@ -137,30 +137,25 @@ def _product_fits(a: "MonomialIdeal", b: "MonomialIdeal") -> bool:
     return max(map(operator.add, a.max_exponents(), b.max_exponents())) < _kernels.INT64_SAFE
 
 
-def sum_of_products(ambient: AmbientRing, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]],
-                    extra: Iterable["MonomialIdeal"] = ()) -> "MonomialIdeal":
-    """The ideal sum of a*b over *pairs* plus the ideals in *extra*,
-    minimalized once.
+def sum_of_products(ambient: AmbientRing,
+                    pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
+    """The ideal sum of a*b over *pairs*, minimalized once.
 
-    In d = 2, with every product and extra int64-safe, ``_kernels.product_keys``
-    unions the products' staircases; otherwise one ``_antichain`` runs over
-    all their rows as Python-int tuples.
+    In d = 2, with every product int64-safe, ``_kernels.product_keys`` sorts
+    all the products' sums at once; otherwise one ``_antichain`` runs over
+    them as Python-int tuples.
     """
     pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
-    extra = [e for e in extra if not e.is_zero]
-    for ideal in (*(f for pair in pairs for f in pair), *extra):
+    for ideal in (f for pair in pairs for f in pair):
         if ideal.d != ambient.d:
             raise DimensionMismatchError(f"ideals live in {ideal.d} and {ambient.d} variables")
-    if not (pairs or extra):
+    if not pairs:
         return MonomialIdeal.zero(ambient.d)
-    if (ambient.d == 2 and all(_product_fits(a, b) for a, b in pairs)
-            and all(e.fits_int64() for e in extra)):
-        keys = _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs],
-                                     [e._as_keys() for e in extra])
+    if ambient.d == 2 and all(_product_fits(a, b) for a, b in pairs):
+        keys = _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs])
         return MonomialIdeal(ambient, None, _trusted=True, keys=keys)
     rows = [tuple(map(operator.add, g, h)) for a, b in pairs for g in a.gens for h in b.gens]
-    return MonomialIdeal(ambient, _antichain(rows + [g for e in extra for g in e.gens]),
-                         _trusted=True)
+    return MonomialIdeal(ambient, _antichain(rows), _trusted=True)
 
 
 def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult import families
+from epsmult import families, repro
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -17,7 +18,7 @@ from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               family_to_json, generation_degree, growth_constants,
                               product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
-from epsmult.repro import random_ideal
+from epsmult.repro import limit_trend, random_ideal
 
 from conftest import brute_rung
 
@@ -350,6 +351,10 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
         eval_family(spec, idx, memo)
     assert len(rungs) == 3 * (n - 1)
     assert len(calls) == n**2 + n**3
+    # a second pass over the grid is all memo hits
+    for idx in itertools.product(range(n), repeat=3):
+        eval_family(spec, idx, memo)
+    assert len(calls) == n**2 + n**3
 
 
 def oracle_ladder(spec, n):
@@ -393,9 +398,29 @@ def test_ladder_matches_the_rung_oracle(name):
 
 
 def test_limit_family_to_100_is_fast():
-    # a rung sums up to 50 products, minimalized once
+    # rung m sums the m products S_k I_(m-k), minimalized in one sort
     start = time.perf_counter()
     ideal = eval_family(LIMIT, 100)
     elapsed = time.perf_counter() - start
     assert len(ideal.gens) == 199
     assert elapsed < 1.0, f"I_100 of the limit family took {elapsed:.2f} s"
+
+
+def test_limit_ladder_to_200_is_pinned():
+    memo = {}
+    ladder = json.dumps([eval_family(LIMIT, m, memo).gens for m in range(201)])
+    assert hashlib.sha256(ladder.encode()).hexdigest() == (
+        "cafba82418586a9139b9cb9a346356437e4243d77538b9c6bbb10f023aa53134")
+
+
+def test_limit_trend_to_400_is_fast(monkeypatch):
+    # about 2 m^2 sums in rung m: 4 * 10^7 over the ladder to 400
+    built = {}
+    monkeypatch.setattr(repro, "eval_family",
+                        lambda spec, n, memo: built.setdefault(n, eval_family(spec, n, memo)))
+    start = time.perf_counter()
+    trend = limit_trend((100, 200, 400))
+    elapsed = time.perf_counter() - start
+    assert trend["pass"], trend
+    assert len(built[400].gens) == 799
+    assert elapsed < 4.0, f"the limit trend to 400 took {elapsed:.2f} s"

@@ -456,12 +456,10 @@ def test_operands_straddling_the_int64_bound(rng):
         check_against_python(d, g2, g1)
 
 
-@pytest.mark.parametrize("cutoff", [_kernels.PRUNE_MIN_SUMS, 0])
-def test_sum_of_products_matches_brute_force(rng, monkeypatch, cutoff):
-    # zero and unit ideals among the pairs and the extras, empty and repeated
-    # pairs, and in d = 2 factors at or past the int64 bound (the tuple
-    # route) next to int64-safe ones; cutoff 0 prunes every d = 2 product
-    monkeypatch.setattr(_kernels, "PRUNE_MIN_SUMS", cutoff)
+def test_sum_of_products_matches_brute_force(rng):
+    # zero and unit ideals among the pairs, empty and repeated pairs, and in
+    # d = 2 factors at or past the int64 bound (the tuple route) next to
+    # int64-safe ones
     routes = set()
 
     def draw(d):
@@ -470,7 +468,7 @@ def test_sum_of_products_matches_brute_force(rng, monkeypatch, cutoff):
             return MonomialIdeal.zero(d)
         if roll < 0.2:
             return MonomialIdeal.unit(d)
-        if d == 2 and roll > 0.5:  # a staircase of up to 10 steps for the prune
+        if d == 2 and roll > 0.5:  # a staircase of up to 10 steps
             k = rng.randint(2, 11)
             gens = tuple(zip(sorted(rng.sample(range(24), k)),
                              sorted(rng.sample(range(24), k), reverse=True)))
@@ -489,14 +487,12 @@ def test_sum_of_products_matches_brute_force(rng, monkeypatch, cutoff):
         d = 1 + k % 4
         pairs = [(draw(d), draw(d)) for _ in range(rng.choice((0, 1, 1, 2, 3, 5)))]
         pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated pairs
-        extra = [draw(d) for _ in range(rng.randint(0, 2))]
-        got = sum_of_products(AmbientRing(d), pairs, extra)
-        assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs], [e.gens for e in extra])
+        got = sum_of_products(AmbientRing(d), pairs)
+        assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs])
         if d == 2 and not got.is_zero:
-            # keys iff every nonzero product and extra is int64-safe
+            # keys iff every nonzero product is int64-safe
             tops = [[x + y for x, y in zip(top(a), top(b))]
                     for a, b in pairs if not (a.is_zero or b.is_zero)]
-            tops += [top(e) for e in extra if not e.is_zero]
             assert (got._keys is not None) == all(max(t) < SAFE for t in tops)
             routes.add(got._keys is not None)
     assert routes == {False, True}
@@ -506,8 +502,6 @@ def test_sum_of_products_checks_the_ring():
     I2, I3 = ideal(2, (1, 0), (0, 1)), ideal(3, (1, 0, 0))
     with pytest.raises(DimensionMismatchError):
         sum_of_products(AmbientRing(2), [(I2, I3)])
-    with pytest.raises(DimensionMismatchError):
-        sum_of_products(AmbientRing(2), [], [I3])
     assert sum_of_products(AmbientRing(3), []) == MonomialIdeal.zero(3)
 
 

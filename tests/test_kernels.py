@@ -67,12 +67,12 @@ def test_keys_round_trip_and_add_without_carry():
     assert _kernels.key_rows(sums.ravel()) == rows
 
 
-def staircase_keys(rng, n, steps, base=0):
-    """The keys of an n-generator staircase from (base, y0) to (x1, base),
-    each step a (width, drop) drawn from *steps*: with few distinct steps,
-    equal steps and non-convex corners are common."""
+def staircase_keys(rng, n, steps):
+    """The keys of an n-generator staircase from (0, y0) to (x1, 0), each
+    step a (width, drop) drawn from *steps*: with few distinct steps, equal
+    steps and non-convex corners are common."""
     drawn = [rng.choice(steps) for _ in range(n - 1)]
-    x, y = base, base + sum(drop for _, drop in drawn)
+    x, y = 0, sum(drop for _, drop in drawn)
     rows = [(x, y)]
     for width, drop in drawn:
         x, y = x + width, y - drop
@@ -84,69 +84,12 @@ def all_sums(a, b):
     return [(p + r, q + s) for p, q in _kernels.key_rows(a) for r, s in _kernels.key_rows(b)]
 
 
-def uncovered(a, b):
-    steps = _kernels._steps([a, b])
-    return _kernels._uncovered(steps[id(a)], steps[id(b)])
-
-
-def check_prune(a, b):
-    """The kept sums of a*b generate it, and a sum that is a minimal
-    generator is kept iff its neighbour a_(i+1) + b_(j-1) is not equal to it:
-    of a run of equal minimal sums on an anti-diagonal exactly one is kept.
-    Returns the number of such ties."""
-    keep = uncovered(a, b)
-    assert keep.shape == (a.size, b.size)
-    sums = a[:, None] + b
-    minimal = brute_minimal(all_sums(a, b))
-    assert _kernels.key_rows(_kernels.minimal_keys(sums[keep])) == minimal
-    minimal_set = set(_kernels.pack(np.array(minimal, dtype=np.int64)).tolist())
-    ties = 0
-    for i in range(a.size):
-        for j in range(b.size):
-            if int(sums[i, j]) in minimal_set:
-                tied = i + 1 < a.size and j > 0 and sums[i, j] == sums[i + 1, j - 1]
-                assert keep[i, j] != tied
-                ties += tied
-    return ties
-
-
-def test_prune_keeps_one_of_two_equal_sums():
-    # steps (1, 2), (1, 1), (1, 3) on both factors: not convex, and
-    # a_i + b_(i+1) = a_(i+1) + b_i for each step i; the sums (1, 10) and
-    # (5, 3) are minimal, (3, 7) is covered by (3, 6) = a_3 + b_0
-    a = _kernels.pack(np.array([(0, 6), (1, 4), (2, 3), (3, 0)], dtype=np.int64))
-    b = a.copy()
-    assert check_prune(a, b) == 2
-    keep = uncovered(a, b)
-    assert not keep[1, 2] and not keep[2, 1] and keep[3, 0]
-
-
-def test_prune_keeps_every_minimal_sum():
-    rng = random.Random(77)
-    step_sets = (((1, 1),), ((1, 1), (1, 2), (2, 1)), ((1, 3), (2, 2), (3, 1), (1, 1)),
-                 ((5, 1), (1, 5), (2, 2)))
-    checked = ties = 0
-    for _ in range(250):
-        steps = rng.choice(step_sets)
-        a = staircase_keys(rng, rng.randint(1, 12), steps, rng.randint(0, 3))
-        b = staircase_keys(rng, rng.randint(1, 12), rng.choice((steps, rng.choice(step_sets))))
-        ties += check_prune(a, b)
-        checked += a.size * b.size
-    assert checked > 4000 and ties > 100
-
-
-def test_product_keys_matches_brute_force_across_the_cutoff():
-    # staircases of 20-90 generators: products on both sides of PRUNE_MIN_SUMS
+def test_product_keys_matches_brute_force():
+    # staircases of 20-90 generators, one to three products at once
     rng = random.Random(78)
     steps = ((1, 1), (1, 2), (2, 1), (3, 1), (1, 4))
-    sizes = set()
     for _ in range(12):
         pairs = [(staircase_keys(rng, rng.randint(20, 90), steps),
                   staircase_keys(rng, rng.randint(20, 90), steps)) for _ in range(rng.randint(1, 3))]
-        extra = [staircase_keys(rng, rng.randint(1, 30), steps, rng.randint(0, 200))
-                 for _ in range(rng.randint(0, 2))]
-        expected = brute_minimal([s for a, b in pairs for s in all_sums(a, b)]
-                                 + [g for e in extra for g in _kernels.key_rows(e)])
-        assert _kernels.key_rows(_kernels.product_keys(pairs, extra)) == expected
-        sizes |= {a.size * b.size >= _kernels.PRUNE_MIN_SUMS for a, b in pairs}
-    assert sizes == {False, True}
+        expected = brute_minimal([s for a, b in pairs for s in all_sums(a, b)])
+        assert _kernels.key_rows(_kernels.product_keys(pairs)) == expected
