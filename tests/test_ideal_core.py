@@ -1,3 +1,4 @@
+import random
 import time
 from functools import reduce
 
@@ -456,10 +457,12 @@ def test_operands_straddling_the_int64_bound(rng):
         check_against_python(d, g2, g1)
 
 
-def test_sum_of_products_matches_brute_force(rng):
+@pytest.mark.parametrize("offset", [0, 2048])
+def test_sum_of_products_matches_brute_force(offset):
     # zero and unit ideals among the pairs, empty and repeated pairs, and in
     # d = 2 factors at or past the int64 bound (the tuple route) next to
-    # int64-safe ones
+    # int64-safe ones; each offset draws its own 400 cases
+    rng = random.Random(20240817 + offset)
     routes = set()
 
     def draw(d):
