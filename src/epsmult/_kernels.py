@@ -1,27 +1,26 @@
 """The d = 2 staircase kernels: an ideal in two variables held as one sorted
 vector of uint64 keys.
 
-Every coordinate handed in must lie in [0, ``INT64_SAFE``) = [0, 2**31).  A
-row (x, y) packs into the key (x << 32) | y.  Keys order rows
-lexicographically, and the sum of two keys is the key of the row sum,
-because two y fields below 2**31 add up to less than 2**32 and never carry
-into the x field.  So a product's candidate keys are the p*q sums of its
-factors' keys, and the staircase of any key vector is one sort and a scan of
-the running least y.  ``product_keys`` minimalizes the sums of several
-products in one sort.  ``as_array`` returns None for rows outside the
-bound; ``ideal_core`` then takes its pure-Python big-integer routes.  Ideals
-in every other d never come here: ``ideal_core`` holds them as Python-int
-tuples.  Nor do H^0 counts: the slab route in ``cohomology`` works on
-Python ints.
+A row (x, y) packs into the key (x << 32) | y, and keys order rows
+lexicographically.  ``ideal_core`` packs only the factors of products, and
+only when every factor is int64-safe: each coordinate lies below
+``INT64_SAFE`` = 2**31.  Two such y fields add up to less than 2**32 and
+never carry into the x field, so the sum of two keys is the exact key of the
+row sum, below 2**32 in each field.  So a product's candidate keys are the
+p*q sums of its factors' keys, and the staircase of any key vector is one
+sort and a scan of the running least y.  ``product_keys`` minimalizes the
+sums of several products in one sort.  Ideals in every other d never come
+here: ``ideal_core`` holds them as Python-int tuples.  Nor do H^0 counts: the
+slab route in ``cohomology`` works on Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Coordinates below this bound cannot overflow int64 under pairwise addition.
+# Factor coordinates below this bound add up to key fields below 2**32.
 INT64_SAFE = 2**31
 # uint64 scalars, so that numpy 1.x does not promote key arithmetic to float
 _SHIFT = np.uint64(32)
@@ -29,23 +28,13 @@ _MASK = np.uint64(0xFFFFFFFF)
 _UINT64_MAX = np.iinfo(np.uint64).max
 
 
-def as_array(rows) -> Optional[np.ndarray]:
-    """Non-empty equal-width rows of non-negative ints as an (m, d) int64
-    array, or None when a coordinate reaches INT64_SAFE."""
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return None
-    return a if a.max() < INT64_SAFE else None
-
-
 # ---------------------------------------------------------------------------
 # d = 2 keys.  pack and key_rows are exact for coordinates in [0, 2**32).
 
 
-def pack(arr: np.ndarray) -> np.ndarray:
-    """The keys (x << 32) | y of the rows of an (m, 2) int64 array."""
-    u = arr.astype(np.uint64)
+def pack(rows) -> np.ndarray:
+    """The keys (x << 32) | y of non-empty rows (x, y)."""
+    u = np.array(rows, dtype=np.uint64)
     return (u[:, 0] << _SHIFT) | u[:, 1]
 
 
@@ -79,7 +68,7 @@ def minimal_keys(keys: np.ndarray) -> np.ndarray:
 def product_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """The minimal keys of the ideal generated by the products a*b of the
     staircases (a, b) in *pairs*, ascending: one sort over the p*q sums of
-    every pair.  Every sum must be int64-safe, and *pairs* must not be
-    empty.
+    every pair.  Every factor must be int64-safe, so that each sum is exact,
+    and *pairs* must not be empty.
     """
     return minimal_keys(np.concatenate([(a[:, None] + b).ravel() for a, b in pairs]))

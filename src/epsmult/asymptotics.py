@@ -110,14 +110,6 @@ class QuasiPolynomial:
                 total += c * math.prod(map(pow, i, e))
         return total
 
-    def top_form(self) -> dict[Index, dict[Index, Fraction]]:
-        """Degree-bound coefficients keyed by exponent, then residue."""
-        out: dict[Index, dict[Index, Fraction]] = {}
-        for (res, e), c in self.coeffs.items():
-            if sum(e) == self.degree:
-                out.setdefault(e, {})[res] = c
-        return out
-
 
 def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
                          holdout: int = 0, start: Optional[int] = None) -> QuasiPolynomial:

@@ -105,10 +105,6 @@ class NoetherianSeedsRule:
     def seed_gens(self, m: int) -> list[Gens]:
         return [gens for deg, gens in self.seeds if deg == m]
 
-    @property
-    def maxdeg(self) -> int:
-        return max(deg for deg, _ in self.seeds)
-
 
 @dataclass(frozen=True)
 class TableRule:

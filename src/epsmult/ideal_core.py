@@ -6,20 +6,23 @@ generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
 
 The antichain lives in one of two forms:
 
-* ``_keys``, for an int64-safe ideal in two variables: the ascending uint64
-  keys (x << 32) | y of ``_kernels``.  Products and sums work on keys alone,
-  and intersections and colons of more than two candidate rows end as keys;
-  ``gens`` is built from the keys on first read and cached.
-* ``gens``, the tuple of Python-int tuples, for every other ideal: every
-  ideal in d != 2, and d = 2 ideals with a coordinate at or above
-  ``_kernels.INT64_SAFE``, so there is no overflow ceiling.
+* ``_keys``, the ascending uint64 keys (x << 32) | y of ``_kernels``, for a
+  product in two variables whose factors and result are all int64-safe:
+  every coordinate is below ``_kernels.INT64_SAFE`` = 2**31.  ``gens`` is
+  built from the keys on first read and cached.
+* ``gens``, the tuple of Python-int tuples, for every other ideal, so there
+  is no overflow ceiling.
 
-Minimalization is ``_kernels.minimal_keys`` on d = 2 keys and
-``_antichain``, a level sweep on Python ints, everywhere else.
-``sum_of_products`` builds a sum of products of ideals (a rung of a
-recursive family) and minimalizes it once: by one ``_kernels.product_keys``
-sort on d = 2 keys, by one ``_antichain`` otherwise.  Saturation in d >= 3 is
-``_saturation``, the same sweep over the slices of sat(I).
+Only ``multiply`` and ``sum_of_products`` make keys, exactly when every
+factor is int64-safe (``fits_int64``), so that every sum of two keys is the
+exact key of the row sum; a tuple-held factor packs and caches its keys on
+its first product.  ``sum_of_products`` builds a sum of products of ideals (a
+rung of a recursive family) and minimalizes it once: by one
+``_kernels.product_keys`` sort on keys, by one ``_antichain`` otherwise.
+``_of_keys`` keeps the keys only when the result is int64-safe too.  Every
+other minimalization is ``_antichain``, a level sweep on Python ints, and
+saturation in d >= 3 is ``_saturation``, the same sweep over the slices of
+sat(I).
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -126,54 +129,42 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
 
 
 def _of_keys(ambient: AmbientRing, keys: np.ndarray) -> "MonomialIdeal":
-    """The ideal in two variables generated by the rows of *keys*, a fresh
-    vector that is sorted in place and may become the result's."""
-    return MonomialIdeal(ambient, None, _trusted=True, keys=_kernels.minimal_keys(keys))
-
-
-def _product_fits(a: "MonomialIdeal", b: "MonomialIdeal") -> bool:
-    """Whether the nonzero d = 2 product a*b is int64-safe: its largest
-    coordinate is the sum of the factors' largest."""
-    return max(map(operator.add, a.max_exponents(), b.max_exponents())) < _kernels.INT64_SAFE
+    """The d = 2 ideal whose minimal generators are the ascending, non-empty
+    *keys* of a product of int64-safe factors, each field below 2**32.  The
+    keys are kept when the result is int64-safe; otherwise their rows are."""
+    if max(_kernels.key_extent(keys)) < _kernels.INT64_SAFE:
+        return MonomialIdeal(ambient, None, _trusted=True, keys=keys)
+    return MonomialIdeal(ambient, _kernels.key_rows(keys), _trusted=True)
 
 
 def sum_of_products(ambient: AmbientRing,
                     pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
     """The ideal sum of a*b over *pairs*, minimalized once.
 
-    In d = 2, with every product int64-safe, ``_kernels.product_keys`` sorts
-    all the products' sums at once; otherwise one ``_antichain`` runs over
-    them as Python-int tuples.
+    In d = 2, with every factor of a nonzero pair int64-safe,
+    ``_kernels.product_keys`` sorts all the products' key sums at once;
+    otherwise one ``_antichain`` runs over them as Python-int tuples.
     """
-    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
+    pairs = list(pairs)
     for ideal in (f for pair in pairs for f in pair):
         if ideal.d != ambient.d:
             raise DimensionMismatchError(f"ideals live in {ideal.d} and {ambient.d} variables")
+    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
     if not pairs:
         return MonomialIdeal.zero(ambient.d)
-    if ambient.d == 2 and all(_product_fits(a, b) for a, b in pairs):
-        keys = _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs])
-        return MonomialIdeal(ambient, None, _trusted=True, keys=keys)
+    if ambient.d == 2 and all(f.fits_int64() for pair in pairs for f in pair):
+        return _of_keys(ambient, _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs]))
     rows = [tuple(map(operator.add, g, h)) for a, b in pairs for g in a.gens for h in b.gens]
     return MonomialIdeal(ambient, _antichain(rows), _trusted=True)
-
-
-def _minimalize(ambient: AmbientRing, gens: list[Monomial]) -> "MonomialIdeal":
-    """The ideal generated by *gens*: keys when d = 2 and they fit, else tuples."""
-    if ambient.d == 2 and len(gens) > 2:
-        arr = _kernels.as_array(gens)
-        if arr is not None:
-            return _of_keys(ambient, _kernels.pack(arr))
-    return MonomialIdeal(ambient, _antichain(gens), _trusted=True)
 
 
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating antichain.
 
     At least one of ``_gens`` (tuples) and ``_keys`` (d = 2 uint64 keys) is
-    set; keys are only ever stored for an int64-safe ideal in two variables,
-    and read-only.  ``_newton`` caches the Newton polyhedron
-    (``polyhedra.newton_polyhedron``).
+    set.  Keys are stored, read-only, only for an int64-safe ideal in two
+    variables: by a product, or by ``_as_keys`` on a factor.  ``_newton``
+    caches the Newton polyhedron (``polyhedra.newton_polyhedron``).
     """
 
     __slots__ = ("ambient", "_gens", "_keys", "_newton")
@@ -192,7 +183,7 @@ class MonomialIdeal:
     @classmethod
     def from_gens(cls, d: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
         checked = [_check_monomial(d, g) for g in gens]
-        return _minimalize(AmbientRing(d), checked)
+        return cls(AmbientRing(d), _antichain(checked), _trusted=True)
 
     @classmethod
     def zero(cls, d: int) -> "MonomialIdeal":
@@ -226,10 +217,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self._count() == 1 and not any(self.gens[0])
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_zero and not self.is_unit
-
     def max_exponents(self) -> Monomial:
         """Componentwise maximum of the minimal generators (zero ideal -> 0s)."""
         if self.is_zero:
@@ -245,7 +232,7 @@ class MonomialIdeal:
     def _as_keys(self) -> np.ndarray:
         """The read-only d = 2 keys of a nonzero ideal (cached; requires fits_int64)."""
         if self._keys is None:
-            keys = _kernels.pack(_kernels.as_array(self._gens))
+            keys = _kernels.pack(self._gens)
             keys.flags.writeable = False
             self._keys = keys
         return self._keys
@@ -272,9 +259,9 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.d)
-        if self.d == 2 and _product_fits(self, other):
+        if self.d == 2 and self.fits_int64() and other.fits_int64():
             sums = self._as_keys()[:, None] + other._as_keys()[None, :]
-            return _of_keys(self.ambient, sums.ravel())
+            return _of_keys(self.ambient, _kernels.minimal_keys(sums.ravel()))
         prods = [tuple(map(operator.add, g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.ambient, _antichain(prods), _trusted=True)
 
@@ -294,20 +281,20 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return other if self.is_zero else self
-        if self.d == 2 and self.fits_int64() and other.fits_int64():
-            return _of_keys(self.ambient, np.concatenate((self._as_keys(), other._as_keys())))
         return MonomialIdeal(self.ambient, _antichain(self.gens + other.gens), _trusted=True)
 
     __add__ = add
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
-        return _minimalize(self.ambient, [tuple(map(max, g, h)) for g in self.gens for h in other.gens])
+        lcms = [tuple(map(max, g, h)) for g in self.gens for h in other.gens]
+        return MonomialIdeal(self.ambient, _antichain(lcms), _trusted=True)
 
     def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
         """The ideal with the exponents of *variables* (1-based) set to zero."""
         keep = [int(i not in variables) for i in range(1, self.d + 1)]
-        return _minimalize(self.ambient, [tuple(map(operator.mul, g, keep)) for g in self.gens])
+        dropped = [tuple(map(operator.mul, g, keep)) for g in self.gens]
+        return MonomialIdeal(self.ambient, _antichain(dropped), _trusted=True)
 
     def colon_var_sat(self, i: int) -> "MonomialIdeal":
         """The stable colon I : xi^infinity (variable index 1-based)."""

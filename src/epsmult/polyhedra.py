@@ -140,12 +140,14 @@ def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     _require_proper(ideal)
     d = ideal.d
     gens = ideal.gens
-    rows = [tuple(g) + (1,) for g in gens]
-    rows += [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
+    # the orthant rows first, so that every intermediate cone of the double
+    # description already lies in it; generator j is row d + j
+    rows = [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
+    rows += [tuple(g) + (1,) for g in gens]
     # a ray (nu, c') with nu != 0 is the facet <nu, u> >= -c', tight on the rows of its mask
     found = sorted((v[:d], -v[d], z) for v, z in _extreme_rays(rows).items() if any(v[:d]))
     facets: list[Facet] = [(nu, c) for nu, c, _ in found]
-    on = [sum(1 << f for f, (_, _, z) in enumerate(found) if z >> j & 1) for j in range(len(gens))]
+    on = [sum(1 << f for f, (_, _, z) in enumerate(found) if z >> (d + j) & 1) for j in range(len(gens))]
     # g is a vertex iff no other generator lies on all of its facets: the least
     # face holding g is a vertex or holds another vertex, and vertices are generators
     keep = [j for j, s in enumerate(on) if not any(t & s == s for k, t in enumerate(on) if k != j)]

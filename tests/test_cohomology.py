@@ -106,6 +106,12 @@ def test_slabs_reject_an_infinite_region():
             if d >= 2:
                 with pytest.raises(PreconditionError):
                     _slabs(((0,) * d,), (xi,))
+    # (x, y) \ (x^5, y^5, x^2z, xyz, y^2z): every slab below the top is
+    # finite, but the top slab z >= 1 holds x and y
+    outer = MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0)])
+    inner = MonomialIdeal.from_gens(3, [(5, 0, 0), (0, 5, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1)])
+    with pytest.raises(PreconditionError):
+        _slabs(outer.gens, inner.gens)
 
 
 BIG = 3 * 10**6

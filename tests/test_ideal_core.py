@@ -362,9 +362,9 @@ def test_array_route_matches_python_route(rng):
 
 
 def test_kernel_results_skip_the_tuple_form(rng):
-    # two forms, not three: a d = 2 int64-safe result of a product, sum,
-    # intersection or colon holds read-only keys only, every other result
-    # holds tuples only
+    # two forms, not three: a d = 2 product of int64-safe factors that is
+    # int64-safe itself holds read-only keys only; every other result (a sum,
+    # intersection or colon, or any result in d != 2) holds tuples only
     assert MonomialIdeal.__slots__ == ("ambient", "_gens", "_keys", "_newton")
     assert not hasattr(MonomialIdeal, "as_array")
     for k in range(60):
@@ -374,17 +374,16 @@ def test_kernel_results_skip_the_tuple_form(rng):
             J = random_ideal(rng, d, 6, 6)
             if min(len(I.gens), len(J.gens), len((I * J).gens)) > 2:
                 break
-        # from_gens keeps the tuple form below three generators, so the colon
-        # is of a product
-        for result in (I * J, I + J, I.intersect(J), (I * J).colon_var_sat(1),
-                       (I * J).localize((2,))):
-            if d == 2:
-                assert result._gens is None and not result._keys.flags.writeable
-                with pytest.raises(ValueError):
-                    result._keys.sort()
-                assert result.gens == _kernels.key_rows(result._keys)
-            else:
-                assert result._keys is None and type(result._gens) is tuple
+        product = I * J
+        if d == 2:  # before the colons below read its gens
+            assert product._gens is None and not product._keys.flags.writeable
+            with pytest.raises(ValueError):
+                product._keys.sort()
+            assert product.gens == _kernels.key_rows(product._keys)
+        # the colon and the localization are of a key-held product
+        others = (I + J, I.intersect(J), product.colon_var_sat(1), product.localize((2,)))
+        for result in others if d == 2 else (product, *others):
+            assert result._keys is None and type(result._gens) is tuple
         sat = I.saturate()
         assert sat._keys is None and type(sat._gens) is tuple
 
@@ -412,15 +411,16 @@ def test_key_route_matches_brute_force(rng):
             make, gens = draw()
             other = make(gens)
             both = acc.fits_int64() and other.fits_int64()
-            if rng.random() < 0.5:
+            multiplied = rng.random() < 0.5
+            if multiplied:
                 acc, expected = acc * other, py_mul(expected, brute_minimal(gens))
             else:
                 acc, expected = acc + other, brute_minimal(expected + brute_minimal(gens))
             assert acc.gens == expected
             if max(map(max, expected)) >= SAFE:
                 assert acc._keys is None and not acc.fits_int64()
-            elif both:
-                assert acc._keys is not None
+            else:  # keys iff a product of int64-safe factors
+                assert (acc._keys is not None) == (multiplied and both)
 
 
 def test_key_products_straddling_the_bound():
@@ -439,7 +439,7 @@ def test_key_products_straddling_the_bound():
                 assert (product._keys is None) == big and product.fits_int64() != big
 
 
-STRADDLE = (0, 1, 2, SAFE - 1, SAFE, 2**40)
+STRADDLE = (0, 1, 2, SAFE - 1, SAFE, 2**40, 2**64)
 
 
 def test_operands_straddling_the_int64_bound(rng):
@@ -493,18 +493,19 @@ def test_sum_of_products_matches_brute_force(offset):
         got = sum_of_products(AmbientRing(d), pairs)
         assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs])
         if d == 2 and not got.is_zero:
-            # keys iff every nonzero product is int64-safe
-            tops = [[x + y for x, y in zip(top(a), top(b))]
-                    for a, b in pairs if not (a.is_zero or b.is_zero)]
-            assert (got._keys is not None) == all(max(t) < SAFE for t in tops)
+            # keys iff every factor of a nonzero pair and the result are int64-safe
+            factors = [f for pair in pairs if not (pair[0].is_zero or pair[1].is_zero) for f in pair]
+            safe = all(max(top(f)) < SAFE for f in (*factors, got))
+            assert (got._keys is not None) == safe
             routes.add(got._keys is not None)
     assert routes == {False, True}
 
 
 def test_sum_of_products_checks_the_ring():
     I2, I3 = ideal(2, (1, 0), (0, 1)), ideal(3, (1, 0, 0))
-    with pytest.raises(DimensionMismatchError):
-        sum_of_products(AmbientRing(2), [(I2, I3)])
+    for pairs in ([(I2, I3)], [(MonomialIdeal.zero(2), I3)]):
+        with pytest.raises(DimensionMismatchError):
+            sum_of_products(AmbientRing(2), pairs)
     assert sum_of_products(AmbientRing(3), []) == MonomialIdeal.zero(3)
 
 
@@ -534,7 +535,7 @@ def test_big_integer_power_and_saturation_equal_the_scaled_ones():
 
 def test_sums_past_the_bound_take_the_python_route():
     I = MonomialIdeal.from_gens(2, [(SAFE - 1, 0), (1, 1), (0, SAFE - 1)])
-    assert I._keys is not None
+    assert I._keys is None and I.fits_int64()
     square = I * I
     assert square.gens == py_mul(I.gens, I.gens)
     assert square._keys is None and not square.fits_int64()

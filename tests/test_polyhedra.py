@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -268,6 +269,14 @@ class TestAnalyticSpread:
         assert brute_spread(I) == spread
 
 
+# m-primary in d = 8, with 8 vertices and 9 facets
+D8_BASE = ((0, 0, 0, 0, 0, 0, 0, 6), (0, 0, 0, 0, 0, 0, 5, 0), (0, 0, 0, 0, 0, 8, 0, 0),
+           (0, 0, 0, 0, 6, 0, 0, 0), (0, 0, 0, 8, 0, 0, 0, 0), (0, 0, 2, 1, 3, 0, 3, 3),
+           (0, 0, 3, 0, 0, 0, 0, 0), (0, 1, 0, 4, 3, 0, 4, 2), (0, 2, 1, 1, 4, 2, 4, 1),
+           (0, 8, 0, 0, 0, 0, 0, 0), (1, 0, 2, 1, 1, 1, 2, 1), (2, 1, 1, 4, 3, 1, 0, 0),
+           (3, 4, 0, 3, 1, 2, 1, 3), (4, 0, 0, 0, 0, 0, 0, 0))
+
+
 class TestOutRegion:
     def test_staircase_example(self):
         report = out_region(ideal(2, (1, 2), (2, 0)))
@@ -348,6 +357,30 @@ class TestOutRegion:
         t0 = time.perf_counter()
         assert out_region(I).epsilon == epsilon
         assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_squares_in_high_dimension(self, d):
+        # NP(I^2) = 2 NP(I) and epsilon(I^2) = 2^d epsilon(I).  The double
+        # description cuts by the orthant rows first; with them last, the
+        # build of NP(I^2) took about 2 s for this d = 8 square (90
+        # generators) and more than 30 s for the d = 9 one (159)
+        if d == 8:
+            I = ideal(8, *D8_BASE)
+        else:  # d + 2 random generators and the pure powers
+            rng = random.Random(1)
+            gens = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(d + 2)]
+            gens += [tuple(rng.randint(3, 8) if j == i else 0 for j in range(d)) for i in range(d)]
+            I = ideal(d, *gens)
+        J = I.power(2)
+        t0 = time.perf_counter()
+        np_I, np_J = newton_polyhedron(I), newton_polyhedron(J)
+        eps_I, eps_J = out_region(I).epsilon, out_region(J).epsilon
+        assert time.perf_counter() - t0 < 1
+        assert np_J.facets == tuple((nu, 2 * c) for nu, c in np_I.facets)
+        assert np_J.vertices == tuple(tuple(2 * x for x in v) for v in np_I.vertices)
+        assert eps_J == 2 ** d * eps_I > 0
+        if d == 8:
+            assert len(J.gens) == 90 and eps_J == 283115520
 
 
 class TestVolumes:
