@@ -10,8 +10,8 @@ row sum, below 2**32 in each field.  So a product's candidate keys are the
 p*q sums of its factors' keys, and the staircase of any key vector is one
 sort and a scan of the running least y.  ``product_keys`` minimalizes the
 sums of several products in one sort.  Ideals in every other d never come
-here: ``ideal_core`` holds them as Python-int tuples.  Nor do H^0 counts: the
-slab route in ``cohomology`` works on Python ints.
+here: ``ideal_core`` holds them as Python-int tuples.  H^0 lengths read a
+key-held staircase through ``key_columns`` and count on Python ints.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ _UINT64_MAX = np.iinfo(np.uint64).max
 
 
 # ---------------------------------------------------------------------------
-# d = 2 keys.  pack and key_rows are exact for coordinates in [0, 2**32).
+# d = 2 keys.  pack, key_columns and key_rows are exact for coordinates in
+# [0, 2**32).
 
 
 def pack(rows) -> np.ndarray:
@@ -38,9 +39,14 @@ def pack(rows) -> np.ndarray:
     return (u[:, 0] << _SHIFT) | u[:, 1]
 
 
+def key_columns(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """The x and y columns of a key vector as lists of Python ints."""
+    return (keys >> _SHIFT).tolist(), (keys & _MASK).tolist()
+
+
 def key_rows(keys: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The rows of a key vector as (x, y) tuples of Python ints."""
-    return tuple(zip((keys >> _SHIFT).tolist(), (keys & _MASK).tolist()))
+    return tuple(zip(*key_columns(keys)))
 
 
 def key_extent(keys: np.ndarray) -> tuple[int, int]:

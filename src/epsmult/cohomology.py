@@ -10,16 +10,23 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   off the boxes in Python ints, so the cost follows the number of generators,
   not the size of the exponents.  J = sat(I) gives H^0 of R/I, and
   J = J_outer & sat(J_inner) the torsion of a quotient J_outer / J_inner.
+  In two variables a length alone needs no boxes and no saturation: sat(I)
+  is the corner (x^(x_0) y^(y_k)) of the staircase, and the length is the
+  area between the two, read off the generators' columns (a key-held ideal
+  gives them straight from its keys).  Boxes are built for witnesses, the
+  socle degree, quotients and every d >= 3.
 * the simplicial route counting exponents whose complex of inverted-variable
   subsets is exactly {empty face}, detected through reduced homology; it
   never saturates, so it checks the slab route.
 
-The slab route reports ``box-enumeration`` for every d.
+The slab route, with its two-variable area, reports ``box-enumeration`` for
+every d.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -162,14 +169,32 @@ def _count(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool) -> H0Cou
     return H0Count(sum(n for _, _, n in boxes), METHOD_BOX, points)
 
 
+def _staircase_area(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """The number of points of sat(I) \\ I for a staircase in two variables,
+    given the columns of its minimal generators (x ascending, y descending).
+
+    sat(I) = (x^(x_0) y^(y_k)), so the region is the area between the corner
+    and the staircase: the sum of (x_(i+1) - x_i) * (y_i - y_k), the points of
+    the boxes ``_staircase_slabs`` lists, column strip by column strip.  The
+    widths add up to x_k - x_0, which takes the y_k terms out of the sum.
+    """
+    return sum(map(operator.mul, map(operator.sub, xs[1:], xs), ys)) - (xs[-1] - xs[0]) * ys[-1]
+
+
 def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = False) -> H0Count:
-    """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I."""
+    """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I.
+
+    In two variables, without witnesses, it is the area under the staircase,
+    with no saturation and no boxes; otherwise the slabs are counted.
+    """
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
     if method == METHOD_TAKAYAMA:
         return h0_length_takayama(ideal, witnesses=witnesses)
     if method != METHOD_BOX:
         raise PreconditionError(f"unknown h0 method {method!r}")
+    if ideal.d == 2 and not witnesses:
+        return H0Count(_staircase_area(*ideal._columns()), METHOD_BOX)
     return _count(ideal.saturate(), ideal, witnesses)
 
 

@@ -6,8 +6,9 @@ with irrational slope, hyperbola-staircase families, the recursive limit
 family, Noetherian families built from seeds, or an explicit table).
 Evaluation fills a memo dict owned by the caller: the seeds rules keep
 their seed ideals and their ideals I_0, I_1, ... under the spec, and a
-product grid keeps one dict of entries keyed by index prefix, so callers
-that share one dict pay for each ideal once, and nothing outlives the dict.
+product grid keeps one dict of entries keyed by index prefix and the power
+specs of its factors, so callers that share one dict pay for each ideal
+once, and nothing outlives the dict.
 Power, Noetherian and limit families are all seeds rules: I_m is the sum of
 seed * I_(m-deg) over the seeds of degree deg <= m, one call of
 ``ideal_core.sum_of_products``, minimalized once.  A power family has one
@@ -166,15 +167,19 @@ def _next_rung(ambient: AmbientRing, seeds: Seeds, ladder: list[MonomialIdeal]) 
 def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
-        # one dict per grid, keyed by index prefix: the entry of (a, ..., c)
-        # is the entry of (a, ...) times the power Ik^c
-        grid = memo.setdefault(spec, {})
+        # one dict per grid, keyed by index prefix, with the power specs of
+        # its factors: the entry of (a, ..., c) is the entry of (a, ...)
+        # times the power Ik^c
+        held = memo.get(spec)
+        if held is None:
+            held = memo[spec] = ({}, [FamilySpec(d, PowerRule(f)) for f in rule.factors])
+        grid, powers = held
         k = len(idx)
         while k and idx[:k] not in grid:
             k -= 1
         entry = grid[idx[:k]] if k else None
         for j in range(k, len(idx)):
-            power = _eval(FamilySpec(d, PowerRule(rule.factors[j])), idx[j], memo)
+            power = _eval(powers[j], idx[j], memo)
             entry = grid[idx[:j + 1]] = power if entry is None else entry.multiply(power)
         return entry
     n = idx

@@ -206,6 +206,13 @@ class MonomialIdeal:
             self._gens = _kernels.key_rows(self._keys)
         return self._gens
 
+    def _columns(self) -> tuple[Sequence[int], ...]:
+        """The d columns of the minimal generators as Python ints; a key-held
+        ideal reads them off its keys without building ``gens``."""
+        if self._gens is None:
+            return _kernels.key_columns(self._keys)
+        return tuple(zip(*self._gens))
+
     def _count(self) -> int:
         return len(self._gens if self._gens is not None else self._keys)
 

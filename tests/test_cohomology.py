@@ -4,14 +4,14 @@ import time
 import pytest
 
 from epsmult import cli
-from epsmult.cohomology import (SimplicialComplex, _slabs, delta_complex, h0_length,
+from epsmult.cohomology import (SimplicialComplex, _count, _slabs, delta_complex, h0_length,
                                 h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
 from epsmult.errors import PreconditionError, ZeroIdealError
-from epsmult.ideal_core import MonomialIdeal
+from epsmult.ideal_core import AmbientRing, MonomialIdeal, sum_of_products
 from epsmult.repro import random_ideal
 
-from conftest import brute_count, brute_socle
+from conftest import STRADDLE, brute_count, brute_socle
 
 I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
 
@@ -75,11 +75,37 @@ def test_box_soundness_on_randoms(rng):
 
 
 def test_staircase_equals_box_on_randoms(rng):
-    # the two-variable staircase merge against the scan of the box
-    for _ in range(50):
-        ideal = random_ideal(rng, 2, 6, 6)
-        expected = len(brute_socle(ideal, ideal.max_exponents()))
-        assert h0_length(ideal).length == expected
+    # the area under the staircase against the slabs of sat(I) \ I and, for
+    # small ideals, the scan of the box: random ideals, key-held products and
+    # sums of products, tuple-held ideals straddling 2^31 and 2^64, and the
+    # unit and principal ideals, whose length is 0
+    ideals = [random_ideal(rng, 2, 6, 6) for _ in range(50)]
+    for _ in range(40):
+        a, b, c = (random_ideal(rng, 2, 5, 4) for _ in range(3))
+        ideals += [a.multiply(b), sum_of_products(AmbientRing(2), [(a, b), (c, c)])]
+    for _ in range(60):
+        ideals.append(MonomialIdeal.from_gens(2, [(rng.choice(STRADDLE), rng.choice(STRADDLE))
+                                                  for _ in range(rng.randint(1, 5))]))
+    principal = [(3, 0), (0, 2**64), (5, 7), (2**31, 2**31 - 1)]
+    ideals += [MonomialIdeal.unit(2)] + [MonomialIdeal.from_gens(2, [g]) for g in principal]
+    keyed = 0
+    for ideal in ideals:
+        keyed += ideal._gens is None
+        length = h0_length(ideal).length
+        assert length == _count(ideal.saturate(), ideal, False).length
+        if max(ideal.max_exponents()) <= 12:
+            assert length == len(brute_socle(ideal, ideal.max_exponents()))
+        if len(ideal.gens) == 1:
+            assert length == 0
+    assert keyed >= 80  # every product and sum of products held keys only
+
+
+def test_area_route_reads_the_keys_only():
+    # a key-held product gives its length without building its tuples
+    product = I.multiply(MonomialIdeal.from_gens(2, [(0, 3), (2, 1)]))
+    assert product._keys is not None and product._gens is None
+    assert h0_length(product).length == 8  # (x y^5, x^2 y^3, x^4 y) over (x y)
+    assert product._gens is None
 
 
 def test_slabs_match_scan_and_takayama(rng):
@@ -127,6 +153,10 @@ def test_huge_exponents_count_in_time(capsys):
     assert max_socle_degree(ideal) == 3 * BIG - 2 * 10**6 - 3
     assert cli.main(["h0", "--ideal", BIG_IDEAL]) == 0
     assert json.loads(capsys.readouterr().out) == {"length": 19 * 10**18,
+                                                   "method": "box-enumeration"}
+    # d = 2: the area under (x y^N, x^N y) is (N - 1)^2, in Python ints
+    assert cli.main(["h0", "--ideal", "[[1,100000000000000000000],[100000000000000000000,1]]"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"length": (10**20 - 1)**2,
                                                    "method": "box-enumeration"}
     assert time.perf_counter() - t0 < 1.0
 

@@ -14,7 +14,7 @@ from epsmult.ideal_core import (AmbientRing, MonomialIdeal, format_ideal, parse_
                                 sum_of_products)
 from epsmult.repro import random_ideal
 
-from conftest import brute_members, brute_minimal, brute_rung
+from conftest import STRADDLE, brute_members, brute_minimal, brute_rung
 
 
 def ideal(d, *gens):
@@ -437,9 +437,6 @@ def test_key_products_straddling_the_bound():
                 product = I * J
                 assert product.gens == expected
                 assert (product._keys is None) == big and product.fits_int64() != big
-
-
-STRADDLE = (0, 1, 2, SAFE - 1, SAFE, 2**40, 2**64)
 
 
 def test_operands_straddling_the_int64_bound(rng):
