@@ -393,6 +393,8 @@ def json_int(value) -> int:
 
 def parse_ideal(text: str, d: Optional[int] = None) -> MonomialIdeal:
     """Parse an ideal from its textual or JSON form."""
+    if d is not None and d < 1:
+        raise ParseError(f"ambient dimension must be a positive integer, got {d!r}")
     s = text.strip()
     if not s:
         raise ParseError("empty ideal specification")

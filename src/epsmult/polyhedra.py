@@ -31,6 +31,14 @@ their vertices, the extreme rays (x, D) with D > 0 of the cone
 {(u, D) : <nu, u> >= c D}, and from their vertex-facet incidences, read
 off the masks, which drive a pulling triangulation; no convex hull is ever
 recomputed.
+
+In two variables NP(I) is a polygon, and both jobs shrink to one pass over
+the staircase: its vertices are the lower convex hull of the lex-sorted
+generators (``_newton_polygon``, a monotone chain), and epsilon is twice the
+area between that hull and its corner (x_0, y_h), a sum of trapezoids in
+Python integers.  The route is chosen by d alone.  The double description
+stays for d = 1 and d >= 3, where no such chain orders the boundary, and it
+stays callable on d = 2 input, where the tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -138,8 +146,41 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     _require_proper(ideal)
-    d = ideal.d
-    gens = ideal.gens
+    if ideal.d == 2:
+        return _newton_polygon(*ideal._columns())
+    return _newton_by_rays(ideal.d, ideal.gens)
+
+
+def _newton_polygon(xs: Sequence[int], ys: Sequence[int]) -> NewtonPolyhedron:
+    """NP(I) in two variables from the columns of the lex-sorted minimal
+    generators (x ascending, y descending).
+
+    Its vertices are the lower convex hull of the generators, one monotone
+    chain that drops a point unless the chain turns left at it (collinear
+    points too).  Each hull edge is a facet with normal (y_i - y_(i+1),
+    x_(i+1) - x_i) made primitive; x >= x_0 and y >= y_h close the polygon.
+    """
+    hull: list[tuple[int, int]] = []
+    for x, y in zip(xs, ys):
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = hull[-2:]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break  # the chain turns left at (ax, ay)
+            hull.pop()
+        hull.append((x, y))
+    h = len(hull) - 1
+    found = [((1, 0), hull[0][0], frozenset({0})), ((0, 1), hull[h][1], frozenset({h}))]
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(hull, hull[1:])):
+        g = gcd(y0 - y1, x1 - x0)
+        nu = ((y0 - y1) // g, (x1 - x0) // g)
+        found.append((nu, nu[0] * x0 + nu[1] * y0, frozenset({i, i + 1})))
+    found.sort(key=lambda f: f[:2])  # the order of the double description's facets
+    return NewtonPolyhedron(2, tuple(hull), tuple(f[:2] for f in found), tuple(f[2] for f in found))
+
+
+def _newton_by_rays(d: int, gens: Sequence[tuple[int, ...]]) -> NewtonPolyhedron:
+    """NP(I) in any dimension by one double description of the
+    homogenization cone's dual."""
     # the orthant rows first, so that every intermediate cone of the double
     # description already lies in it; generator j is row d + j
     rows = [tuple(1 if j == i else 0 for j in range(d)) + (0,) for i in range(d)]
@@ -248,15 +289,21 @@ def out_region(ideal: MonomialIdeal) -> OutRegionReport:
     """Volume between NP(I) and its zero-coordinate-normal relaxation.
 
     epsilon = d! * vol; it is positive exactly when some facet normal is
-    strictly positive, i.e. when the analytic spread is maximal.
+    strictly positive, i.e. when the analytic spread is maximal.  In two
+    variables it is read off the hull vertices, with no volume system.
     """
     np_ = newton_polyhedron(ideal)
     d = np_.d
     strict = [(nu, c) for nu, c in np_.facets if all(v > 0 for v in nu)]
-    loose = [(nu, c) for nu, c in np_.facets if not all(v > 0 for v in nu)]
     if not strict:
         return OutRegionReport(Fraction(0), Fraction(0), None)
     m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
+    if d == 2:  # twice the area between the hull and the corner (x_0, y_h)
+        vs = np_.vertices
+        epsilon = Fraction(sum((b[0] - a[0]) * (a[1] + b[1] - 2 * vs[-1][1])
+                               for a, b in zip(vs, vs[1:])))
+        return OutRegionReport(epsilon / 2, epsilon, m_bound)
+    loose = [(nu, c) for nu, c in np_.facets if not all(v > 0 for v in nu)]
     # a point that misses a strict facet has every coordinate below m_bound - 1
     cut: list[Facet] = [(tuple(int(j == i) for j in range(d)), 0) for i in range(d)]
     cut.append(((-1,) * d, -d * (m_bound - 1)))

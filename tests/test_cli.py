@@ -48,6 +48,21 @@ class TestExitCodes:
         assert main(["h0", "--ideal", ideal]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["h0", "--ideal", "0", "--dim", "0"],
+        ["h0", "--ideal", "[]", "--dim", "0"],
+        ["h0", "--ideal", "1", "--dim", "0"],
+        ["h0", "--ideal", "1", "--dim", "-2"],
+        ["h0", "--ideal", "[[1,2]]", "--dim", "-1"],
+        ["mixed", "--ideals", "x*y; x^2,y", "--grid", "1:5", "--dim", "0"],
+    ])
+    def test_nonpositive_dim_is_1(self, capsys, argv):
+        # one message, before the ideal text is read
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: error: ambient dimension must be a positive integer, got {argv[-1]}\n"
+
     def test_non_integer_family_exponent_is_1(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}))

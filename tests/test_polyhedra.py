@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_extreme_rays, brute_newton_vertices, brute_out_region,
+from conftest import (STRADDLE, brute_extreme_rays, brute_newton_vertices, brute_out_region,
                       brute_spread, brute_triangulate)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult import polyhedra
@@ -36,6 +36,31 @@ def seeded_ideals(rng, count, dims=(2, 3, 4)):
                                  for i in range(d))))
         if rng.random() < 0.25:
             I = I.power(2)
+        yield I
+
+
+def staircases(rng, count):
+    """Seeded ideals in two variables, in turn: random ones, runs of three or
+    more collinear generators, single generators, ones with pure powers on
+    both axes, ones with coordinates from STRADDLE, and key-held products."""
+    for k in range(count):
+        kind = k % 6
+        if kind == 0:
+            I = random_ideal(rng, 2, 8, 6)
+        elif kind == 1 and rng.random() < 0.5:
+            x, y, dx, dy = rng.randint(0, 4), rng.randint(30, 40), rng.randint(1, 4), rng.randint(1, 4)
+            I = ideal(2, *((x + i * dx, y - i * dy) for i in range(rng.randint(3, 7))))
+        elif kind == 1:  # a power of a two-generator ideal is a collinear run too
+            I = random_ideal(rng, 2, 6, 2).power(rng.randint(3, 5))
+        elif kind == 2:  # on either axis or off both
+            I = ideal(2, (rng.randint(0, 9), rng.randint(1, 9))[::rng.choice((1, -1))])
+        elif kind == 3:
+            I = random_ideal(rng, 2, 8, 4).add(ideal(2, (rng.randint(1, 9), 0), (0, rng.randint(1, 9))))
+        elif kind == 4:
+            I = ideal(2, *((rng.choice(STRADDLE) + rng.randint(0, 2), rng.choice(STRADDLE) + 1)
+                           [::rng.choice((1, -1))] for _ in range(rng.randint(1, 5))))
+        else:
+            I = random_ideal(rng, 2, 6, 4).multiply(random_ideal(rng, 2, 6, 4))
         yield I
 
 
@@ -137,21 +162,53 @@ class TestMasks:
         assert polyhedra.triangulate_points([], []) == []
 
     def test_rank_calls(self, rng, monkeypatch):
+        # d = 2 takes the polygon route, which builds no volume system
         volumes = recorded_systems(monkeypatch, "volume_from_constraints")
-        for I in seeded_ideals(rng, 30):
+        for I in seeded_ideals(rng, 30, dims=(3, 4)):
             out_region(I)
         monkeypatch.undo()
         assert len(volumes) > 20
         calls = []
         count_rank = polyhedra.rank
         monkeypatch.setattr(polyhedra, "rank", lambda rows: calls.append(1) or count_rank(rows))
-        for I in seeded_ideals(rng, 30):
+        for I in seeded_ideals(rng, 30, dims=(3, 4)):
             polyhedra._build_newton(I)
         assert calls == []  # the vertex test reads the masks
         for args in volumes:
             calls.clear()
             volume_from_constraints(*args)
             assert len(calls) <= 1  # the dimension of the polytope
+
+
+class TestPolygon:
+    """The route for d = 2, a monotone chain and an area, against the double
+    description, which stays callable in two variables as its oracle."""
+
+    def test_polygon_equals_double_description(self, rng):
+        ideals = list(staircases(rng, 300))
+        for I in ideals:
+            assert newton_polyhedron(I) == polyhedra._newton_by_rays(2, I.gens)
+            assert out_region(I) == brute_out_region(I)
+            assert analytic_spread(I) == brute_spread(I)
+        dropped = [len(I.gens) - len(newton_polyhedron(I).vertices) for I in ideals]
+        assert sum(n >= 2 for n in dropped) > 15  # collinear runs lose their inner points
+        assert sum(len(I.gens) == 1 for I in ideals) >= 50
+        assert sum(max(map(max, I.gens)) >= 2**64 for I in ideals) >= 5
+        assert sum(out_region(I).epsilon > 0 for I in ideals) > 150
+
+    def test_no_double_description_in_two_variables(self, rng, monkeypatch):
+        rays = recorded_systems(monkeypatch)
+        volumes = recorded_systems(monkeypatch, "volume_from_constraints")
+        products = []
+        for I in staircases(rng, 120):
+            if I._gens is None and I._count() > 1:  # a single key is read by is_unit
+                products.append(I)
+            newton_polyhedron(I)
+            out_region(I)
+        assert rays == [] and volumes == []
+        assert len(products) >= 10 and all(I._gens is None for I in products)  # keys only
+        out_region(ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)))  # d = 3 keeps the double description
+        assert len(rays) == 3 and len(volumes) == 2
 
 
 class TestNewtonPolyhedron:
