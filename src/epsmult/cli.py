@@ -372,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.timeout < 0:
+            raise ParseError(f"timeout must be a non-negative integer, got {args.timeout}")
     except ParseError as exc:
         print(f"eps: error: {exc}", file=sys.stderr)
         return 1

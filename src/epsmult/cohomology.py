@@ -13,14 +13,16 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   In two variables a length alone needs no boxes and no saturation: sat(I)
   is the corner (x^(x_0) y^(y_k)) of the staircase, and the length is the
   area between the two, read off the generators' columns (a key-held ideal
-  gives them straight from its keys).  Boxes are built for witnesses, the
-  socle degree, quotients and every d >= 3.
+  gives them straight from its keys).  In three variables it is one sweep of
+  such areas up the last exponent, the slices of sat(I) being clips of the
+  cut at z = oo.  Boxes are built for witnesses, the socle degree, quotients
+  and every d >= 4.
 * the simplicial route counting exponents whose complex of inverted-variable
   subsets is exactly {empty face}, detected through reduced homology; it
   never saturates, so it checks the slab route.
 
-The slab route, with its two-variable area, reports ``box-enumeration`` for
-every d.
+The slab route, with its two- and three-variable areas, reports
+``box-enumeration`` for every d.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, _antichain
+from .ideal_core import Monomial, MonomialIdeal, _antichain, _clip
 
 METHOD_BOX = "box-enumeration"
 METHOD_TAKAYAMA = "takayama"
@@ -181,11 +183,36 @@ def _staircase_area(xs: Sequence[int], ys: Sequence[int]) -> int:
     return sum(map(operator.mul, map(operator.sub, xs[1:], xs), ys)) - (xs[-1] - xs[0]) * ys[-1]
 
 
+def _slice_areas(gens: Sequence[Monomial]) -> int:
+    """The number of points of sat(I) \\ I in three variables, given the
+    lex-sorted minimal generators of I, by one sweep up the distinct last
+    exponents z_0 < ... < z_k.
+
+    On [z, z') the slice of I is the cut I_z and that of sat(I) is
+    Q_z & I_top, Q_z the corner of I_z and I_top the cut at z = oo (as in
+    ``ideal_core._saturation``).  Both staircases have the corner Q_z, so the
+    slice holds area(I_z) - area(``_clip`` of I_top at Q_z) points.  The top
+    slab adds nothing: there I_z is I_top.
+    """
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for x, y, z in gens:
+        levels.setdefault(z, []).append((x, y))
+    top = _antichain([g[:2] for g in gens])
+    zs = sorted(levels)
+    cut, length = (), 0
+    for z, up in zip(zs, zs[1:]):
+        cut = _antichain([*cut, *levels[z]])
+        clip = _clip(top, cut[0][0], cut[-1][1])
+        length += (up - z) * (_staircase_area(*zip(*cut)) - _staircase_area(*zip(*clip)))
+    return length
+
+
 def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = False) -> H0Count:
     """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I.
 
-    In two variables, without witnesses, it is the area under the staircase,
-    with no saturation and no boxes; otherwise the slabs are counted.
+    Without witnesses, two variables give the area under the staircase and
+    three a sweep of such areas (``_slice_areas``), with no saturation and no
+    boxes.  Witnesses, and every d >= 4, count the slabs of sat(I) \\ I.
     """
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
@@ -195,6 +222,8 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
         raise PreconditionError(f"unknown h0 method {method!r}")
     if ideal.d == 2 and not witnesses:
         return H0Count(_staircase_area(*ideal._columns()), METHOD_BOX)
+    if ideal.d == 3 and not witnesses:
+        return H0Count(_slice_areas(ideal.gens), METHOD_BOX)
     return _count(ideal.saturate(), ideal, witnesses)
 
 

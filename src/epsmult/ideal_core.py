@@ -30,6 +30,7 @@ format accepted by the CLI.
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 from dataclasses import dataclass
@@ -96,6 +97,23 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
+def _clip(top: Sequence[Monomial], a: int, b: int) -> tuple[Monomial, ...]:
+    """Minimal generators of (x^a y^b) & (top), lex sorted, for a two-variable
+    antichain *top* (x ascending, y descending) with a generator of x <= a
+    and one of y <= b.
+
+    Let i be the last generator with x <= a and j the first with y <= b.  The
+    lcms with x^a y^b of the generators up to i are multiples of (a, y_i),
+    those from j on multiples of (x_j, b), and the generators in between lie
+    in (x^a y^b) already.  When y_i <= b the clip is (x^a y^b) itself.
+    """
+    i = bisect.bisect_right(top, a, key=operator.itemgetter(0)) - 1
+    if top[i][1] <= b:
+        return ((a, b),)
+    j = bisect.bisect_left(top, -b, i + 1, key=lambda g: -g[1])
+    return ((a, top[i][1]), *top[i + 1:j], (top[j][0], b))
+
+
 def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Minimal generators of sat(I), lex sorted, for the lex-sorted minimal
     generators *gens* of a nonzero ideal I.
@@ -104,9 +122,10 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     generator, y of the last).  Above two: a sweep up the distinct last
     exponents z, as in ``_antichain``.  The slice of sat(I) at x_d = z is
     sat(I_z) & I_top, where I_z is the (d-1)-variable cut of I at z and I_top
-    the cut at z = oo.  A generator of a slice is new at z iff it is not a
-    generator of the previous slice; once a slice reaches I_top, no later
-    one grows.
+    the cut at z = oo; in three variables sat(I_z) is the corner of the
+    staircase I_z, and the slice is ``_clip`` of I_top there.  A generator of
+    a slice is new at z iff it is not a generator of the previous slice; once
+    a slice reaches I_top, no later one grows.
     """
     d = len(gens[0])
     if d == 1:
@@ -120,7 +139,10 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     kept, cut, below = [], (), ()
     for z in sorted(levels):
         cut = _antichain([*cut, *levels[z]])
-        piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
+        if d == 3:
+            piece = _clip(top, cut[0][0], cut[-1][1])
+        else:
+            piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
         kept.extend(p + (z,) for p in set(piece).difference(below))
         if piece == top:
             break

@@ -63,6 +63,23 @@ class TestExitCodes:
         assert out == ""
         assert err == f"eps: error: ambient dimension must be a positive integer, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["h0", "--ideal", "x^2, y^2"],
+        ["newton", "--ideal", "x^2, y^2"],
+        ["family", "eval", "--spec", "/nonexistent.json", "--n", "1"],
+    ])
+    @pytest.mark.parametrize("seconds", ["-1", "-30"])
+    def test_negative_timeout_is_1(self, capsys, argv, seconds):
+        # a negative limit used to arm no alarm and run unbounded with exit 0
+        assert main(argv + ["--timeout", seconds]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: error: timeout must be a non-negative integer, got {seconds}\n"
+
+    def test_zero_timeout_means_no_limit(self, capsys):
+        assert main(["h0", "--ideal", "x^2, y^2", "--timeout", "0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"length": 4, "method": "box-enumeration"}
+
     def test_non_integer_family_exponent_is_1(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from epsmult import cli
+from epsmult import cli, cohomology, ideal_core
 from epsmult.cohomology import (SimplicialComplex, _count, _slabs, delta_complex, h0_length,
                                 h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
@@ -106,6 +106,61 @@ def test_area_route_reads_the_keys_only():
     assert product._keys is not None and product._gens is None
     assert h0_length(product).length == 8  # (x y^5, x^2 y^3, x^4 y) over (x y)
     assert product._gens is None
+
+
+def test_slice_areas_equal_slabs_on_randoms(rng):
+    # the d = 3 sweep of staircase areas against the slabs of sat(I) \ I and,
+    # for small ideals, the scan of the box: random ideals (some not
+    # m-primary, with sat(I) != I), powers, coordinates straddling 2^31 and
+    # 2^64, and the unit and principal ideals, whose length is 0
+    ideals = [random_ideal(rng, 3, 6, 6) for _ in range(120)]
+    base = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)])
+    ideals += [base.power(n) for n in range(1, 13)]
+    for _ in range(15):
+        small = random_ideal(rng, 3, 3, 4)
+        ideals += [small.power(2), small.power(3)]
+    for _ in range(60):
+        ideals.append(MonomialIdeal.from_gens(3, [tuple(rng.choice(STRADDLE) for _ in range(3))
+                                                  for _ in range(rng.randint(1, 5))]))
+    principal = [(3, 0, 0), (0, 2**64, 1), (5, 7, 2), (2**31, 2**31 - 1, 2**40)]
+    ideals += [MonomialIdeal.unit(3)] + [MonomialIdeal.from_gens(3, [g]) for g in principal]
+    unsaturated = scanned = 0
+    for ideal in ideals:
+        length = h0_length(ideal).length
+        sat = ideal.saturate()
+        assert length == _count(sat, ideal, False).length
+        if max(ideal.max_exponents()) <= 8:
+            scanned += 1
+            assert length == len(brute_socle(ideal, ideal.max_exponents()))
+        if len(ideal.gens) == 1:
+            assert length == 0
+        unsaturated += not sat.is_unit and sat != ideal
+    assert unsaturated >= 20 and scanned >= 100
+
+
+def test_d3_length_needs_no_saturation_or_slabs(monkeypatch):
+    # only witnesses and d >= 4 saturate and tile the region with boxes
+    calls = {"_saturation": 0, "_slabs": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ideal_core, "_saturation")
+    counted(cohomology, "_slabs")
+    ideal = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)]).power(4)
+    assert h0_length(ideal).length == h0_length_takayama(ideal).length > 0
+    assert calls == {"_saturation": 0, "_slabs": 0}
+    h0_length(ideal, witnesses=True)
+    assert calls["_saturation"] > 0 and calls["_slabs"] > 0
+    calls.update(_saturation=0, _slabs=0)
+    h0_length(MonomialIdeal.from_gens(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
+                                          (0, 0, 0, 2), (1, 1, 1, 1)]))
+    assert calls["_saturation"] > 0 and calls["_slabs"] > 0
 
 
 def test_slabs_match_scan_and_takayama(rng):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from epsmult import _kernels
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import (AmbientRing, MonomialIdeal, format_ideal, parse_ideal,
-                                sum_of_products)
+from epsmult.ideal_core import (AmbientRing, MonomialIdeal, _antichain, _clip, format_ideal,
+                                parse_ideal, sum_of_products)
 from epsmult.repro import random_ideal
 
 from conftest import STRADDLE, brute_members, brute_minimal, brute_rung
@@ -591,6 +591,18 @@ def test_one_key_sort_matches_lexsort_at_the_bound():
 
 # (x1^2x4, x2^2x4, x3^2x4, x1x2x3): not m-primary in d = 4.
 D4_BASE = ((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0))
+
+
+def test_clip_is_the_lcm_antichain(rng):
+    # _clip(top, a, b) against the minimal lcms of (a, b) with every generator
+    # of top, for corners on, between and past the generators' coordinates,
+    # small and straddling 2^31 and 2^64
+    for k in range(400):
+        pool = STRADDLE if k % 2 else range(9)
+        top = _antichain([(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 7))])
+        a = rng.choice([x for x in pool if x >= top[0][0]])
+        b = rng.choice([y for y in pool if y >= top[-1][1]])
+        assert _clip(top, a, b) == brute_minimal([(max(a, x), max(b, y)) for x, y in top])
 
 
 def test_saturation_sweep_matches_the_colon_intersection(rng):
