@@ -16,13 +16,15 @@ The antichain lives in one of two forms:
 Only ``multiply`` and ``sum_of_products`` make keys, exactly when every
 factor is int64-safe (``fits_int64``), so that every sum of two keys is the
 exact key of the row sum; a tuple-held factor packs and caches its keys on
-its first product.  ``sum_of_products`` builds a sum of products of ideals (a
-rung of a recursive family) and minimalizes it once: by one
-``_kernels.product_keys`` sort on keys, by one ``_antichain`` otherwise.
-``_of_keys`` keeps the keys only when the result is int64-safe too.  Every
-other minimalization is ``_antichain``, a level sweep on Python ints, and
-saturation in d >= 3 is ``_saturation``, the same sweep over the slices of
-sat(I).
+its first product, and numpy is loaded then.  ``sum_of_products`` builds a
+sum of products of ideals (a rung of a recursive family) and minimalizes it
+once: by one ``_kernels.product_keys`` sort of shifted key runs, by one
+``_antichain`` otherwise.  It reads a key-held factor's keys as they are,
+since such a factor is nonzero and int64-safe, and asks only the tuple-held
+factors.  ``_of_keys`` keeps the keys only when the result is int64-safe
+too.  Every other minimalization is ``_antichain``, a level sweep on Python
+ints, and saturation in d >= 3 is ``_saturation``, the same sweep over the
+slices of sat(I).
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -35,12 +37,13 @@ import json
 import re
 from dataclasses import dataclass
 import operator
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import _kernels
 from .errors import DimensionMismatchError, ParseError, PreconditionError, ZeroIdealError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Monomial = tuple[int, ...]
 
@@ -163,20 +166,31 @@ def sum_of_products(ambient: AmbientRing,
                     pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
     """The ideal sum of a*b over *pairs*, minimalized once.
 
-    In d = 2, with every factor of a nonzero pair int64-safe,
-    ``_kernels.product_keys`` sorts all the products' key sums at once;
-    otherwise one ``_antichain`` runs over them as Python-int tuples.
+    Every factor must live in *ambient*, zero pairs included; zero pairs are
+    then dropped.  A key-held factor is nonzero and int64-safe, so only the
+    tuple-held ones are asked.  In d = 2, with every factor of a nonzero pair
+    int64-safe, ``_kernels.product_keys`` builds every product as runs of the
+    larger factor shifted by the keys of the smaller one and sorts them all
+    at once; otherwise one ``_antichain`` runs over them as Python-int tuples.
     """
-    pairs = list(pairs)
-    for ideal in (f for pair in pairs for f in pair):
-        if ideal.d != ambient.d:
-            raise DimensionMismatchError(f"ideals live in {ideal.d} and {ambient.d} variables")
-    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
-    if not pairs:
-        return MonomialIdeal.zero(ambient.d)
-    if ambient.d == 2 and all(f.fits_int64() for pair in pairs for f in pair):
-        return _of_keys(ambient, _kernels.product_keys([(a._as_keys(), b._as_keys()) for a, b in pairs]))
-    rows = [tuple(map(operator.add, g, h)) for a, b in pairs for g in a.gens for h in b.gens]
+    d = ambient.d
+    live, tuple_held = [], []
+    for a, b in pairs:
+        if a.ambient.d != d or b.ambient.d != d:
+            raise DimensionMismatchError(f"ideals live in {a.d if a.d != d else b.d} and {d} variables")
+        if a._keys is None or b._keys is None:
+            fresh = [f for f in (a, b) if f._keys is None]
+            if any(f.is_zero for f in fresh):
+                continue
+            tuple_held += fresh
+        live.append((a, b))
+    if not live:
+        return MonomialIdeal.zero(d)
+    if d == 2 and all(f.fits_int64() for f in tuple_held):
+        for f in tuple_held:
+            f._as_keys()
+        return _of_keys(ambient, _kernels.product_keys([(a._keys, b._keys) for a, b in live]))
+    rows = [tuple(map(operator.add, g, h)) for a, b in live for g in a.gens for h in b.gens]
     return MonomialIdeal(ambient, _antichain(rows), _trusted=True)
 
 

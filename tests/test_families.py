@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult import families, repro
+from epsmult import _kernels, families, repro
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -370,6 +371,7 @@ def oracle_ladder(spec, n):
     return ladder
 
 
+B = 2**29 + 7
 LADDERS = {
     "limit": (LIMIT, 40),
     "seeds-1-2": (FamilySpec(2, NoetherianSeedsRule(((1, ((1, 3), (2, 1), (4, 0))),
@@ -379,6 +381,10 @@ LADDERS = {
                                                       (5, ((3, 3),))))), 30),
     "d3-seeds-1-2": (FamilySpec(3, NoetherianSeedsRule(((1, ((1, 1, 0), (0, 1, 1), (2, 0, 1))),
                                                        (2, ((0, 0, 3), (1, 2, 0)))))), 12),
+    # coordinates near 2^29: I_1 .. I_3 stay below INT64_SAFE, and I_4 crosses
+    # it through (4 B, 0), so later rungs have a factor past the bound
+    "seeds-past-int64": (FamilySpec(2, NoetherianSeedsRule(((1, ((0, B), (B // 3, B // 3), (B, 0))),
+                                                           (2, ((1, 2 * B - 5), (2 * B - 3, 2)))))), 8),
 }
 
 
@@ -386,15 +392,42 @@ LADDERS = {
 def test_ladder_matches_the_rung_oracle(name):
     spec, n = LADDERS[name]
     expected = oracle_ladder(spec, n)
-    memo = {}
+    memo, forms = {}, set()
     for m in range(n + 1):
-        assert eval_family(spec, m, memo).gens == expected[m], m
+        rung = eval_family(spec, m, memo)
+        assert rung.gens == expected[m], m
+        if spec.d == 2 and m and expected[m]:
+            # keys iff the rung is int64-safe: every earlier rung is then too
+            safe = max(map(max, expected[m])) < _kernels.INT64_SAFE
+            assert (rung._keys is not None) == safe, m
+            forms.add(safe)
+    if name == "seeds-past-int64":
+        assert forms == {False, True}
     for m in range(n + 1):
         assert eval_family(spec, m).gens == expected[m], m
     if name == "seeds-3-4-5":
         assert expected[1] == expected[2] == () and all(expected[3:])
     if spec.d != 2:
         assert eval_family(spec, n)._keys is None  # the tuple route
+
+
+def test_limit_rungs_ask_only_tuple_held_factors(monkeypatch):
+    # in rung m every factor is key-held but the new seed S_m, and I_0 in
+    # rung 1, so fits_int64 and _as_keys run about once per rung, not once
+    # per factor; each rung is one minimal_keys sort
+    counts = collections.Counter()
+    for name in ("fits_int64", "_as_keys"):
+        method = getattr(MonomialIdeal, name)
+        monkeypatch.setattr(MonomialIdeal, name,
+                            lambda self, method=method, name=name: counts.update([name]) or method(self))
+    minimal_keys = _kernels.minimal_keys
+    monkeypatch.setattr(_kernels, "minimal_keys",
+                        lambda keys: counts.update(["minimal_keys"]) or minimal_keys(keys))
+    memo = {}
+    for m in range(61):
+        eval_family(LIMIT, m, memo)
+    assert counts["minimal_keys"] == 60
+    assert counts["fits_int64"] <= 2 * 60 and counts["_as_keys"] <= 2 * 60, counts
 
 
 def test_limit_family_to_100_is_fast():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult import _kernels
+from epsmult import _kernels, ideal_core
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
 from epsmult.ideal_core import (AmbientRing, MonomialIdeal, _antichain, _clip, format_ideal,
@@ -504,6 +504,42 @@ def test_sum_of_products_checks_the_ring():
         with pytest.raises(DimensionMismatchError):
             sum_of_products(AmbientRing(2), pairs)
     assert sum_of_products(AmbientRing(3), []) == MonomialIdeal.zero(3)
+
+
+def test_sum_of_products_mixes_factor_forms(monkeypatch):
+    # key-held, tuple-held int64-safe, tuple-held past the bound and zero
+    # factors in one call; one factor past the bound sends the whole sum to
+    # _antichain, and a tuple-held factor packs its keys only on the key route
+    calls = []
+    antichain, product_keys = ideal_core._antichain, _kernels.product_keys
+    monkeypatch.setattr(ideal_core, "_antichain", lambda rows: calls.append("tuples") or antichain(rows))
+    monkeypatch.setattr(_kernels, "product_keys", lambda pairs: calls.append("keys") or product_keys(pairs))
+    ring, top = AmbientRing(2), SAFE - 1
+    for past in (False, True):
+        keyed = key_backed([(0, 3), (2, 1), (5, 0)])
+        loose = tuple_backed(2, ((0, top), (1, 1), (top, 0)))
+        big = tuple_backed(2, ((0, SAFE), (4, 0)))
+        zero = MonomialIdeal.zero(2)
+        pairs = [(keyed, loose), (zero, big), (loose, keyed), (keyed, keyed), (loose, zero)]
+        if past:
+            pairs.append((big, keyed))
+        calls.clear()
+        got = sum_of_products(ring, pairs)
+        live = [(a.gens, b.gens) for a, b in pairs if not (a.is_zero or b.is_zero)]
+        assert got.gens == brute_rung(live)
+        assert calls == ["tuples" if past else "keys"]
+        assert (got._keys is None) == past and (loose._keys is None) == past
+        assert big._keys is None and zero._keys is None
+    # a ring mismatch raises inside a zero pair too, and before any product
+    for pairs in ([(keyed, keyed), (zero, ideal(3, (1, 0, 0)))],
+                  [(ideal(3, (1, 0, 0)), MonomialIdeal.zero(3)), (keyed, loose)]):
+        calls.clear()
+        with pytest.raises(DimensionMismatchError):
+            sum_of_products(ring, pairs)
+        assert calls == []
+    # the pairs may be any iterable, and all-zero pairs give the zero ideal
+    assert sum_of_products(ring, iter([(keyed, loose)])) == keyed * loose
+    assert sum_of_products(ring, ((zero, keyed), (loose, zero))).is_zero
 
 
 # (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.

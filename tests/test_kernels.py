@@ -1,10 +1,14 @@
 """The antichain and d = 2 key kernels against the brute-force oracle."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epsmult
 from epsmult import _kernels
 from epsmult.ideal_core import _antichain
 
@@ -93,3 +97,47 @@ def test_product_keys_matches_brute_force():
                   staircase_keys(rng, rng.randint(20, 90), steps)) for _ in range(rng.randint(1, 3))]
         expected = brute_minimal([s for a, b in pairs for s in all_sums(a, b)])
         assert _kernels.key_rows(_kernels.product_keys(pairs)) == expected
+
+
+def test_product_keys_runs_match_brute_force():
+    # 1 to 60 pairs per call, factors of 1 to 12 keys with the smaller one on
+    # either side, one-key factors, coordinates up to 2^31 - 1; few distinct
+    # values make equal sums from different runs common
+    rng = random.Random(2131)
+    top = _kernels.INT64_SAFE - 1
+    for k in range(120):
+        values = ((0, 1, 2, 3, 5), (0, 1, top - 1, top), (0, 2**30, top))[k % 3]
+        pairs = []
+        for _ in range(rng.choice((1, 2, 7, 60))):
+            sizes = (rng.choice((1, 1, 2, 5)), rng.randint(1, 12))
+            pairs.append(tuple(_kernels.pack(np.array(
+                brute_minimal([(rng.choice(values), rng.choice(values)) for _ in range(n)]),
+                dtype=np.int64)) for n in (sizes if rng.random() < 0.5 else sizes[::-1])))
+        expected = brute_minimal([s for a, b in pairs for s in all_sums(a, b)])
+        assert _kernels.key_rows(_kernels.product_keys(pairs)) == expected
+    # equal sums from different runs: (1, 0) + (0, 1) = (0, 1) + (1, 0)
+    a, b = _kernels.pack([(0, 1), (1, 0)]), _kernels.pack([(0, 1), (1, 0), (top, 0)])
+    assert _kernels.key_rows(_kernels.product_keys([(a, b), (b, a)])) == ((0, 2), (1, 1), (2, 0))
+    one = _kernels.pack([(top, top)])
+    assert _kernels.key_rows(_kernels.product_keys([(one, one)])) == ((2 * top, 2 * top),)
+
+
+def test_numpy_loads_on_the_first_d2_product():
+    # importing the package and a d = 3 length leave numpy unloaded; the first
+    # d = 2 product loads it
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "import epsmult",
+        "from epsmult import cli",
+        "assert 'numpy' not in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['h0', '--ideal', '[[1,1,0],[0,1,1],[2,0,1]]']) == 0",
+        "assert 'numpy' not in sys.modules",
+        "I = epsmult.MonomialIdeal.from_gens(2, [(1, 2), (3, 0)])",
+        "assert (I * I).gens == ((2, 4), (4, 2), (6, 0))",
+        "assert 'numpy' in sys.modules",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(epsmult.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
