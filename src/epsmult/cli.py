@@ -288,6 +288,10 @@ def cmd_delta(args):
     ideal = parse_ideal(args.ideal, args.dim)
     point = _parse_index(args.point)
     point = (point,) if isinstance(point, int) else point
+    if len(point) != ideal.d:
+        raise ParseError(f"point {args.point!r} has length {len(point)}, not {ideal.d}")
+    if min(point) < 0:
+        raise ParseError(f"point {args.point!r} has a negative entry")
     complex_ = delta_complex(ideal, point)
     faces = sorted((sorted(f) for f in complex_.faces), key=lambda f: (len(f), f))
     payload = {"point": list(point), "void": complex_.is_void,

@@ -3,26 +3,23 @@
 The length of H^0 against the graded maximal ideal equals the number of
 lattice points in sat(I) \\ I.  Two independent routes are implemented:
 
-* slabs: the finite region J \\ I between two monomial ideals J >= I is
-  tiled by boxes, recursing on the last variable and splitting at the
-  distinct last exponents of the generators (in two variables, one merge of
-  the two staircases).  Length, largest socle degree and witnesses are read
-  off the boxes in Python ints, so the cost follows the number of generators,
-  not the size of the exponents.  J = sat(I) gives H^0 of R/I, and
-  J = J_outer & sat(J_inner) the torsion of a quotient J_outer / J_inner.
-  In two variables a length alone needs no boxes and no saturation: sat(I)
-  is the corner (x^(x_0) y^(y_k)) of the staircase, and the length is the
+* slabs: the finite region J \\ I between two monomial ideals J >= I is cut
+  at the distinct last exponents of the generators, and the region between
+  the (d-1)-variable cuts recurses, in Python ints, so the cost follows the
+  number of generators, not the size of the exponents.  A length builds no
+  box: in two variables sat(I) is the staircase corner and the length the
   area between the two, read off the generators' columns (a key-held ideal
-  gives them straight from its keys).  In three variables it is one sweep of
-  such areas up the last exponent, the slices of sat(I) being clips of the
-  cut at z = oo.  Boxes are built for witnesses, the socle degree, quotients
-  and every d >= 4.
+  gives them straight from its keys); above two it is the sum of
+  (z' - z) * |S_z \\ I_z| over the slices S_z of sat(I)
+  (``ideal_core._sat_slices``), each counted by ``_between``.  The torsion
+  of a quotient J / J' is ``_between`` of J & sat(J') and J'.  Only
+  witnesses and the largest socle degree tile the region with boxes
+  (``_slabs``).
 * the simplicial route counting exponents whose complex of inverted-variable
   subsets is exactly {empty face}, detected through reduced homology; it
   never saturates, so it checks the slab route.
 
-The slab route, with its two- and three-variable areas, reports
-``box-enumeration`` for every d.
+The slab route, counting or tiling, reports ``box-enumeration`` for every d.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, _antichain, _clip
+from .ideal_core import Monomial, MonomialIdeal, _antichain, _sat_slices
 
 METHOD_BOX = "box-enumeration"
 METHOD_TAKAYAMA = "takayama"
@@ -91,34 +88,21 @@ def _infinite() -> PreconditionError:
     return PreconditionError("the region between the two ideals is infinite")
 
 
-def _staircase_slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
-    """Boxes tiling (outer) \\ (inner) in two variables, by one merge.
-
-    Lex-sorted antichains have x ascending and y descending, so walking both
-    from the end visits the y levels upwards.  Between two levels the slice
-    of an ideal is the ray x >= (x of its generator last passed), or nothing
-    (None) before the first.  The walk follows the inner staircase, passing
-    the outer generators up to each inner level on the way; the closing
-    (None, None) stands for the level y = oo.
-    """
-    boxes = []
-    i = len(outer) - 1
-    xo = xi = y = None
-    for xn, top in (*reversed(inner), (None, None)):
-        while i >= 0 and (top is None or outer[i][1] <= top):
-            x, z = outer[i]
-            i -= 1
-            if xo is not None and (xi is None or xo < xi) and y != z:
-                if xi is None:
-                    raise _infinite()
-                boxes.append(((xo, y), (xi, z), (xi - xo) * (z - y)))
-            xo, y = x, z
-        if xo is not None and (xi is None or xo < xi) and y != top:
-            if xi is None or top is None:
-                raise _infinite()
-            boxes.append(((xo, y), (xi, top), (xi - xo) * (top - y)))
-        xi, y = xn, top
-    return boxes
+def _cuts(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> Iterator[tuple]:
+    """(z, z', O_z, I_z) for each distinct last exponent z of the generators,
+    ascending: z' is the next one (None past the last), and O_z and I_z are
+    the (d-1)-variable cuts of (outer) and (inner) at x_d = z."""
+    levels: dict[int, tuple[list, list]] = {}
+    for side, gens in enumerate((outer, inner)):
+        for g in gens:
+            levels.setdefault(g[-1], ([], []))[side].append(g[:-1])
+    zs = sorted(levels)
+    cut = [(), ()]
+    for z, up in zip(zs, zs[1:] + [None]):
+        for side in (0, 1):
+            if levels[z][side]:
+                cut[side] = _antichain([*cut[side], *levels[z][side]])
+        yield z, up, *cut
 
 
 def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
@@ -126,32 +110,20 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
 
     Both arguments are minimal generator tuples in lex order with
     (inner) inside (outer).  The region is cut at the distinct last exponents
-    z_0 < ... < z_k of the generators; on [z_i, z_(i+1)) it is the region
-    between the (d-1)-variable slices, which recurses.  Raises
+    z_0 < ... < z_k of the generators (``_cuts``); on [z_i, z_(i+1)) it is the
+    region between the (d-1)-variable cuts, which recurses.  Raises
     PreconditionError when the region is infinite, i.e. the top slab
     [z_k, oo) is not empty.
     """
     if not outer:
         return []
-    d = len(outer[0])
-    if d == 1:
+    if len(outer[0]) == 1:
         if not inner:
             raise _infinite()
         lo, hi = outer[0], inner[0]
         return [(lo, hi, hi[0] - lo[0])] if lo < hi else []
-    if d == 2:
-        return _staircase_slabs(outer, inner)
-    levels: dict[int, tuple[list, list]] = {}
-    for side, gens in enumerate((outer, inner)):
-        for g in gens:
-            levels.setdefault(g[-1], ([], []))[side].append(g[:-1])
-    zs = sorted(levels)
-    cut = [(), ()]
     boxes = []
-    for z, top in zip(zs, zs[1:] + [None]):
-        for side in (0, 1):
-            if levels[z][side]:
-                cut[side] = _antichain([*cut[side], *levels[z][side]])
+    for z, top, *cut in _cuts(outer, inner):
         inside = _slabs(*cut)
         if top is None:
             if inside:
@@ -163,7 +135,7 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
 
 def _count(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool) -> H0Count:
     """Length and, when asked, the lex-sorted points of the region between
-    the two ideals."""
+    the two ideals, read off its slabs."""
     boxes = _slabs(outer.gens, inner.gens)
     points = None
     if witnesses:
@@ -176,43 +148,37 @@ def _staircase_area(xs: Sequence[int], ys: Sequence[int]) -> int:
     given the columns of its minimal generators (x ascending, y descending).
 
     sat(I) = (x^(x_0) y^(y_k)), so the region is the area between the corner
-    and the staircase: the sum of (x_(i+1) - x_i) * (y_i - y_k), the points of
-    the boxes ``_staircase_slabs`` lists, column strip by column strip.  The
-    widths add up to x_k - x_0, which takes the y_k terms out of the sum.
+    and the staircase: the sum of (x_(i+1) - x_i) * (y_i - y_k), column strip
+    by column strip.  The widths add up to x_k - x_0, which takes the y_k
+    terms out of the sum.
     """
     return sum(map(operator.mul, map(operator.sub, xs[1:], xs), ys)) - (xs[-1] - xs[0]) * ys[-1]
 
 
-def _slice_areas(gens: Sequence[Monomial]) -> int:
-    """The number of points of sat(I) \\ I in three variables, given the
-    lex-sorted minimal generators of I, by one sweep up the distinct last
-    exponents z_0 < ... < z_k.
+def _between(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> int:
+    """The number of monomials of (outer) that are not in (inner), for
+    minimal lex-sorted generator tuples with (inner) inside (outer) and a
+    finite region between them.
 
-    On [z, z') the slice of I is the cut I_z and that of sat(I) is
-    Q_z & I_top, Q_z the corner of I_z and I_top the cut at z = oo (as in
-    ``ideal_core._saturation``).  Both staircases have the corner Q_z, so the
-    slice holds area(I_z) - area(``_clip`` of I_top at Q_z) points.  The top
-    slab adds nothing: there I_z is I_top.
+    The sweep of ``_slabs`` over ``_cuts``, counting in place of listing
+    boxes.  In two variables the region is finite only if the two staircases
+    share their corner, so it holds the difference of their areas
+    (``_staircase_area``).
     """
-    levels: dict[int, list[tuple[int, int]]] = {}
-    for x, y, z in gens:
-        levels.setdefault(z, []).append((x, y))
-    top = _antichain([g[:2] for g in gens])
-    zs = sorted(levels)
-    cut, length = (), 0
-    for z, up in zip(zs, zs[1:]):
-        cut = _antichain([*cut, *levels[z]])
-        clip = _clip(top, cut[0][0], cut[-1][1])
-        length += (up - z) * (_staircase_area(*zip(*cut)) - _staircase_area(*zip(*clip)))
-    return length
+    d = len(outer[0])
+    if d == 2:
+        return _staircase_area(*zip(*inner)) - _staircase_area(*zip(*outer))
+    if d == 1:
+        return inner[0][0] - outer[0][0]
+    return sum((up - z) * _between(o, i) for z, up, o, i in _cuts(outer, inner) if up is not None and o != i)
 
 
 def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = False) -> H0Count:
     """Length of H^0 of R/I, i.e. the number of monomials in sat(I) \\ I.
 
-    Without witnesses, two variables give the area under the staircase and
-    three a sweep of such areas (``_slice_areas``), with no saturation and no
-    boxes.  Witnesses, and every d >= 4, count the slabs of sat(I) \\ I.
+    Without witnesses no box is built: one variable gives the exponent, two
+    the staircase area, and more the sum of (z' - z) * |S_z \\ I_z| over the
+    slices of ``ideal_core._sat_slices``, skipping those with S_z = I_z.
     """
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
@@ -220,11 +186,20 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
         return h0_length_takayama(ideal, witnesses=witnesses)
     if method != METHOD_BOX:
         raise PreconditionError(f"unknown h0 method {method!r}")
-    if ideal.d == 2 and not witnesses:
+    if witnesses:
+        return _count(ideal.saturate(), ideal, True)
+    if ideal.d == 1:
+        return H0Count(ideal.gens[0][0], METHOD_BOX)
+    if ideal.d == 2:
         return H0Count(_staircase_area(*ideal._columns()), METHOD_BOX)
-    if ideal.d == 3 and not witnesses:
-        return H0Count(_slice_areas(ideal.gens), METHOD_BOX)
-    return _count(ideal.saturate(), ideal, witnesses)
+    slices = _sat_slices(ideal.gens)
+    z, cut, piece, _ = next(slices)
+    length = 0
+    for up, next_cut, next_piece, _ in slices:
+        if piece != cut:
+            length += (up - z) * _between(piece, cut)
+        z, cut, piece = up, next_cut, next_piece
+    return H0Count(length, METHOD_BOX)
 
 
 def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool = False) -> H0Count:
@@ -237,7 +212,10 @@ def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool =
     outer._same_ring(inner)
     if not inner.is_subset(outer):
         raise PreconditionError("inner ideal is not contained in the outer ideal")
-    return _count(outer.intersect(inner.saturate()), inner, witnesses)
+    region = outer.intersect(inner.saturate())
+    if witnesses:
+        return _count(region, inner, True)
+    return H0Count(_between(region.gens, inner.gens), METHOD_BOX)
 
 
 def max_socle_degree(ideal: MonomialIdeal) -> int:

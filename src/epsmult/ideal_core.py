@@ -23,8 +23,8 @@ once: by one ``_kernels.product_keys`` sort of shifted key runs, by one
 since such a factor is nonzero and int64-safe, and asks only the tuple-held
 factors.  ``_of_keys`` keeps the keys only when the result is int64-safe
 too.  Every other minimalization is ``_antichain``, a level sweep on Python
-ints, and saturation in d >= 3 is ``_saturation``, the same sweep over the
-slices of sat(I).
+ints.  ``_sat_slices`` builds the slices of sat(I) in d >= 3, once for both
+``_saturation`` and the lengths of ``cohomology.h0_length``.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -37,7 +37,7 @@ import json
 import re
 from dataclasses import dataclass
 import operator
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
 from .errors import DimensionMismatchError, ParseError, PreconditionError, ZeroIdealError
@@ -117,37 +117,51 @@ def _clip(top: Sequence[Monomial], a: int, b: int) -> tuple[Monomial, ...]:
     return ((a, top[i][1]), *top[i + 1:j], (top[j][0], b))
 
 
+def _sat_slices(gens: Sequence[Monomial]) -> Iterator[tuple[int, tuple, tuple, bool]]:
+    """The slices of sat(I) along the last variable, for the lex-sorted
+    minimal generators *gens* of a nonzero ideal I in d >= 3 variables:
+    (z, I_z, S_z, full) for each distinct last exponent z, ascending.
+
+    I_z is the (d-1)-variable cut of I at x_d = z.  On [z, z'), z' the next
+    exponent, sat(I) has the slice S_z = sat(I_z) & I_top, I_top the cut at
+    z = oo: in three variables ``_clip`` of I_top at the corner of I_z, above
+    three the lcms of ``_saturation(I_z)`` with I_top.  The slices grow with
+    z; once one reaches I_top (``full``), none is built again.
+    """
+    d = len(gens[0])
+    levels: dict[int, list[Monomial]] = {}
+    for g in gens:
+        levels.setdefault(g[-1], []).append(g[:-1])
+    top = _antichain([g[:-1] for g in gens])
+    cut, full = (), False
+    for z in sorted(levels):
+        cut = _antichain([*cut, *levels[z]])
+        if not full:
+            if d == 3:
+                piece = _clip(top, cut[0][0], cut[-1][1])
+            else:
+                piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
+            full = piece == top
+        yield z, cut, piece, full
+
+
 def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Minimal generators of sat(I), lex sorted, for the lex-sorted minimal
     generators *gens* of a nonzero ideal I.
 
     One variable: the unit ideal.  Two: the staircase corner (x of the first
-    generator, y of the last).  Above two: a sweep up the distinct last
-    exponents z, as in ``_antichain``.  The slice of sat(I) at x_d = z is
-    sat(I_z) & I_top, where I_z is the (d-1)-variable cut of I at z and I_top
-    the cut at z = oo; in three variables sat(I_z) is the corner of the
-    staircase I_z, and the slice is ``_clip`` of I_top there.  A generator of
-    a slice is new at z iff it is not a generator of the previous slice; once
-    a slice reaches I_top, no later one grows.
+    generator, y of the last).  Above two: the generators of each slice of
+    ``_sat_slices`` that the slice below lacks, up to the first full one.
     """
     d = len(gens[0])
     if d == 1:
         return ((0,),)
     if d == 2:
         return ((gens[0][0], gens[-1][1]),)
-    levels: dict[int, list[Monomial]] = {}
-    for g in gens:
-        levels.setdefault(g[-1], []).append(g[:-1])
-    top = _antichain([g[:-1] for g in gens])
-    kept, cut, below = [], (), ()
-    for z in sorted(levels):
-        cut = _antichain([*cut, *levels[z]])
-        if d == 3:
-            piece = _clip(top, cut[0][0], cut[-1][1])
-        else:
-            piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
+    kept, below = [], ()
+    for z, _, piece, full in _sat_slices(gens):
         kept.extend(p + (z,) for p in set(piece).difference(below))
-        if piece == top:
+        if full:
             break
         below = piece
     return tuple(sorted(kept))

@@ -114,6 +114,18 @@ class TestExitCodes:
         assert main(["delta", "--ideal", "x*y^2, x^2", "--point", text]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("point, message", [
+        ("0,5,1", "point '0,5,1' has length 3, not 2"),
+        ("4", "point '4' has length 1, not 2"),
+        ("0,-1", "point '0,-1' has a negative entry"),
+    ])
+    def test_delta_point_mismatch_is_1(self, capsys, point, message):
+        # a point outside the ideal's ring is a parse error, as a --dim mismatch is
+        assert main(["delta", "--ideal", "x*y^2, x^2", "--point", point]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: error: {message}\n"
+
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
 

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from epsmult import cli, cohomology, ideal_core
-from epsmult.cohomology import (SimplicialComplex, _count, _slabs, delta_complex, h0_length,
-                                h0_length_takayama, h0_of_quotient,
+from epsmult.cohomology import (SimplicialComplex, _between, _count, _slabs, delta_complex,
+                                h0_length, h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult.ideal_core import AmbientRing, MonomialIdeal, sum_of_products
@@ -139,7 +139,9 @@ def test_slice_areas_equal_slabs_on_randoms(rng):
 
 
 def test_d3_length_needs_no_saturation_or_slabs(monkeypatch):
-    # only witnesses and d >= 4 saturate and tile the region with boxes
+    # a length, and a quotient length, builds no boxes in any d; d = 3 does
+    # not saturate either.  Only witnesses and the socle degree tile the
+    # region with slabs
     calls = {"_saturation": 0, "_slabs": 0}
 
     def counted(module, name):
@@ -158,9 +160,78 @@ def test_d3_length_needs_no_saturation_or_slabs(monkeypatch):
     h0_length(ideal, witnesses=True)
     assert calls["_saturation"] > 0 and calls["_slabs"] > 0
     calls.update(_saturation=0, _slabs=0)
-    h0_length(MonomialIdeal.from_gens(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
-                                          (0, 0, 0, 2), (1, 1, 1, 1)]))
-    assert calls["_saturation"] > 0 and calls["_slabs"] > 0
+    max_socle_degree(ideal)
+    assert calls["_slabs"] > 0
+    # (x_1^2, ..., x_d^2, x_1 ... x_d) in d = 4, 5, and a non-m-primary d = 4 one
+    squares = [MonomialIdeal.from_gens(d, [tuple(2 * (i == k) for i in range(d)) for k in range(d)]
+                                       + [(1,) * d]) for d in (4, 5)]
+    cone = MonomialIdeal.from_gens(4, [(2, 0, 0, 0), (0, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1)])
+    for ideal in [MonomialIdeal.from_gens(1, [(5,)]), I.power(3), *squares, cone]:
+        calls["_slabs"] = 0
+        assert h0_length(ideal).length > 0
+        assert h0_of_quotient(MonomialIdeal.unit(ideal.d), ideal).length > 0
+        assert calls["_slabs"] == 0
+        h0_length(ideal, witnesses=True)
+        assert calls["_slabs"] > 0
+
+
+def test_between_matches_slabs_and_scan(rng):
+    # the count-only sweep against the slabs and, for small regions, the scan
+    # of the box, in d = 1..4: sat(I) over I, J & sat(J') over J' for J'
+    # inside J, the unit ideal over m-primary ideals, and coordinates
+    # straddling 2^31 and 2^64
+    pairs = []
+    for k in range(160):
+        d = 1 + k % 4
+        ideal = random_ideal(rng, d, 4, 5)
+        pairs.append((ideal.saturate(), ideal))
+        outer, other = random_ideal(rng, d, 3, 3), random_ideal(rng, d, 2, 2)
+        inner = outer.multiply(other) if k % 2 else outer.intersect(other)
+        pairs.append((outer.intersect(inner.saturate()), inner))
+        pure = [tuple(rng.randint(1, 4) * (i == j) for i in range(d)) for j in range(d)]
+        pairs.append((MonomialIdeal.unit(d), MonomialIdeal.from_gens(d, pure + [ideal.gens[0]])))
+    for k in range(40):
+        d = 1 + k % 4
+        ideal = MonomialIdeal.from_gens(d, [tuple(rng.choice(STRADDLE) for _ in range(d))
+                                            for _ in range(rng.randint(1, 5))])
+        pairs.append((ideal.saturate(), ideal))
+    scanned = nonzero = 0
+    for outer, inner in pairs:
+        length = _between(outer.gens, inner.gens)
+        assert length == _count(outer, inner, False).length
+        if max(inner.max_exponents()) <= 8:
+            scanned += 1
+            assert length == brute_count(inner.max_exponents(), outer.gens, outer.gens, inner.gens)[0]
+        nonzero += length > 0
+    assert scanned >= 400 and nonzero >= 200
+
+
+def test_d4_to_d6_lengths_match_slabs(rng):
+    # the slice sum against the slabs of sat(I) \ I on seeded ideals and
+    # powers, some m-primary, some with sat(I) != I but not m-primary, and
+    # the unit and principal ideals
+    ideals = []
+    for d in (4, 5, 6):
+        ideals += [random_ideal(rng, d, 4, d + 2) for _ in range(30)]
+        for _ in range(8):
+            # P m-primary, and Q & P with sat(Q & P) = Q, Q free of x_d
+            pure = [tuple(rng.randint(1, 4) * (i == j) for i in range(d)) for j in range(d)]
+            primary = MonomialIdeal.from_gens(d, pure).add(random_ideal(rng, d, 3, d))
+            free = MonomialIdeal.from_gens(d, [g[:-1] + (0,) for g in random_ideal(rng, d, 2, 3).gens
+                                               if any(g[:-1])] or [(1,) + (0,) * (d - 1)])
+            ideals += [primary, free.intersect(primary)]
+        for _ in range(4):
+            small = random_ideal(rng, d, 2, d + 1)
+            ideals += [small.power(n) for n in range(2, 7 - d // 2)]
+        ideals += [MonomialIdeal.unit(d), MonomialIdeal.from_gens(d, [tuple(range(d))])]
+    m_primary = unsaturated = nonzero = 0
+    for ideal in ideals:
+        sat, length = ideal.saturate(), h0_length(ideal).length
+        assert length == _count(sat, ideal, False).length
+        m_primary += sat.is_unit and not ideal.is_unit
+        unsaturated += not sat.is_unit and sat != ideal
+        nonzero += length > 0
+    assert m_primary >= 20 and unsaturated >= 8 and nonzero >= 30
 
 
 def test_slabs_match_scan_and_takayama(rng):
@@ -214,6 +285,20 @@ def test_huge_exponents_count_in_time(capsys):
     assert json.loads(capsys.readouterr().out) == {"length": (10**20 - 1)**2,
                                                    "method": "box-enumeration"}
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_d6_power_counts_in_time():
+    # a d = 6 power with 126 generators, not m-primary, against its slabs;
+    # its length takes about 0.5 s on a 2-vCPU box
+    base = MonomialIdeal.from_gens(6, [(0, 0, 1, 3, 2, 0), (0, 0, 3, 2, 1, 1), (2, 0, 1, 2, 0, 3),
+                                       (2, 2, 0, 1, 1, 2), (3, 0, 1, 2, 3, 0), (3, 1, 0, 3, 0, 1)])
+    ideal = base.power(4)
+    t0 = time.perf_counter()
+    length = h0_length(ideal).length
+    assert time.perf_counter() - t0 < 2.5
+    sat = ideal.saturate()
+    assert (len(ideal.gens), len(sat.gens), length) == (126, 198, 478)
+    assert length == _count(sat, ideal, False).length
 
 
 class TestQuotient:
