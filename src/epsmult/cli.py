@@ -317,6 +317,10 @@ _DISPATCH = {
 }
 
 
+# signal.alarm takes a C int
+_MAX_ALARM = 2**31 - 1
+
+
 @contextmanager
 def _alarm(seconds: int):
     if seconds <= 0 or not hasattr(signal, "SIGALRM"):
@@ -378,6 +382,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.timeout < 0:
             raise ParseError(f"timeout must be a non-negative integer, got {args.timeout}")
+        if args.timeout > _MAX_ALARM:
+            raise ParseError(f"timeout must be at most {_MAX_ALARM} seconds, got {args.timeout}")
     except ParseError as exc:
         print(f"eps: error: {exc}", file=sys.stderr)
         return 1

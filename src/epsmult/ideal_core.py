@@ -22,9 +22,11 @@ once: by one ``_kernels.product_keys`` sort of shifted key runs, by one
 ``_antichain`` otherwise.  It reads a key-held factor's keys as they are,
 since such a factor is nonzero and int64-safe, and asks only the tuple-held
 factors.  ``_of_keys`` keeps the keys only when the result is int64-safe
-too.  Every other minimalization is ``_antichain``, a level sweep on Python
-ints.  ``_sat_slices`` builds the slices of sat(I) in d >= 3, once for both
-``_saturation`` and the lengths of ``cohomology.h0_length``.
+too.  Every other minimalization is ``_antichain`` on Python ints: one lex
+sort and one pass in two and three variables, and above three a level
+sweep that ends in the three-variable pass.  ``_sat_slices`` builds the
+slices of sat(I) in d >= 3, once for both ``_saturation`` and the lengths
+of ``cohomology.h0_length``.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -71,9 +73,16 @@ def _check_monomial(d: int, m: Sequence[int]) -> Monomial:
 def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     """Minimal elements of the exponent tuples *gens*, lex sorted.
 
-    In two variables: one sort and a scan of the running least y.  Above two:
-    a sweep up the distinct last exponents z, keeping ``below``, the antichain
-    of the (d-1)-prefixes seen so far (the cut ``cohomology._slabs`` makes).  A
+    Lex order puts every divisor before its multiples, so one pass over the
+    sorted rows keeps exactly the rows that no kept row divides.  In two
+    variables that pass is a scan of the running least y.  In three it is
+    the maxima sweep of Kung, Luccio and Preparata: it keeps the staircase
+    of the (y, z) of the rows kept so far, y ascending and z strictly
+    descending.  A row is kept iff the entry with the largest y' <= y has
+    z' > z, and then it replaces the entries with y' >= y and z' >= z.
+    Above three: a sweep up the distinct last exponents z, keeping
+    ``below``, the antichain of the (d-1)-prefixes seen so far (the cut
+    ``cohomology._slabs`` makes), each cut minimalized one variable down.  A
     prefix at z gives a minimal element iff it is in the antichain of
     ``below`` and z's prefixes but not in ``below``.
     """
@@ -88,6 +97,21 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
             if low is None or g[1] < low:
                 kept.append(g)
                 low = g[1]
+        return tuple(kept)
+    if d == 3:
+        kept, ys, zs = [], [], []
+        for g in sorted(gens):
+            _, y, z = g
+            i = bisect.bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                continue
+            kept.append(g)
+            if i and ys[i - 1] == y:
+                i -= 1
+            j = i
+            while j < len(zs) and zs[j] >= z:
+                j += 1
+            ys[i:j], zs[i:j] = [y], [z]
         return tuple(kept)
     levels: dict[int, list[Monomial]] = {}
     for g in gens:

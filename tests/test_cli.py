@@ -76,6 +76,16 @@ class TestExitCodes:
         assert out == ""
         assert err == f"eps: error: timeout must be a non-negative integer, got {seconds}\n"
 
+    def test_timeout_past_c_int_is_1(self, capsys):
+        # 2^31 used to end in an OverflowError traceback from signal.alarm
+        argv = ["h0", "--ideal", "x*y^2, x^2"]
+        assert main(argv + ["--timeout", "2147483648"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: error: timeout must be at most 2147483647 seconds, got 2147483648\n"
+        assert main(argv + ["--timeout", "2147483647"]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 2
+
     def test_zero_timeout_means_no_limit(self, capsys):
         assert main(["h0", "--ideal", "x^2, y^2", "--timeout", "0"]) == 0
         assert json.loads(capsys.readouterr().out) == {"length": 4, "method": "box-enumeration"}

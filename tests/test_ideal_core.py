@@ -655,3 +655,45 @@ def test_saturation_sweep_matches_the_colon_intersection(rng):
             check_against_python(d, ideal(d, *base).power(n).gens, [])
     big = [tuple(e << 33 for e in g) for g in ideal(4, *D4_BASE).power(3).gens]
     check_against_python(4, big, random_gens(rng, 4, 3, 0))
+
+
+def test_d3_antichain_is_one_sweep(monkeypatch):
+    # the d = 3 staircase sweep makes no call one variable down; a level sweep
+    # would call itself once per distinct last exponent (here 7)
+    calls = []
+    antichain = ideal_core._antichain
+    monkeypatch.setattr(ideal_core, "_antichain", lambda rows: calls.append(len(rows)) or antichain(rows))
+    rows = [(x, y, z) for x in range(4) for y in range(4) for z in range(7) if x + y + z >= 5]
+    got = ideal_core._antichain(rows)
+    assert len({g[2] for g in rows}) == 7
+    assert calls == [len(rows)]
+    assert got == brute_minimal(rows)
+
+
+def test_d3_antichain_matches_brute_minimal():
+    # the d = 3 sweep against the pairwise oracle: rows sharing y or z,
+    # duplicates, single and all-equal rows, STRADDLE coordinates, d = 4..6
+    # rows whose level sweep ends in it, and one large product
+    rng = random.Random(20261020)
+
+    def check(rows):
+        assert _antichain(rows) == brute_minimal(rows)
+
+    for k in range(600):
+        d = 3 if k < 400 else 4 + k % 3
+        pool = STRADDLE if k % 5 == 0 else range(rng.choice((3, 6, 12)))
+        rows = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(rng.randint(1, 40))]
+        check(rows)
+        check(rows + rng.sample(rows, len(rows) // 2))
+    for k in range(100):
+        pool = STRADDLE if k % 2 else range(10)
+        x, y, z = (rng.choice(pool) for _ in range(3))
+        check([(rng.choice(pool), y, rng.choice(pool)) for _ in range(rng.randint(2, 30))])
+        check([(rng.choice(pool), rng.choice(pool), z) for _ in range(rng.randint(2, 30))])
+        check([(x, y, rng.choice(pool)) for _ in range(rng.randint(2, 30))])
+        check([(x, y, z)])
+        check([(x, y, z)] * rng.randint(2, 5))
+    half = ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)).power(6).gens
+    rows = [tuple(map(sum, zip(g, h))) for g in half for h in half]
+    check(rows)
+    assert _antichain(rows) == ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)).power(12).gens
