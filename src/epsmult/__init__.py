@@ -15,7 +15,7 @@ from .families import (CounterRule, FamilySpec, GrowthReport, HyperbolaRule,
                        TableRule, check_structure, eval_family, family_from_json,
                        family_to_json, generation_degree, growth_constants,
                        power_family, product_grid_family)
-from .ideal_core import AmbientRing, Monomial, MonomialIdeal, format_ideal, parse_ideal
+from .ideal_core import Monomial, MonomialIdeal, format_ideal, parse_ideal
 from .polyhedra import (NewtonPolyhedron, OutRegionReport, analytic_spread,
                         newton_polyhedron, out_region)
 

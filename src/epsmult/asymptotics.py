@@ -15,8 +15,6 @@ consistent iff every row satisfies D l_i == A_i . num in integers.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,7 +28,7 @@ from ._exactla import bareiss
 from .cohomology import h0_length
 from .errors import (InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
-from .families import FamilySpec, eval_family, family_to_json
+from .families import FamilySpec, eval_family
 
 Index = tuple[int, ...]
 
@@ -43,7 +41,6 @@ def _as_index(idx) -> Index:
 class LengthTable:
     arity: int
     entries: dict[Index, int]
-    spec_hash: str
     methods: tuple[str, ...]
 
     def indices(self) -> list[Index]:
@@ -73,9 +70,7 @@ def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
             if ideal.is_zero:
                 raise ZeroIdealError(f"I_{idx} is the zero ideal")
             counts[idx] = h0_length(ideal)
-    spec_hash = hashlib.sha256(
-        json.dumps(family_to_json(spec), sort_keys=True).encode()).hexdigest()[:16]
-    return LengthTable(spec.arity, {i: c.length for i, c in counts.items()}, spec_hash,
+    return LengthTable(spec.arity, {i: c.length for i, c in counts.items()},
                        tuple(sorted({c.method for c in counts.values()})))
 
 

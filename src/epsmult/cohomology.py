@@ -12,7 +12,8 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   gives them straight from its keys); above two it is the sum of
   (z' - z) * |S_z \\ I_z| over the slices S_z of sat(I)
   (``ideal_core._sat_slices``), each counted by ``_between``.  The torsion
-  of a quotient J / J' is ``_between`` of J & sat(J') and J'.  Only
+  of a quotient J / J' is |sat(J') \\ J'| - |(sat(J') + J) \\ J|, two
+  ``_between`` counts with no intersection built.  Only
   witnesses and the largest socle degree tile the region with boxes
   (``_slabs``).
 * the simplicial route counting exponents whose complex of inverted-variable
@@ -115,8 +116,6 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
     PreconditionError when the region is infinite, i.e. the top slab
     [z_k, oo) is not empty.
     """
-    if not outer:
-        return []
     if len(outer[0]) == 1:
         if not inner:
             raise _infinite()
@@ -205,17 +204,21 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
 def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool = False) -> H0Count:
     """Length of the maximal-ideal torsion of J/J', for monomial J' inside J.
 
-    Counts the monomials of J & sat(J') that are not in J'.
+    That is the number of monomials of J & S that are not in J', S = sat(J').
+    As J' lies in J, the points of S \\ J' outside J are S \\ J = (S + J) \\ J,
+    so the count is |S \\ J'| - |(S + J) \\ J|, two ``_between`` sweeps and
+    no intersection.  Witnesses are listed off the slabs of J & S.
     """
     if inner.is_zero:
         raise ZeroIdealError("quotient by the zero ideal is not supported")
     outer._same_ring(inner)
     if not inner.is_subset(outer):
         raise PreconditionError("inner ideal is not contained in the outer ideal")
-    region = outer.intersect(inner.saturate())
+    sat = inner.saturate()
     if witnesses:
-        return _count(region, inner, True)
-    return H0Count(_between(region.gens, inner.gens), METHOD_BOX)
+        return _count(outer.intersect(sat), inner, True)
+    length = _between(sat.gens, inner.gens) - _between(sat.add(outer).gens, outer.gens)
+    return H0Count(length, METHOD_BOX)
 
 
 def max_socle_degree(ideal: MonomialIdeal) -> int:

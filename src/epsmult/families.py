@@ -6,9 +6,11 @@ with irrational slope, hyperbola-staircase families, the recursive limit
 family, Noetherian families built from seeds, or an explicit table).
 Evaluation fills a memo dict owned by the caller: the seeds rules keep
 their seed ideals and their ideals I_0, I_1, ... under the spec, and a
-product grid keeps one dict of entries keyed by index prefix and the power
-specs of its factors, so callers that share one dict pay for each ideal
-once, and nothing outlives the dict.
+product grid keeps its factor ideals and one dict of the entries built so
+far, so callers that share one dict pay for each ideal once, and nothing
+outlives the dict.  A grid entry I1^a ... Ik^c is the entry one step down
+in its last nonzero index times that one factor, so a table walked in lex
+order makes about one product by a factor per entry.
 Power, Noetherian and limit families are all seeds rules: I_m is the sum of
 seed * I_(m-deg) over the seeds of degree deg <= m, one call of
 ``ideal_core.sum_of_products``, minimalized once.  A power family has one
@@ -25,11 +27,10 @@ from typing import Optional, Union
 
 from .cohomology import max_socle_degree
 from .errors import ParseError, PreconditionError, ZeroIdealError
-from .ideal_core import AmbientRing, Monomial, MonomialIdeal, json_int, sum_of_products
+from .ideal_core import Monomial, MonomialIdeal, json_int, sum_of_products
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
-Seeds = list[tuple[int, MonomialIdeal]]  # (degree, seed ideal) pairs
 
 
 @dataclass(frozen=True)
@@ -156,39 +157,38 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _next_rung(ambient: AmbientRing, seeds: Seeds, ladder: list[MonomialIdeal]) -> MonomialIdeal:
-    """I_m of a seeds rule from I_0 .. I_(m-1), where m = len(ladder), and
-    its seeds of degree at most m: the sum of seed * I_(m-deg) over them, one
-    ``sum_of_products`` call."""
-    m = len(ladder)
-    return sum_of_products(ambient, [(seed, ladder[m - deg]) for deg, seed in seeds])
-
-
 def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
+    """I_idx of *spec*, built through *memo*.
+
+    A product grid keeps under its spec a dict of the entries built so far,
+    seeded with R at the zero index, and its factor ideals.  A missing entry
+    is the entry one step down in its last nonzero index times that factor:
+    the walk goes down to the first entry held and climbs back one factor at
+    a time, keeping every entry on the way.  A seeds rule keeps its seeds and
+    its ladder I_0, I_1, ... and extends the ladder one rung at a time.
+    """
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
-        # one dict per grid, keyed by index prefix, with the power specs of
-        # its factors: the entry of (a, ..., c) is the entry of (a, ...)
-        # times the power Ik^c
         held = memo.get(spec)
         if held is None:
-            held = memo[spec] = ({}, [FamilySpec(d, PowerRule(f)) for f in rule.factors])
-        grid, powers = held
-        k = len(idx)
-        while k and idx[:k] not in grid:
-            k -= 1
-        entry = grid[idx[:k]] if k else None
-        for j in range(k, len(idx)):
-            power = _eval(powers[j], idx[j], memo)
-            entry = grid[idx[:j + 1]] = power if entry is None else entry.multiply(power)
+            held = memo[spec] = ({(0,) * len(rule.factors): MonomialIdeal.unit(d)},
+                                 [MonomialIdeal.from_gens(d, f) for f in rule.factors])
+        grid, factors = held
+        steps = []
+        while idx not in grid:
+            j = max(i for i, n in enumerate(idx) if n)
+            steps.append((idx, j))
+            idx = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
+        entry = grid[idx]
+        for up, j in reversed(steps):
+            entry = grid[up] = entry.multiply(factors[j])
         return entry
     n = idx
     if n == 0:
         return MonomialIdeal.unit(d)
     if isinstance(rule, (PowerRule, LimitRecursiveRule, NoetherianSeedsRule)):
-        # the seeds of degree below len(ladder) and I_0, I_1, ... kept under
-        # the spec; the ladder is extended bottom-up, each rung m after the
-        # seeds of degree m
+        # rung m follows the seeds of degree m: the sum of seed * I_(m-deg)
+        # over the seeds of degree at most m, one sum_of_products call
         entry = memo.get(spec)
         if entry is None:
             entry = memo[spec] = ([], [MonomialIdeal.unit(d)])
@@ -196,7 +196,7 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
         while len(ladder) <= n:
             m = len(ladder)
             seeds += [(m, MonomialIdeal.from_gens(d, gens)) for gens in rule.seed_gens(m)]
-            ladder.append(_next_rung(AmbientRing(d), seeds, ladder))
+            ladder.append(sum_of_products(d, [(seed, ladder[m - deg]) for deg, seed in seeds]))
         return ladder[n]
     if isinstance(rule, CounterRule):
         return MonomialIdeal.from_gens(2, [(1, rule.value(n)), (2, 0)])

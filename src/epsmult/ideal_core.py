@@ -2,7 +2,10 @@
 
 A ``MonomialIdeal`` holds its unique minimal generating antichain in
 lexicographic order, so equality and hashing are structural.  The empty
-generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.
+generator set encodes the zero ideal, ``{(0,...,0)}`` the unit ideal.  Its
+number of variables ``d`` is a plain int, checked to be positive by
+``from_gens``, ``zero`` and ``unit``; the internal constructors, such as
+``sum_of_products(d, pairs)``, pass it on as it is.
 
 The antichain lives in one of two forms:
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -50,15 +52,11 @@ if TYPE_CHECKING:
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AmbientRing:
-    """A polynomial ring in d variables with its graded maximal ideal."""
-
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise PreconditionError(f"ambient dimension must be a positive integer, got {self.d!r}")
+def _checked_d(d) -> int:
+    """d itself when it is a positive int (a bool is not)."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise PreconditionError(f"ambient dimension must be a positive integer, got {d!r}")
+    return d
 
 
 def _check_monomial(d: int, m: Sequence[int]) -> Monomial:
@@ -191,30 +189,28 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def _of_keys(ambient: AmbientRing, keys: np.ndarray) -> "MonomialIdeal":
+def _of_keys(d: int, keys: np.ndarray) -> "MonomialIdeal":
     """The d = 2 ideal whose minimal generators are the ascending, non-empty
     *keys* of a product of int64-safe factors, each field below 2**32.  The
     keys are kept when the result is int64-safe; otherwise their rows are."""
     if max(_kernels.key_extent(keys)) < _kernels.INT64_SAFE:
-        return MonomialIdeal(ambient, None, _trusted=True, keys=keys)
-    return MonomialIdeal(ambient, _kernels.key_rows(keys), _trusted=True)
+        return MonomialIdeal(d, None, _trusted=True, keys=keys)
+    return MonomialIdeal(d, _kernels.key_rows(keys), _trusted=True)
 
 
-def sum_of_products(ambient: AmbientRing,
-                    pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
+def sum_of_products(d: int, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
     """The ideal sum of a*b over *pairs*, minimalized once.
 
-    Every factor must live in *ambient*, zero pairs included; zero pairs are
+    Every factor must live in *d* variables, zero pairs included; zero pairs are
     then dropped.  A key-held factor is nonzero and int64-safe, so only the
     tuple-held ones are asked.  In d = 2, with every factor of a nonzero pair
     int64-safe, ``_kernels.product_keys`` builds every product as runs of the
     larger factor shifted by the keys of the smaller one and sorts them all
     at once; otherwise one ``_antichain`` runs over them as Python-int tuples.
     """
-    d = ambient.d
     live, tuple_held = [], []
     for a, b in pairs:
-        if a.ambient.d != d or b.ambient.d != d:
+        if a.d != d or b.d != d:
             raise DimensionMismatchError(f"ideals live in {a.d if a.d != d else b.d} and {d} variables")
         if a._keys is None or b._keys is None:
             fresh = [f for f in (a, b) if f._keys is None]
@@ -227,9 +223,9 @@ def sum_of_products(ambient: AmbientRing,
     if d == 2 and all(f.fits_int64() for f in tuple_held):
         for f in tuple_held:
             f._as_keys()
-        return _of_keys(ambient, _kernels.product_keys([(a._keys, b._keys) for a, b in live]))
+        return _of_keys(d, _kernels.product_keys([(a._keys, b._keys) for a, b in live]))
     rows = [tuple(map(operator.add, g, h)) for a, b in live for g in a.gens for h in b.gens]
-    return MonomialIdeal(ambient, _antichain(rows), _trusted=True)
+    return MonomialIdeal(d, _antichain(rows), _trusted=True)
 
 
 class MonomialIdeal:
@@ -241,37 +237,33 @@ class MonomialIdeal:
     caches the Newton polyhedron (``polyhedra.newton_polyhedron``).
     """
 
-    __slots__ = ("ambient", "_gens", "_keys", "_newton")
+    __slots__ = ("d", "_gens", "_keys", "_newton")
 
-    def __init__(self, ambient: AmbientRing, gens: Optional[tuple[Monomial, ...]],
+    def __init__(self, d: int, gens: Optional[tuple[Monomial, ...]],
                  _trusted: bool = False, keys: Optional[np.ndarray] = None):
         if not _trusted:
             raise PreconditionError("use MonomialIdeal.from_gens / zero / unit")
         if keys is not None:
             keys.flags.writeable = False
-        self.ambient = ambient
+        self.d = d
         self._gens = gens
         self._keys = keys
         self._newton = None
 
     @classmethod
     def from_gens(cls, d: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
-        checked = [_check_monomial(d, g) for g in gens]
-        return cls(AmbientRing(d), _antichain(checked), _trusted=True)
+        d = _checked_d(d)
+        return cls(d, _antichain([_check_monomial(d, g) for g in gens]), _trusted=True)
 
     @classmethod
     def zero(cls, d: int) -> "MonomialIdeal":
-        return cls(AmbientRing(d), (), _trusted=True)
+        return cls(_checked_d(d), (), _trusted=True)
 
     @classmethod
     def unit(cls, d: int) -> "MonomialIdeal":
-        return cls(AmbientRing(d), ((0,) * d,), _trusted=True)
+        return cls(_checked_d(d), ((0,) * d,), _trusted=True)
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def d(self) -> int:
-        return self.ambient.d
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
@@ -342,9 +334,9 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.d)
         if self.d == 2 and self.fits_int64() and other.fits_int64():
             sums = self._as_keys()[:, None] + other._as_keys()[None, :]
-            return _of_keys(self.ambient, _kernels.minimal_keys(sums.ravel()))
+            return _of_keys(self.d, _kernels.minimal_keys(sums.ravel()))
         prods = [tuple(map(operator.add, g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _antichain(prods), _trusted=True)
+        return MonomialIdeal(self.d, _antichain(prods), _trusted=True)
 
     __mul__ = multiply
 
@@ -362,20 +354,20 @@ class MonomialIdeal:
         self._same_ring(other)
         if self.is_zero or other.is_zero:
             return other if self.is_zero else self
-        return MonomialIdeal(self.ambient, _antichain(self.gens + other.gens), _trusted=True)
+        return MonomialIdeal(self.d, _antichain(self.gens + other.gens), _trusted=True)
 
     __add__ = add
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
         lcms = [tuple(map(max, g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.ambient, _antichain(lcms), _trusted=True)
+        return MonomialIdeal(self.d, _antichain(lcms), _trusted=True)
 
     def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
         """The ideal with the exponents of *variables* (1-based) set to zero."""
         keep = [int(i not in variables) for i in range(1, self.d + 1)]
         dropped = [tuple(map(operator.mul, g, keep)) for g in self.gens]
-        return MonomialIdeal(self.ambient, _antichain(dropped), _trusted=True)
+        return MonomialIdeal(self.d, _antichain(dropped), _trusted=True)
 
     def colon_var_sat(self, i: int) -> "MonomialIdeal":
         """The stable colon I : xi^infinity (variable index 1-based)."""
@@ -396,7 +388,7 @@ class MonomialIdeal:
         """
         if self.is_zero:
             raise ZeroIdealError("saturation of the zero ideal is undefined")
-        return MonomialIdeal(self.ambient, _saturation(self.gens), _trusted=True)
+        return MonomialIdeal(self.d, _saturation(self.gens), _trusted=True)
 
     def localize(self, variables: Iterable[int]) -> "MonomialIdeal":
         """Monomial image after inverting the given variables (1-based)."""

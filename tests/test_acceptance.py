@@ -188,7 +188,7 @@ def test_criterion_10_quotient_step_fit():
         from epsmult.asymptotics import LengthTable
         entries = {(n,): h0_of_quotient(I.power(n), I.power(n + 1)).length
                    for n in range(3, 16)}
-        table = LengthTable(1, entries, "quotient-steps", ("box-enumeration",))
+        table = LengthTable(1, entries, ("box-enumeration",))
         quasi = fit_quasi_polynomial(table, degree=1, period_max=4, holdout=3)
     ok = (quasi.period == 1
           and quasi.coeffs[((0,), (1,))] == 4

@@ -22,7 +22,7 @@ I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
 
 
 def table_from(fn, upto, arity=1):
-    return LengthTable(arity, {(n,): fn(n) for n in range(1, upto + 1)}, "test", ())
+    return LengthTable(arity, {(n,): fn(n) for n in range(1, upto + 1)}, ())
 
 
 class TestLengthTable:
@@ -89,7 +89,7 @@ class TestFit:
     def test_holdout_is_verified(self):
         entries = {(n,): n * n for n in range(1, 13)}
         entries[(12,)] = 145  # corrupt the holdout point
-        t = LengthTable(1, entries, "test", ())
+        t = LengthTable(1, entries, ())
         with pytest.raises(NoFitError):
             fit_quasi_polynomial(t, degree=2, period_max=2, holdout=2)
 
@@ -119,14 +119,14 @@ class TestFit:
         entries = {(n,): n * n for n in range(1, 13)}
         entries[(1,)] = convert(1)  # equal to the true length 1, but not an int
         with pytest.raises(PreconditionError):
-            fit_quasi_polynomial(LengthTable(1, entries, "test", ()), degree=2)
+            fit_quasi_polynomial(LengthTable(1, entries, ()), degree=2)
 
     def test_tall_arity_three_matches_fraction_solve(self):
         def fn(a, b, c):
             return a * b + 2 * c * c + (a % 2) * b + 3 * ((b + c) % 2) - (c % 2) * a
         entries = {(a, b, c): fn(a, b, c)
                    for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)}
-        t = LengthTable(3, entries, "test", ())
+        t = LengthTable(3, entries, ())
         q = fit_quasi_polynomial(t, degree=2, period_max=2, holdout=3)
         assert q.period == 2
         basis = [e for e in sorted(itertools.product(range(3), repeat=3), key=lambda e: (sum(e), e))
@@ -154,7 +154,7 @@ class TestFit:
     def test_every_period_rank_deficient(self, fn):
         # on the diagonal n1 = n2 the columns n1 and n2 of a degree-1 fit
         # coincide, whether or not the lengths lie in the span of the rest
-        t = LengthTable(2, {(n, n): fn(n) for n in range(1, 21)}, "test", ())
+        t = LengthTable(2, {(n, n): fn(n) for n in range(1, 21)}, ())
         with pytest.raises(InsufficientDataError):
             fit_quasi_polynomial(t, degree=1, period_max=4)
 
@@ -204,7 +204,7 @@ def random_fit_case(rng):
     kwargs = {"degree": max(0, degree + rng.choice([-1, 0, 0, 0, 1])),
               "period_max": rng.randint(1, 5), "holdout": rng.randint(0, 4),
               "start": rng.choice([None, 1, 2, 3])}
-    return LengthTable(arity, entries, "random", ()), kwargs
+    return LengthTable(arity, entries, ()), kwargs
 
 
 def fit_outcome(fit, table, kwargs):
@@ -292,7 +292,7 @@ def test_fit_recovers_known_quasi_polynomial(period, lead, linear, consts):
         if v.denominator != 1:
             return  # lengths are integers; skip non-integral instances
         entries[(n,)] = int(v)
-    table = LengthTable(1, entries, "synthetic", ())
+    table = LengthTable(1, entries, ())
     q = fit_quasi_polynomial(table, degree=2, period_max=4, holdout=3)
     for idx, val in entries.items():
         assert q.evaluate(idx) == val
@@ -315,7 +315,7 @@ class TestExtract:
 
     def test_bivariate_square_form(self):
         entries = {(i, j): (i + j) ** 2 for i in range(1, 7) for j in range(1, 7)}
-        t = LengthTable(2, entries, "test", ())
+        t = LengthTable(2, entries, ())
         q = fit_quasi_polynomial(t, degree=2, period_max=2)
         report = extract_epsilons(q, 2)
         assert report.mixed == {(2, 0): Fraction(2), (1, 1): Fraction(2), (0, 2): Fraction(2)}

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -85,6 +86,25 @@ class TestExitCodes:
         assert err == "eps: error: timeout must be at most 2147483647 seconds, got 2147483648\n"
         assert main(argv + ["--timeout", "2147483647"]) == 0
         assert json.loads(capsys.readouterr().out)["length"] == 2
+
+    def test_timeout_is_3_with_empty_stdout(self, capsys):
+        # the alarm fires inside the Takayama scan of a 60^3 box
+        argv = ["h0", "--method", "takayama", "--ideal", "x^60, y^60, z^60", "--timeout", "1"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: timed out after 1s\n"
+
+    def test_table_spec_infers_d_from_the_widths(self, capsys, tmp_path):
+        spec = tmp_path / "table.json"
+        spec.write_text(json.dumps({"rule": {"type": "table", "ideals": [[[0, 0]], [[1, 2], [2, 0]]]}}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["ideal"] == [[1, 2], [2, 0]]
+        spec.write_text(json.dumps({"rule": {"type": "table", "ideals": [[[0, 0]], [[1, 2, 0]]]}}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: error: table rule needs an explicit d\n"
 
     def test_zero_timeout_means_no_limit(self, capsys):
         assert main(["h0", "--ideal", "x^2, y^2", "--timeout", "0"]) == 0
@@ -234,6 +254,18 @@ class TestEpsilonCommand:
 
 
 class TestNewtonCommand:
+    def test_csv_flattens_lists_by_position(self, capsys):
+        code, out = run(capsys, "newton", "--ideal", "x*y^2, x^2", "--csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"]
+        values = dict(rows[1:])
+        assert len(values) == len(rows) - 1
+        assert values["facets.0.normal.1"] == "1"
+        assert values["facets.2.offset"] == "4"
+        assert values["vertices.1.0"] == "2/1"
+        assert values["epsilon"] == "2/1"
+
     def test_full_report(self, capsys):
         code, out = run(capsys, "newton", "--ideal", "[[1,2],[2,0]]")
         payload = json.loads(out)

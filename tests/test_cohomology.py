@@ -8,7 +8,7 @@ from epsmult.cohomology import (SimplicialComplex, _between, _count, _slabs, del
                                 h0_length, h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
 from epsmult.errors import PreconditionError, ZeroIdealError
-from epsmult.ideal_core import AmbientRing, MonomialIdeal, sum_of_products
+from epsmult.ideal_core import MonomialIdeal, sum_of_products
 from epsmult.repro import random_ideal
 
 from conftest import STRADDLE, brute_count, brute_socle
@@ -82,7 +82,7 @@ def test_staircase_equals_box_on_randoms(rng):
     ideals = [random_ideal(rng, 2, 6, 6) for _ in range(50)]
     for _ in range(40):
         a, b, c = (random_ideal(rng, 2, 5, 4) for _ in range(3))
-        ideals += [a.multiply(b), sum_of_products(AmbientRing(2), [(a, b), (c, c)])]
+        ideals += [a.multiply(b), sum_of_products(2, [(a, b), (c, c)])]
     for _ in range(60):
         ideals.append(MonomialIdeal.from_gens(2, [(rng.choice(STRADDLE), rng.choice(STRADDLE))
                                                   for _ in range(rng.randint(1, 5))]))
@@ -333,6 +333,28 @@ class TestQuotient:
             assert max(map(sum, count.witnesses), default=-1) == maxdeg
             for w in count.witnesses:
                 assert outer.contains(w) and sat.contains(w) and not inner.contains(w)
+
+    def test_count_builds_no_intersection(self, rng, monkeypatch):
+        # the count is |S \ J'| - |(S + J) \ J| for S = sat(J'), with no
+        # J & S built; only the witnesses are listed off the slabs of J & S
+        calls = []
+        intersect = MonomialIdeal.intersect
+        monkeypatch.setattr(MonomialIdeal, "intersect",
+                            lambda a, b: calls.append(1) or intersect(a, b))
+        base = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)])
+        pairs = [(base.power(6), base.power(7)), (MonomialIdeal.unit(3), base.power(3))]
+        for k in range(300):
+            d = 1 + k % 4
+            outer = random_ideal(rng, d, 4, 4)
+            other = random_ideal(rng, d, 3, 3)
+            pairs.append((outer, outer.multiply(other) if k % 2 else intersect(outer, other)))
+        for outer, inner in pairs:
+            calls.clear()
+            length = h0_of_quotient(outer, inner).length
+            assert calls == []
+            assert length == _between(intersect(outer, inner.saturate()).gens, inner.gens)
+            assert h0_of_quotient(outer, inner, witnesses=True).length == length
+            assert calls == [1]
 
     def test_quotient_growth_is_linear(self):
         # the step lengths for this ideal follow 4n + 2

@@ -32,6 +32,11 @@ class TestEval:
     def test_counter(self):
         assert eval_family(COUNTER, 3).gens == ((1, 9), (2, 0))
 
+    def test_counter_two_to_the_n(self):
+        # the README's 2^n formula
+        spec = family_from_json({"type": "counter", "a": "2^n"})
+        assert eval_family(spec, 5).gens == ((1, 32), (2, 0))
+
     def test_counter_explicit_list(self):
         spec = FamilySpec(2, CounterRule((5, 7, 11)))
         assert eval_family(spec, 2).gens == ((1, 7), (2, 0))
@@ -339,9 +344,8 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
         for idx in itertools.product(range(n), repeat=k):
             plain = reduce(MonomialIdeal.multiply, [f.power(e) for f, e in zip(factors, idx)])
             assert eval_family(spec, idx) == plain
-    # one fresh memo: one rung per power of a factor, and one multiply per
-    # entry of the 2- and 3-factor grids (the plain route multiplies k - 1
-    # times per entry)
+    # one fresh memo: no power is built, and every entry but R is one
+    # multiply of the entry one step down by a single factor
     calls, rungs = [], []
     multiply, rung = MonomialIdeal.multiply, families.sum_of_products
     monkeypatch.setattr(MonomialIdeal, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
@@ -350,12 +354,12 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
     memo = {}
     for idx in itertools.product(range(n), repeat=3):
         eval_family(spec, idx, memo)
-    assert len(rungs) == 3 * (n - 1)
-    assert len(calls) == n**2 + n**3
+    assert len(rungs) == 0
+    assert len(calls) == n**3 - 1
     # a second pass over the grid is all memo hits
     for idx in itertools.product(range(n), repeat=3):
         eval_family(spec, idx, memo)
-    assert len(calls) == n**2 + n**3
+    assert len(calls) == n**3 - 1
 
 
 def oracle_ladder(spec, n):

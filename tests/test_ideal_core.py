@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from epsmult import _kernels, ideal_core
 from epsmult.errors import (DimensionMismatchError, ParseError, PreconditionError,
                             ZeroIdealError)
-from epsmult.ideal_core import (AmbientRing, MonomialIdeal, _antichain, _clip, format_ideal,
+from epsmult.ideal_core import (MonomialIdeal, _antichain, _clip, format_ideal,
                                 parse_ideal, sum_of_products)
 from epsmult.repro import random_ideal
 
@@ -43,6 +43,16 @@ class TestMinimalize:
     def test_negative_exponent_rejected(self):
         with pytest.raises(PreconditionError):
             MonomialIdeal.from_gens(2, [(1, -2)])
+
+    @pytest.mark.parametrize("d", [0, -1, 2.0, "2", True])
+    def test_dimension_must_be_a_positive_int(self, d):
+        # a bool passes isinstance(d, int) but is no dimension
+        for build in (lambda: MonomialIdeal.from_gens(d, [(1, 2)]),
+                      lambda: MonomialIdeal.zero(d), lambda: MonomialIdeal.unit(d)):
+            with pytest.raises(PreconditionError) as info:
+                build()
+            assert type(info.value) is PreconditionError
+            assert str(info.value) == f"ambient dimension must be a positive integer, got {d!r}"
 
 
 class TestContains:
@@ -330,7 +340,7 @@ def py_subset(a, b):
 
 def tuple_backed(d, gens):
     """The ideal with generators *gens* (already minimal), holding no keys."""
-    return MonomialIdeal(AmbientRing(d), tuple(gens), _trusted=True)
+    return MonomialIdeal(d, tuple(gens), _trusted=True)
 
 
 def check_against_python(d, g1, g2):
@@ -365,7 +375,7 @@ def test_kernel_results_skip_the_tuple_form(rng):
     # two forms, not three: a d = 2 product of int64-safe factors that is
     # int64-safe itself holds read-only keys only; every other result (a sum,
     # intersection or colon, or any result in d != 2) holds tuples only
-    assert MonomialIdeal.__slots__ == ("ambient", "_gens", "_keys", "_newton")
+    assert MonomialIdeal.__slots__ == ("d", "_gens", "_keys", "_newton")
     assert not hasattr(MonomialIdeal, "as_array")
     for k in range(60):
         d = 2 + k % 3
@@ -391,7 +401,7 @@ def test_kernel_results_skip_the_tuple_form(rng):
 def key_backed(gens):
     """The d = 2 ideal generated by *gens* (int64-safe), holding keys only."""
     keys = _kernels.pack(np.array(brute_minimal(gens), dtype=np.int64).reshape(-1, 2))
-    return MonomialIdeal(AmbientRing(2), None, _trusted=True, keys=keys)
+    return MonomialIdeal(2, None, _trusted=True, keys=keys)
 
 
 def test_key_route_matches_brute_force(rng):
@@ -487,7 +497,7 @@ def test_sum_of_products_matches_brute_force(offset):
         d = 1 + k % 4
         pairs = [(draw(d), draw(d)) for _ in range(rng.choice((0, 1, 1, 2, 3, 5)))]
         pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated pairs
-        got = sum_of_products(AmbientRing(d), pairs)
+        got = sum_of_products(d, pairs)
         assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs])
         if d == 2 and not got.is_zero:
             # keys iff every factor of a nonzero pair and the result are int64-safe
@@ -502,8 +512,8 @@ def test_sum_of_products_checks_the_ring():
     I2, I3 = ideal(2, (1, 0), (0, 1)), ideal(3, (1, 0, 0))
     for pairs in ([(I2, I3)], [(MonomialIdeal.zero(2), I3)]):
         with pytest.raises(DimensionMismatchError):
-            sum_of_products(AmbientRing(2), pairs)
-    assert sum_of_products(AmbientRing(3), []) == MonomialIdeal.zero(3)
+            sum_of_products(2, pairs)
+    assert sum_of_products(3, []) == MonomialIdeal.zero(3)
 
 
 def test_sum_of_products_mixes_factor_forms(monkeypatch):
@@ -514,7 +524,7 @@ def test_sum_of_products_mixes_factor_forms(monkeypatch):
     antichain, product_keys = ideal_core._antichain, _kernels.product_keys
     monkeypatch.setattr(ideal_core, "_antichain", lambda rows: calls.append("tuples") or antichain(rows))
     monkeypatch.setattr(_kernels, "product_keys", lambda pairs: calls.append("keys") or product_keys(pairs))
-    ring, top = AmbientRing(2), SAFE - 1
+    top = SAFE - 1
     for past in (False, True):
         keyed = key_backed([(0, 3), (2, 1), (5, 0)])
         loose = tuple_backed(2, ((0, top), (1, 1), (top, 0)))
@@ -524,7 +534,7 @@ def test_sum_of_products_mixes_factor_forms(monkeypatch):
         if past:
             pairs.append((big, keyed))
         calls.clear()
-        got = sum_of_products(ring, pairs)
+        got = sum_of_products(2, pairs)
         live = [(a.gens, b.gens) for a, b in pairs if not (a.is_zero or b.is_zero)]
         assert got.gens == brute_rung(live)
         assert calls == ["tuples" if past else "keys"]
@@ -535,11 +545,11 @@ def test_sum_of_products_mixes_factor_forms(monkeypatch):
                   [(ideal(3, (1, 0, 0)), MonomialIdeal.zero(3)), (keyed, loose)]):
         calls.clear()
         with pytest.raises(DimensionMismatchError):
-            sum_of_products(ring, pairs)
+            sum_of_products(2, pairs)
         assert calls == []
     # the pairs may be any iterable, and all-zero pairs give the zero ideal
-    assert sum_of_products(ring, iter([(keyed, loose)])) == keyed * loose
-    assert sum_of_products(ring, ((zero, keyed), (loose, zero))).is_zero
+    assert sum_of_products(2, iter([(keyed, loose)])) == keyed * loose
+    assert sum_of_products(2, ((zero, keyed), (loose, zero))).is_zero
 
 
 # (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.
