@@ -14,8 +14,9 @@ other d never come here: ``ideal_core`` holds them as Python-int tuples.  H^0
 lengths read a key-held staircase through ``key_columns`` and count on
 Python ints.
 
-numpy is imported when the first kernel runs, so a process that forms no
-d = 2 product never loads it.
+numpy is imported by the first ``pack``, so a process that forms no d = 2
+product never loads it.  Every key vector comes from ``pack``, so the other
+kernels find numpy loaded.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def pack(rows) -> numpy.ndarray:
 
 def key_columns(keys: numpy.ndarray) -> tuple[list[int], list[int]]:
     """The x and y columns of a key vector as lists of Python ints."""
-    if np is None:
-        _load()
     return (keys >> _SHIFT).tolist(), (keys & _MASK).tolist()
 
 
@@ -78,8 +77,6 @@ def minimal_keys(keys: numpy.ndarray) -> numpy.ndarray:
     Sorts *keys* in place (x asc, then y asc) and keeps each key whose y
     drops below the running minimum; kept rows have strictly increasing x.
     """
-    if np is None:
-        _load()
     keys.sort()
     if keys.size <= 1:
         return keys
@@ -101,8 +98,6 @@ def product_keys(pairs: Sequence[tuple[numpy.ndarray, numpy.ndarray]]) -> numpy.
     one add, and ``minimal_keys`` sorts them once: no numpy call is made
     per pair.
     """
-    if np is None:
-        _load()
     pieces, shifts, lengths = [], [], []
     for a, b in pairs:
         if len(a) > len(b):

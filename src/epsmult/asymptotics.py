@@ -11,6 +11,12 @@ basis] and lengths l is solved through its k x (k+1) normal equations
 singular A^T A is exactly a class without full column rank; otherwise the
 elimination gives D x = num, the only possible solution, and the class is
 consistent iff every row satisfies D l_i == A_i . num in integers.
+
+A period is decided when every class has full column rank.  Its failures
+are the first point of each inconsistent class or, if there is none, each
+held-out index the candidate misses.  ``NoFitError`` carries the decided
+period with the fewest failures (the earliest on ties) and its first one;
+``InsufficientDataError`` means that no period was decided.
 """
 
 from __future__ import annotations
@@ -98,12 +104,8 @@ class QuasiPolynomial:
     def evaluate(self, idx) -> Fraction:
         i = _as_index(idx)
         res = tuple(n % self.period for n in i)
-        total = Fraction(0)
-        for e in _monomial_basis(self.arity, self.degree):
-            c = self.coeffs.get((res, e), Fraction(0))
-            if c:
-                total += c * math.prod(map(pow, i, e))
-        return total
+        return sum((c * math.prod(map(pow, i, e)) for (own, e), c in self.coeffs.items()
+                    if own == res), Fraction(0))
 
 
 def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
@@ -112,7 +114,10 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
 
     The last ``holdout`` window entries are excluded from interpolation and
     must be reproduced exactly; ``start`` drops indices with any coordinate
-    below it before fitting.  Entries must be Python ints (lengths).
+    below it before fitting.  Entries must be Python ints (lengths).  Each
+    period is judged as its classes are solved, as the module docstring says;
+    ``NoFitError`` names the decided period with the fewest failing classes
+    or holdouts (the earliest on ties) and its first failing index.
     """
     for name, value, least in (("degree", degree, 0), ("period_max", period_max, 1),
                                ("holdout", holdout, 0)):
@@ -126,8 +131,7 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
         window = [i for i in window if min(i) >= start]
     if len(window) <= holdout:
         raise InsufficientDataError("window smaller than the holdout")
-    fit_idx = window[: len(window) - holdout] if holdout else window
-    hold_idx = window[len(window) - holdout:] if holdout else []
+    fit_idx, hold_idx = window[:len(window) - holdout], window[len(window) - holdout:]
     basis = _monomial_basis(r, degree)
     k = len(basis)
     # basis[j] is basis[lower] times the variable v, with lower < j
@@ -148,8 +152,7 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
                 pairs.append((u, w))
             slots[u][w] = slot[f]
 
-    best: tuple[int, int, Optional[Index]] = (-1, 1 << 60, None)
-    tried_any = False
+    best: Optional[tuple[int, list[Index]]] = None  # (period, its failures)
     for a in range(1, period_max + 1):
         classes: dict[Index, list[Index]] = {}
         for i in fit_idx:
@@ -162,7 +165,8 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
         # per class the normal equations [A^T A | A^T l] of its rows A = [n^e]
         # and lengths l; the module docstring says why they decide rank and
         # consistency exactly
-        solutions: dict[Index, Optional[list[Fraction]]] = {}
+        coeffs: dict[tuple[Index, Index], Fraction] = {}
+        fails: list[Index] = []
         for res, pts in sorted(classes.items()):
             cols = [[1] * len(pts)]
             coords = list(zip(*pts))
@@ -173,44 +177,28 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
             m, pivots, _ = bareiss([[moments[t] for t in row] + [sum(map(mul, col, lengths))]
                                     for row, col in zip(slots, cols)])
             if pivots != list(range(k)):
-                break
+                break  # a rank-deficient class: the period cannot be decided
             den = m[k - 1][k - 1]
             num = [m[j][k] for j in range(k)]
-            consistent = all(den * li == sum(map(mul, row, num))
-                             for row, li in zip(zip(*cols), lengths))
-            solutions[res] = [Fraction(x, den) for x in num] if consistent else None
-        if len(solutions) < len(classes):
-            continue  # a rank-deficient class: the period cannot be decided
-        tried_any = True
-        coeffs: dict[tuple[Index, Index], Fraction] = {}
-        fails = 0
-        first_fail: Optional[Index] = None
-        for res, sol in solutions.items():
-            if sol is None:
-                fails += 1
-                if first_fail is None:
-                    first_fail = classes[res][0]
-                continue
-            for e, c in zip(basis, sol):
-                coeffs[(res, e)] = c
-        candidate = QuasiPolynomial(r, a, degree, coeffs)
-        if fails == 0:
-            for i in hold_idx:
-                res = tuple(n % a for n in i)
-                if res not in classes or candidate.evaluate(i) != table.entries[i]:
-                    fails += 1
-                    if first_fail is None:
-                        first_fail = i
-        if fails == 0:
-            return candidate
-        if fails < best[1]:
-            best = (a, fails, first_fail)
-    if not tried_any:
+            if all(den * li == sum(map(mul, row, num)) for row, li in zip(zip(*cols), lengths)):
+                coeffs.update(((res, e), Fraction(x, den)) for e, x in zip(basis, num))
+            else:
+                fails.append(pts[0])
+        else:
+            candidate = QuasiPolynomial(r, a, degree, coeffs)
+            if not fails:
+                fails = [i for i in hold_idx if tuple(n % a for n in i) not in classes
+                         or candidate.evaluate(i) != table.entries[i]]
+            if not fails:
+                return candidate
+            if best is None or len(fails) < len(best[1]):
+                best = (a, fails)
+    if best is None:
         raise InsufficientDataError(
             f"no period <= {period_max} has {k} independent points per residue class")
     raise NoFitError(
         f"no exact quasi-polynomial of degree <= {degree} and period <= {period_max}",
-        best_period=best[0], first_fail=best[2])
+        best_period=best[0], first_fail=best[1][0])
 
 
 @dataclass

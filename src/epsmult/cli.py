@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     return code
 
 
-def console_main() -> None:  # pragma: no cover - thin wrapper
+def console_main() -> None:
     sys.exit(main())
 
 

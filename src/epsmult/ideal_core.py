@@ -60,7 +60,10 @@ def _checked_d(d) -> int:
 
 
 def _check_monomial(d: int, m: Sequence[int]) -> Monomial:
-    t = tuple(int(e) for e in m)
+    t = tuple(m)
+    for e in t:
+        if type(e) is not int:  # a float, a str or a bool is not an exponent
+            raise PreconditionError(f"expected an integer, got {e!r}")
     if len(t) != d:
         raise DimensionMismatchError(f"monomial {t} does not live in {d} variables")
     if any(e < 0 for e in t):
@@ -459,8 +462,11 @@ def json_int(value) -> int:
 
 def parse_ideal(text: str, d: Optional[int] = None) -> MonomialIdeal:
     """Parse an ideal from its textual or JSON form."""
-    if d is not None and d < 1:
-        raise ParseError(f"ambient dimension must be a positive integer, got {d!r}")
+    if d is not None:
+        try:
+            _checked_d(d)
+        except PreconditionError as exc:
+            raise ParseError(str(exc)) from exc
     s = text.strip()
     if not s:
         raise ParseError("empty ideal specification")

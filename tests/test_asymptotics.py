@@ -90,8 +90,10 @@ class TestFit:
         entries = {(n,): n * n for n in range(1, 13)}
         entries[(12,)] = 145  # corrupt the holdout point
         t = LengthTable(1, entries, ())
-        with pytest.raises(NoFitError):
+        with pytest.raises(NoFitError) as info:
             fit_quasi_polynomial(t, degree=2, period_max=2, holdout=2)
+        # both periods miss only the holdout 12; the earlier one is named
+        assert (info.value.best_period, info.value.first_fail) == (1, (12,))
 
     def test_insufficient_data(self):
         t = table_from(lambda n: n, 3)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsmult
-from epsmult.cli import main
+from epsmult.cli import console_main, main
 from epsmult.ideal_core import MonomialIdeal, parse_ideal
 
 
@@ -148,6 +148,7 @@ class TestExitCodes:
         ("0,5,1", "point '0,5,1' has length 3, not 2"),
         ("4", "point '4' has length 1, not 2"),
         ("0,-1", "point '0,-1' has a negative entry"),
+        ("1,a", "bad index '1,a'"),
     ])
     def test_delta_point_mismatch_is_1(self, capsys, point, message):
         # a point outside the ideal's ring is a parse error, as a --dim mismatch is
@@ -155,6 +156,29 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"eps: error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["eval", "--n", "2", "--range", "1:3"], "give exactly one of --n or --range"),
+        (["eval"], "give exactly one of --n or --range"),
+        (["run", "--range", "5:2"], "empty range '5:2'"),
+        (["run", "--range", "a:b"], "bad range 'a:b'; expected A:B"),
+    ])
+    def test_bad_family_indices_are_1(self, capsys, tmp_path, flags, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"d": 2, "rule": {"type": "counter", "a": "n^2"}}')
+        command, *rest = flags
+        assert main(["family", command, "--spec", str(spec), *rest]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: error: {message}\n"
+
+    def test_broken_spec_json_is_1(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"d": 2,')
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"eps: error: bad JSON in {spec}: ")
 
     def test_precondition_error_is_2(self, capsys):
         assert main(["h0", "--ideal", "0", "--dim", "2"]) == 2
@@ -392,6 +416,11 @@ class TestFamilyCommands:
         payload = json.loads(out)
         assert payload["minimal_c_linear"] == 7
 
+    def test_growth_over_a_range(self, capsys, counter_spec):
+        code, out = run(capsys, "family", "growth", "--spec", counter_spec, "--range", "1:3")
+        assert code == 0
+        assert [e["n"] for e in json.loads(out)["entries"]] == [1, 2, 3]
+
     def test_run_with_normalizer(self, capsys, counter_spec):
         code, out = run(capsys, "family", "run", "--spec", counter_spec,
                         "--range", "1:10", "--normalizer", "n^3")
@@ -485,6 +514,14 @@ class TestReproCommand:
         code, out = run(capsys, "repro", "--case", "irrational")
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True
+
+    def test_console_entry_point(self, capsys, monkeypatch):
+        # the `eps` script that pyproject.toml installs
+        monkeypatch.setattr(sys, "argv", ["eps", "repro", "--case", "irrational"])
+        with pytest.raises(SystemExit) as info:
+            console_main()
+        assert info.value.code == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_mixed_grid_case(self, capsys):
         code, out = run(capsys, "repro", "--case", "mixed-grid")

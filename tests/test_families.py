@@ -118,6 +118,42 @@ class TestEval:
         with pytest.raises(PreconditionError):
             eval_family(POWER, -1)
 
+    GRID = product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)]),
+                                MonomialIdeal.from_gens(2, [(0, 1)])])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: FamilySpec(3, CounterRule("n^2")), "this rule is specific to two variables"),
+        (lambda: FamilySpec(2, SqrtPrincipalRule(2)),
+         "principal sqrt families live in one variable"),
+        (lambda: FamilySpec(2, TableRule(())), "table family needs at least I_0"),
+        (lambda: product_grid_family([]), "product grid needs at least one factor"),
+        (lambda: product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)]),
+                                      MonomialIdeal.from_gens(3, [(1, 0, 0)])]),
+         "product grid factors must share the ambient ring"),
+        (lambda: eval_family(TestEval.GRID, (1,)), "product grid index must be a 2-tuple"),
+        (lambda: eval_family(TestEval.GRID, (1, -1)), "family indices must be non-negative"),
+        (lambda: eval_family(POWER, (1, 2)), "this family is singly indexed"),
+        (lambda: eval_family(FamilySpec(2, CounterRule("n^4")), 1),
+         "unknown counter formula 'n^4'"),
+        (lambda: HyperbolaRule("middle"), "unknown hyperbola variant 'middle'"),
+        (lambda: growth_constants(POWER, 0), "growth constants need n >= 1"),
+        (lambda: growth_constants(FamilySpec(2, TableRule((((0, 0),), ((0, 0),)))), 1),
+         "I_1 is the unit ideal"),
+        (lambda: check_structure(TestEval.GRID, 3),
+         "structure checks apply to singly indexed families"),
+        (lambda: generation_degree(TestEval.GRID, 2, 2),
+         "generation degree applies to singly indexed families"),
+    ])
+    def test_outside_the_domain_rejected(self, call, message):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert type(info.value) is PreconditionError and str(info.value) == message
+
+    def test_growth_of_a_zero_ideal_rejected(self):
+        gap = FamilySpec(2, NoetherianSeedsRule(((2, ((1, 0),)),)))
+        with pytest.raises(ZeroIdealError):
+            growth_constants(gap, 1)
+
     def test_memoized_evaluation_is_stable(self):
         # a shared memo hands back the same object; without one every call
         # builds its own, so no state outlives a call
@@ -251,6 +287,9 @@ class TestJson:
         {"rule": {"type": "product_grid", "ideals": [[[1, 0]], [[0, False]]]}},
         {"rule": {"type": "table", "ideals": [[[1.0]]]}},
         {"rule": 5},
+        "[1]",
+        {"rule": {"type": "power", "ideal": []}},
+        {"rule": {"type": "noetherian", "seeds": {}}},
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ParseError):

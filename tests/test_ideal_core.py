@@ -54,6 +54,17 @@ class TestMinimalize:
             assert type(info.value) is PreconditionError
             assert str(info.value) == f"ambient dimension must be a positive integer, got {d!r}"
 
+    @pytest.mark.parametrize("e", [1.5, "3", True])
+    def test_exponents_must_be_ints(self, e):
+        # int(e) would read 1.5 and True as 1 and "3" as 3
+        with pytest.raises(PreconditionError) as info:
+            MonomialIdeal.from_gens(2, [(e, 2), (2, 0)])
+        assert str(info.value) == f"expected an integer, got {e!r}"
+
+    def test_repr(self):
+        assert repr(MonomialIdeal.zero(2)) == "MonomialIdeal(d=2, zero)"
+        assert repr(ideal(2, (1, 2), (2, 0))) == "MonomialIdeal(d=2, <x*y^2, x^2>)"
+
 
 class TestContains:
     I = ideal(2, (1, 2), (2, 0))
@@ -67,6 +78,12 @@ class TestContains:
         with pytest.raises(DimensionMismatchError):
             self.I.contains((1, 1, 1))
 
+    def test_fractional_point_rejected(self):
+        # (0.9, 1) is no monomial, though truncating it would land in (y)
+        with pytest.raises(PreconditionError) as info:
+            ideal(2, (0, 1)).contains((0.9, 1))
+        assert str(info.value) == "expected an integer, got 0.9"
+
 
 class TestArithmetic:
     I = ideal(2, (1, 2), (2, 0))
@@ -77,6 +94,10 @@ class TestArithmetic:
     def test_power_zero_is_unit(self):
         assert self.I.power(0).is_unit
         assert MonomialIdeal.zero(2).power(0).is_unit
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(PreconditionError):
+            self.I.power(-1)
 
     def test_multiply_by_unit_is_identity(self):
         assert self.I.multiply(MonomialIdeal.unit(2)) == self.I
@@ -307,6 +328,13 @@ class TestParsing:
             parse_ideal("[[1,2],[1]]")
         with pytest.raises(ParseError):
             parse_ideal("x3", d=2)
+
+    @pytest.mark.parametrize("text, d", [("x, y", 2.5), ("x, y", "2"), ("x", True), ("0", 2.5)])
+    def test_dimension_must_be_a_positive_int(self, text, d):
+        # checked on entry, so neither a TypeError nor a PreconditionError escapes
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text, d)
+        assert str(info.value) == f"ambient dimension must be a positive integer, got {d!r}"
 
     def test_canonical_generator_order(self):
         a = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
