@@ -8,14 +8,12 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   the (d-1)-variable cuts recurses, in Python ints, so the cost follows the
   number of generators, not the size of the exponents.  A length builds no
   box: in two variables sat(I) is the staircase corner and the length the
-  area between the two, read off the generators' columns (a key-held ideal
-  gives them straight from its keys); above two it is the sum of
-  (z' - z) * |S_z \\ I_z| over the slices S_z of sat(I)
+  area between the two, read off the generators' columns; above two it is
+  the sum of (z' - z) * |S_z \\ I_z| over the slices S_z of sat(I)
   (``ideal_core._sat_slices``), each counted by ``_between``.  The torsion
   of a quotient J / J' is |sat(J') \\ J'| - |(sat(J') + J) \\ J|, two
-  ``_between`` counts with no intersection built.  Only
-  witnesses and the largest socle degree tile the region with boxes
-  (``_slabs``).
+  ``_between`` counts with no intersection built.  Only witnesses and the
+  largest socle degree tile the region with boxes (``_slabs``).
 * the simplicial route counting exponents whose complex of inverted-variable
   subsets is exactly {empty face}, detected through reduced homology; it
   never saturates, so it checks the slab route.
@@ -190,7 +188,7 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
     if ideal.d == 1:
         return H0Count(ideal.gens[0][0], METHOD_BOX)
     if ideal.d == 2:
-        return H0Count(_staircase_area(*ideal._columns()), METHOD_BOX)
+        return H0Count(_staircase_area(*zip(*ideal.gens)), METHOD_BOX)
     slices = _sat_slices(ideal.gens)
     z, cut, piece, _ = next(slices)
     length = 0

@@ -11,11 +11,11 @@ far, so callers that share one dict pay for each ideal once, and nothing
 outlives the dict.  A grid entry I1^a ... Ik^c is the entry one step down
 in its last nonzero index times that one factor, so a table walked in lex
 order makes about one product by a factor per entry.
-Power, Noetherian and limit families are all seeds rules: I_m is the sum of
+Power and Noetherian families are seeds rules: I_m is the sum of
 seed * I_(m-deg) over the seeds of degree deg <= m, one call of
 ``ideal_core.sum_of_products``, minimalized once.  A power family has one
-seed, in degree 1; the limit family has S_k = (x y^(k^2), x^(k^2) y) in
-every degree k.
+seed, in degree 1.  The limit family forms no product: each I_n is read off
+its closed form (``LimitRecursiveRule``).
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ Index = Union[int, tuple[int, ...]]
 @dataclass(frozen=True)
 class PowerRule:
     gens: Gens
-
-    def seed_gens(self, m: int) -> list[Gens]:
-        return [self.gens] if m == 1 else []
 
 
 @dataclass(frozen=True)
@@ -88,24 +85,44 @@ class HyperbolaRule:
 
 @dataclass(frozen=True)
 class LimitRecursiveRule:
-    """I_m = sum over 0 < t < m of I_t I_(m-t), plus (x y^(m^2), x^(m^2) y).
+    """I_n = sum over 0 < t < n of I_t I_(n-t), plus S_n = (x y^(n^2), x^(n^2) y).
 
-    Unrolled, I_m is the sum of the products S_(k_1)...S_(k_r) with
-    k_1 + ... + k_r = m, where S_k = (x y^(k^2), x^(k^2) y).  Each lies in
-    S_(k_1) I_(m-k_1), and S_k I_(m-k) lies in I_k I_(m-k), so I_m is the sum
-    of S_k I_(m-k) over 1 <= k <= m: a seeds rule with S_k in degree k.
+    In closed form (``rung``), I_n = (x^a y^f(a), x^f(a) y^a : 1 <= a <= n),
+    where f(a) is the least sum of squares of a positive parts of n: with
+    n = qa + r and 0 <= r < a, f(a) = (a - r) q^2 + r (q + 1)^2.
+
+    Proof.  Unrolled, I_n is the sum of the products S_(k_1) ... S_(k_c) over
+    the compositions k_1 + ... + k_c = n.  So its generators are the points
+    (X, Y) = (sum u_i^2, sum v_i^2) with each (u_i, v_i) = (1, k_i) or
+    (k_i, 1), and sum u_i v_i = n.  All u_i = 1 with the parts as even as
+    possible gives (a, f(a)), and all v_i = 1 its mirror: the listed
+    generators lie in I_n.  Conversely, (k - m)(k - m - 1) >= 0 for integers
+    k and m, so k^2 >= (2m + 1) k - m(m + 1), with equality at k = m, m + 1:
+    for a <= n, f(a) is the largest (2m + 1) n - m(m + 1) a over m >= 1,
+    reached at m = q.  For m >= 1 the term v_i^2 + m(m + 1) u_i^2 -
+    (2m + 1) u_i v_i is (k - m)(k - m - 1) >= 0 when u_i = 1 and
+    (mk - 1)((m + 1) k - 1) >= 0 when v_i = 1.  Summed over i:
+    Y >= (2m + 1) n - m(m + 1) X for every m >= 1, so Y >= f(X) when
+    X <= n, and X >= f(Y) when Y <= n by symmetry.  Otherwise X, Y > n,
+    above (n, f(n)) = (n, n).  So every generator lies in the listed ideal.
+
+    Splitting a part k >= 2 into 1 and k - 1 lowers the sum of squares, so f
+    strictly decreases from n^2 to n on 1..n, and the list, (a, f(a)) for
+    a = 1..n then (f(a), a) for a = n - 1..1, is lex sorted and minimal.
     """
 
-    def seed_gens(self, m: int) -> list[Gens]:
-        return [((1, m * m), (m * m, 1))]
+    def rung(self, n: int) -> Gens:
+        """The minimal generators of I_n, n >= 1, lex sorted."""
+        f = []
+        for a in range(1, n + 1):
+            q, r = divmod(n, a)
+            f.append((a - r) * q * q + r * (q + 1) * (q + 1))
+        return (*zip(range(1, n + 1), f), *zip(f[-2::-1], range(n - 1, 0, -1)))
 
 
 @dataclass(frozen=True)
 class NoetherianSeedsRule:
     seeds: tuple[tuple[int, Gens], ...]  # sorted (degree, generators)
-
-    def seed_gens(self, m: int) -> list[Gens]:
-        return [gens for deg, gens in self.seeds if deg == m]
 
 
 @dataclass(frozen=True)
@@ -165,7 +182,8 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     is the entry one step down in its last nonzero index times that factor:
     the walk goes down to the first entry held and climbs back one factor at
     a time, keeping every entry on the way.  A seeds rule keeps its seeds and
-    its ladder I_0, I_1, ... and extends the ladder one rung at a time.
+    its ladder I_0, I_1, ... and extends the ladder one rung at a time.  The
+    limit family keeps nothing: each I_n is its closed form.
     """
     d, rule = spec.d, spec.rule
     if isinstance(rule, ProductGridRule):
@@ -186,17 +204,20 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     n = idx
     if n == 0:
         return MonomialIdeal.unit(d)
-    if isinstance(rule, (PowerRule, LimitRecursiveRule, NoetherianSeedsRule)):
-        # rung m follows the seeds of degree m: the sum of seed * I_(m-deg)
-        # over the seeds of degree at most m, one sum_of_products call
+    if isinstance(rule, LimitRecursiveRule):
+        return MonomialIdeal(2, rule.rung(n), _trusted=True)
+    if isinstance(rule, (PowerRule, NoetherianSeedsRule)):
+        # rung m is the sum of seed * I_(m-deg) over the seeds of degree at
+        # most m, one sum_of_products call
         entry = memo.get(spec)
         if entry is None:
-            entry = memo[spec] = ([], [MonomialIdeal.unit(d)])
+            seeds = rule.seeds if isinstance(rule, NoetherianSeedsRule) else ((1, rule.gens),)
+            entry = memo[spec] = ([(deg, MonomialIdeal.from_gens(d, gens)) for deg, gens in seeds],
+                                  [MonomialIdeal.unit(d)])
         seeds, ladder = entry
         while len(ladder) <= n:
             m = len(ladder)
-            seeds += [(m, MonomialIdeal.from_gens(d, gens)) for gens in rule.seed_gens(m)]
-            ladder.append(sum_of_products(d, [(seed, ladder[m - deg]) for deg, seed in seeds]))
+            ladder.append(sum_of_products(d, [(seed, ladder[m - deg]) for deg, seed in seeds if deg <= m]))
         return ladder[n]
     if isinstance(rule, CounterRule):
         return MonomialIdeal.from_gens(2, [(1, rule.value(n)), (2, 0)])
@@ -217,6 +238,15 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     raise PreconditionError(f"unknown family rule {rule!r}")
 
 
+def _checked_index(n) -> int:
+    """n itself when it is a non-negative int (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise PreconditionError(f"family indices must be integers, got {n!r}")
+    if n < 0:
+        raise PreconditionError("family indices must be non-negative")
+    return n
+
+
 def eval_family(spec: FamilySpec, index: Index, memo: Optional[dict] = None) -> MonomialIdeal:
     """The ideal I_index of the family, minimalized.
 
@@ -227,16 +257,12 @@ def eval_family(spec: FamilySpec, index: Index, memo: Optional[dict] = None) -> 
     if isinstance(spec.rule, ProductGridRule):
         if not isinstance(index, tuple) or len(index) != spec.arity:
             raise PreconditionError(f"product grid index must be a {spec.arity}-tuple")
-        if any(n < 0 for n in index):
-            raise PreconditionError("family indices must be non-negative")
-        return _eval(spec, tuple(int(n) for n in index), memo)
+        return _eval(spec, tuple(map(_checked_index, index)), memo)
     if isinstance(index, tuple):
         if len(index) != 1:
             raise PreconditionError("this family is singly indexed")
         index = index[0]
-    if index < 0:
-        raise PreconditionError("family indices must be non-negative")
-    return _eval(spec, int(index), memo)
+    return _eval(spec, _checked_index(index), memo)
 
 
 # ---------------------------------------------------------------------------

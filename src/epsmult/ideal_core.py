@@ -7,29 +7,15 @@ number of variables ``d`` is a plain int, checked to be positive by
 ``from_gens``, ``zero`` and ``unit``; the internal constructors, such as
 ``sum_of_products(d, pairs)``, pass it on as it is.
 
-The antichain lives in one of two forms:
-
-* ``_keys``, the ascending uint64 keys (x << 32) | y of ``_kernels``, for a
-  product in two variables whose factors and result are all int64-safe:
-  every coordinate is below ``_kernels.INT64_SAFE`` = 2**31.  ``gens`` is
-  built from the keys on first read and cached.
-* ``gens``, the tuple of Python-int tuples, for every other ideal, so there
-  is no overflow ceiling.
-
-Only ``multiply`` and ``sum_of_products`` make keys, exactly when every
-factor is int64-safe (``fits_int64``), so that every sum of two keys is the
-exact key of the row sum; a tuple-held factor packs and caches its keys on
-its first product, and numpy is loaded then.  ``sum_of_products`` builds a
-sum of products of ideals (a rung of a recursive family) and minimalizes it
-once: by one ``_kernels.product_keys`` sort of shifted key runs, by one
-``_antichain`` otherwise.  It reads a key-held factor's keys as they are,
-since such a factor is nonzero and int64-safe, and asks only the tuple-held
-factors.  ``_of_keys`` keeps the keys only when the result is int64-safe
-too.  Every other minimalization is ``_antichain`` on Python ints: one lex
-sort and one pass in two and three variables, and above three a level
-sweep that ends in the three-variable pass.  ``_sat_slices`` builds the
-slices of sat(I) in d >= 3, once for both ``_saturation`` and the lengths
-of ``cohomology.h0_length``.
+``sum_of_products`` builds a sum of products of ideals (a rung of a
+Noetherian family, or the one product of ``multiply``) and minimalizes it
+once: in two variables by ``_kernels.product`` (integer keys, one sort and
+one scan), otherwise by ``_antichain``.  ``_antichain`` does every other
+minimalization too: one lex sort and one pass in two and three variables,
+and above three a level sweep that ends in the three-variable pass.
+Exponents are Python ints throughout, so there is no overflow ceiling.
+``_sat_slices`` builds the slices of sat(I) in d >= 3, once for both
+``_saturation`` and the lengths of ``cohomology.h0_length``.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -41,13 +27,10 @@ import bisect
 import json
 import re
 import operator
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
 from .errors import DimensionMismatchError, ParseError, PreconditionError, ZeroIdealError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Monomial = tuple[int, ...]
 
@@ -192,65 +175,42 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def _of_keys(d: int, keys: np.ndarray) -> "MonomialIdeal":
-    """The d = 2 ideal whose minimal generators are the ascending, non-empty
-    *keys* of a product of int64-safe factors, each field below 2**32.  The
-    keys are kept when the result is int64-safe; otherwise their rows are."""
-    if max(_kernels.key_extent(keys)) < _kernels.INT64_SAFE:
-        return MonomialIdeal(d, None, _trusted=True, keys=keys)
-    return MonomialIdeal(d, _kernels.key_rows(keys), _trusted=True)
-
-
 def sum_of_products(d: int, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
     """The ideal sum of a*b over *pairs*, minimalized once.
 
-    Every factor must live in *d* variables, zero pairs included; zero pairs are
-    then dropped.  A key-held factor is nonzero and int64-safe, so only the
-    tuple-held ones are asked.  In d = 2, with every factor of a nonzero pair
-    int64-safe, ``_kernels.product_keys`` builds every product as runs of the
-    larger factor shifted by the keys of the smaller one and sorts them all
-    at once; otherwise one ``_antichain`` runs over them as Python-int tuples.
+    Every factor must live in *d* variables, zero pairs included; zero pairs
+    are then dropped.  In d = 2 one ``_kernels.product`` builds every product
+    at once; otherwise one ``_antichain`` runs over all the sums.
     """
-    live, tuple_held = [], []
+    live = []
     for a, b in pairs:
         if a.d != d or b.d != d:
             raise DimensionMismatchError(f"ideals live in {a.d if a.d != d else b.d} and {d} variables")
-        if a._keys is None or b._keys is None:
-            fresh = [f for f in (a, b) if f._keys is None]
-            if any(f.is_zero for f in fresh):
-                continue
-            tuple_held += fresh
-        live.append((a, b))
+        if a.gens and b.gens:
+            live.append((a.gens, b.gens))
     if not live:
         return MonomialIdeal.zero(d)
-    if d == 2 and all(f.fits_int64() for f in tuple_held):
-        for f in tuple_held:
-            f._as_keys()
-        return _of_keys(d, _kernels.product_keys([(a._keys, b._keys) for a, b in live]))
-    rows = [tuple(map(operator.add, g, h)) for a, b in live for g in a.gens for h in b.gens]
+    if d == 2:
+        return MonomialIdeal(d, _kernels.product(live), _trusted=True)
+    rows = [tuple(map(operator.add, g, h)) for a, b in live for g in a for h in b]
     return MonomialIdeal(d, _antichain(rows), _trusted=True)
 
 
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating antichain.
 
-    At least one of ``_gens`` (tuples) and ``_keys`` (d = 2 uint64 keys) is
-    set.  Keys are stored, read-only, only for an int64-safe ideal in two
-    variables: by a product, or by ``_as_keys`` on a factor.  ``_newton``
-    caches the Newton polyhedron (``polyhedra.newton_polyhedron``).
+    ``_gens`` holds it as lex-sorted tuples of Python ints, read through the
+    read-only ``gens``.  ``_newton`` caches the Newton polyhedron
+    (``polyhedra.newton_polyhedron``).
     """
 
-    __slots__ = ("d", "_gens", "_keys", "_newton")
+    __slots__ = ("d", "_gens", "_newton")
 
-    def __init__(self, d: int, gens: Optional[tuple[Monomial, ...]],
-                 _trusted: bool = False, keys: Optional[np.ndarray] = None):
+    def __init__(self, d: int, gens: tuple[Monomial, ...], _trusted: bool = False):
         if not _trusted:
             raise PreconditionError("use MonomialIdeal.from_gens / zero / unit")
-        if keys is not None:
-            keys.flags.writeable = False
         self.d = d
         self._gens = gens
-        self._keys = keys
         self._newton = None
 
     @classmethod
@@ -271,47 +231,21 @@ class MonomialIdeal:
     @property
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as lex-sorted tuples of Python ints."""
-        if self._gens is None:
-            self._gens = _kernels.key_rows(self._keys)
         return self._gens
-
-    def _columns(self) -> tuple[Sequence[int], ...]:
-        """The d columns of the minimal generators as Python ints; a key-held
-        ideal reads them off its keys without building ``gens``."""
-        if self._gens is None:
-            return _kernels.key_columns(self._keys)
-        return tuple(zip(*self._gens))
-
-    def _count(self) -> int:
-        return len(self._gens if self._gens is not None else self._keys)
 
     @property
     def is_zero(self) -> bool:
-        return self._count() == 0
+        return not self._gens
 
     @property
     def is_unit(self) -> bool:
-        return self._count() == 1 and not any(self.gens[0])
+        return len(self._gens) == 1 and not any(self._gens[0])
 
     def max_exponents(self) -> Monomial:
         """Componentwise maximum of the minimal generators (zero ideal -> 0s)."""
         if self.is_zero:
             return (0,) * self.d
-        if self._keys is not None:
-            return _kernels.key_extent(self._keys)
         return tuple(map(max, zip(*self._gens)))
-
-    def fits_int64(self) -> bool:
-        return (self._keys is not None or self.is_zero
-                or max(self.max_exponents()) < _kernels.INT64_SAFE)
-
-    def _as_keys(self) -> np.ndarray:
-        """The read-only d = 2 keys of a nonzero ideal (cached; requires fits_int64)."""
-        if self._keys is None:
-            keys = _kernels.pack(self._gens)
-            keys.flags.writeable = False
-            self._keys = keys
-        return self._keys
 
     def _same_ring(self, other: "MonomialIdeal") -> None:
         if self.d != other.d:
@@ -333,13 +267,7 @@ class MonomialIdeal:
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ring(other)
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.d)
-        if self.d == 2 and self.fits_int64() and other.fits_int64():
-            sums = self._as_keys()[:, None] + other._as_keys()[None, :]
-            return _of_keys(self.d, _kernels.minimal_keys(sums.ravel()))
-        prods = [tuple(map(operator.add, g, h)) for g in self.gens for h in other.gens]
-        return MonomialIdeal(self.d, _antichain(prods), _trusted=True)
+        return sum_of_products(self.d, [(self, other)])
 
     __mul__ = multiply
 

@@ -147,7 +147,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 def _build_newton(ideal: MonomialIdeal) -> NewtonPolyhedron:
     _require_proper(ideal)
     if ideal.d == 2:
-        return _newton_polygon(*ideal._columns())
+        return _newton_polygon(*zip(*ideal.gens))
     return _newton_by_rays(ideal.d, ideal.gens)
 
 

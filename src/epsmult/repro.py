@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .asymptotics import extract_epsilons, fit_quasi_polynomial, length_table
 from .cohomology import h0_length
+from .errors import InsufficientDataError
 from .families import (CounterRule, FamilySpec, HyperbolaRule, LimitRecursiveRule,
                        SqrtPrincipalRule, _ceil_div, eval_family, power_family,
                        product_grid_family)
@@ -157,7 +158,15 @@ def limit_trend(points: Sequence[int] = (25, 50, 100),
 
 def fit_epsilon(ideal: MonomialIdeal, n_max: int = 12, start: int = 3,
                 period_max: int = 6, holdout: int = 2):
-    """(epsilon, period) from the length quasi-polynomial of the powers."""
+    """(epsilon, period) from the length quasi-polynomial of the powers.
+
+    The window is checked before any power is built: the loosest period, 1,
+    needs d + 1 fitted powers and one more, fitted or held out.
+    """
+    lo, need = max(start, 1), ideal.d + 1 + max(holdout, 1)
+    if n_max - lo + 1 < need:
+        raise InsufficientDataError(f"powers {lo}..{n_max} are fewer than the {need} a degree-{ideal.d} "
+                                    f"fit with {holdout} held out needs")
     table = length_table(power_family(ideal), range(1, n_max + 1))
     quasi = fit_quasi_polynomial(table, degree=ideal.d, period_max=period_max,
                                  holdout=holdout, start=start)

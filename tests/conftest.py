@@ -10,15 +10,14 @@ from typing import Optional
 import pytest
 
 from epsmult._exactla import bareiss, rank
-from epsmult._kernels import INT64_SAFE
 from epsmult.asymptotics import Index, LengthTable, QuasiPolynomial, _monomial_basis
 from epsmult.errors import InsufficientDataError, NoFitError, PreconditionError
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import OutRegionReport, newton_polyhedron, volume_from_constraints
 
 
-# coordinates on both sides of the int64 key bound 2**31, and past 2**64
-STRADDLE = (0, 1, 2, INT64_SAFE - 1, INT64_SAFE, 2**40, 2**64)
+# small coordinates, ones on both sides of 2**31, and ones past 2**64
+STRADDLE = (0, 1, 2, 2**31 - 1, 2**31, 2**40, 2**64)
 
 
 @pytest.fixture

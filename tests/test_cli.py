@@ -201,6 +201,23 @@ class TestExitCodes:
                      "--degree", degree]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        # d = 5 with the defaults: powers 6..12, 2 held out, 5 left for 6 unknowns
+        ["--ideal", "x1, x2, x3, x4, x5"],
+        ["--ideal", "x*y^2, x^2", "--nmax", "4"],
+        ["--ideal", "x*y^2, x^2", "--nmax", "5", "--holdout", "0", "--method", "both"],
+    ])
+    def test_epsilon_fit_window_is_2_before_the_table(self, capsys, monkeypatch, argv):
+        from epsmult import repro
+        monkeypatch.setattr(repro, "length_table", lambda *args: pytest.fail("length table built"))
+        assert main(["epsilon", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_epsilon_fit_window_just_large_enough(self, capsys):
+        # 3 unknowns in d = 2: powers 3..7 fit 3 and hold out 2
+        code, out = run(capsys, "epsilon", "--ideal", "x*y^2, x^2", "--nmax", "7")
+        assert code == 0 and json.loads(out)["epsilon"] == "2/1"
+
     def test_unwritable_csv_path_is_1(self, capsys, tmp_path):
         path = tmp_path / "missing" / "out.csv"
         assert main(["h0", "--ideal", "x*y^2, x^2", "--csv", str(path)]) == 1

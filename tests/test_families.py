@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import itertools
 import json
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsmult import _kernels, families, repro
+from epsmult import families, repro
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -118,6 +117,16 @@ class TestEval:
         with pytest.raises(PreconditionError):
             eval_family(POWER, -1)
 
+    @pytest.mark.parametrize("spec, index", [
+        (POWER, 1.5), (POWER, True), (POWER, (2.0,)), (LIMIT, 3.0), (COUNTER, "2"),
+        (product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)])] * 2), (1.7, 2.2)),
+        (product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)])] * 2), (True, 1)),
+    ])
+    def test_non_integer_index_rejected(self, spec, index):
+        # a bool or a non-int index is refused, not truncated to an entry
+        with pytest.raises(PreconditionError, match="family indices must be integers"):
+            eval_family(spec, index)
+
     GRID = product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)]),
                                 MonomialIdeal.from_gens(2, [(0, 1)])])
 
@@ -157,9 +166,10 @@ class TestEval:
     def test_memoized_evaluation_is_stable(self):
         # a shared memo hands back the same object; without one every call
         # builds its own, so no state outlives a call
+        spec = LADDERS["seeds-1-2"][0]
         memo = {}
-        assert eval_family(LIMIT, 6, memo) is eval_family(LIMIT, 6, memo)
-        a, b = eval_family(LIMIT, 6), eval_family(LIMIT, 6)
+        assert eval_family(spec, 6, memo) is eval_family(spec, 6, memo)
+        a, b = eval_family(spec, 6), eval_family(spec, 6)
         assert a == b and a is not b
 
     def test_deep_power_and_grid_indices(self):
@@ -424,8 +434,8 @@ LADDERS = {
                                                       (5, ((3, 3),))))), 30),
     "d3-seeds-1-2": (FamilySpec(3, NoetherianSeedsRule(((1, ((1, 1, 0), (0, 1, 1), (2, 0, 1))),
                                                        (2, ((0, 0, 3), (1, 2, 0)))))), 12),
-    # coordinates near 2^29: I_1 .. I_3 stay below INT64_SAFE, and I_4 crosses
-    # it through (4 B, 0), so later rungs have a factor past the bound
+    # coordinates near 2^29: I_1 .. I_3 stay below 2^31, and I_4 crosses it
+    # through (4 B, 0), so later rungs have a factor past 2^31
     "seeds-past-int64": (FamilySpec(2, NoetherianSeedsRule(((1, ((0, B), (B // 3, B // 3), (B, 0))),
                                                            (2, ((1, 2 * B - 5), (2 * B - 3, 2)))))), 8),
 }
@@ -435,42 +445,34 @@ LADDERS = {
 def test_ladder_matches_the_rung_oracle(name):
     spec, n = LADDERS[name]
     expected = oracle_ladder(spec, n)
-    memo, forms = {}, set()
+    memo = {}
     for m in range(n + 1):
-        rung = eval_family(spec, m, memo)
-        assert rung.gens == expected[m], m
-        if spec.d == 2 and m and expected[m]:
-            # keys iff the rung is int64-safe: every earlier rung is then too
-            safe = max(map(max, expected[m])) < _kernels.INT64_SAFE
-            assert (rung._keys is not None) == safe, m
-            forms.add(safe)
-    if name == "seeds-past-int64":
-        assert forms == {False, True}
+        assert eval_family(spec, m, memo).gens == expected[m], m
     for m in range(n + 1):
         assert eval_family(spec, m).gens == expected[m], m
     if name == "seeds-3-4-5":
         assert expected[1] == expected[2] == () and all(expected[3:])
-    if spec.d != 2:
-        assert eval_family(spec, n)._keys is None  # the tuple route
+    if name == "seeds-past-int64":
+        assert max(map(max, expected[3])) < 2**31 <= max(map(max, expected[4]))
 
 
-def test_limit_rungs_ask_only_tuple_held_factors(monkeypatch):
-    # in rung m every factor is key-held but the new seed S_m, and I_0 in
-    # rung 1, so fits_int64 and _as_keys run about once per rung, not once
-    # per factor; each rung is one minimal_keys sort
-    counts = collections.Counter()
-    for name in ("fits_int64", "_as_keys"):
-        method = getattr(MonomialIdeal, name)
-        monkeypatch.setattr(MonomialIdeal, name,
-                            lambda self, method=method, name=name: counts.update([name]) or method(self))
-    minimal_keys = _kernels.minimal_keys
-    monkeypatch.setattr(_kernels, "minimal_keys",
-                        lambda keys: counts.update(["minimal_keys"]) or minimal_keys(keys))
+def test_limit_closed_form_equals_the_seeds_ladder():
+    # the unrolled recursion: I_n is the sum of S_k I_(n-k) with
+    # S_k = (x y^(k^2), x^(k^2) y) in each degree k, built as a seeds ladder
+    seeds = FamilySpec(2, NoetherianSeedsRule(tuple((k, ((1, k * k), (k * k, 1))) for k in range(1, 101))))
     memo = {}
-    for m in range(61):
-        eval_family(LIMIT, m, memo)
-    assert counts["minimal_keys"] == 60
-    assert counts["fits_int64"] <= 2 * 60 and counts["_as_keys"] <= 2 * 60, counts
+    for n in range(101):
+        assert eval_family(LIMIT, n).gens == eval_family(seeds, n, memo).gens, n
+
+
+def test_limit_rungs_form_no_product(monkeypatch):
+    # each I_n is read off its closed form: no product, sum or minimalization
+    for name in ("multiply", "add"):
+        monkeypatch.setattr(MonomialIdeal, name, lambda *args: pytest.fail("a product was formed"))
+    monkeypatch.setattr(families, "sum_of_products", lambda *args: pytest.fail("a rung was summed"))
+    for n in range(1, 61):
+        gens = eval_family(LIMIT, n).gens
+        assert len(gens) == 2 * n - 1 and gens[n - 1] == (n, n)
 
 
 def test_limit_family_to_100_is_fast():

@@ -2,7 +2,6 @@ import random
 import time
 from functools import reduce
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -344,11 +343,8 @@ class TestParsing:
 
 
 # ---------------------------------------------------------------------------
-# The d = 2 key form, the tuple form and the big-integer route against the
-# brute-force oracle.
-
-SAFE = _kernels.INT64_SAFE
-
+# Products, sums, lcms and colons, small and past 2**31 and 2**64, against
+# the brute-force oracle.
 
 def py_mul(a, b):
     return brute_minimal([tuple(x + y for x, y in zip(g, h)) for g in a for h in b])
@@ -367,7 +363,7 @@ def py_subset(a, b):
 
 
 def tuple_backed(d, gens):
-    """The ideal with generators *gens* (already minimal), holding no keys."""
+    """The ideal with generators *gens*, taken as minimal and lex sorted."""
     return MonomialIdeal(d, tuple(gens), _trusted=True)
 
 
@@ -399,82 +395,40 @@ def test_array_route_matches_python_route(rng):
         check_against_python(d, random_gens(rng, d, hi, 1), random_gens(rng, d, hi, 0))
 
 
-def test_kernel_results_skip_the_tuple_form(rng):
-    # two forms, not three: a d = 2 product of int64-safe factors that is
-    # int64-safe itself holds read-only keys only; every other result (a sum,
-    # intersection or colon, or any result in d != 2) holds tuples only
-    assert MonomialIdeal.__slots__ == ("d", "_gens", "_keys", "_newton")
-    assert not hasattr(MonomialIdeal, "as_array")
-    for k in range(60):
-        d = 2 + k % 3
-        while True:  # in d = 2, more than two candidate rows for every result
-            I = random_ideal(rng, d, 6, 6)
-            J = random_ideal(rng, d, 6, 6)
-            if min(len(I.gens), len(J.gens), len((I * J).gens)) > 2:
-                break
-        product = I * J
-        if d == 2:  # before the colons below read its gens
-            assert product._gens is None and not product._keys.flags.writeable
-            with pytest.raises(ValueError):
-                product._keys.sort()
-            assert product.gens == _kernels.key_rows(product._keys)
-        # the colon and the localization are of a key-held product
-        others = (I + J, I.intersect(J), product.colon_var_sat(1), product.localize((2,)))
-        for result in others if d == 2 else (product, *others):
-            assert result._keys is None and type(result._gens) is tuple
-        sat = I.saturate()
-        assert sat._keys is None and type(sat._gens) is tuple
-
-
-def key_backed(gens):
-    """The d = 2 ideal generated by *gens* (int64-safe), holding keys only."""
-    keys = _kernels.pack(np.array(brute_minimal(gens), dtype=np.int64).reshape(-1, 2))
-    return MonomialIdeal(2, None, _trusted=True, keys=keys)
-
-
 def test_key_route_matches_brute_force(rng):
-    # chains of products and sums whose operands are tuple or key backed; a
-    # coordinate SAFE - 1 sends a chain past the bound within a step or two
-    steps = (0, 1, 2, 3, 4, SAFE - 1)
+    # chains of products and sums of d = 2 ideals; a coordinate 2^31 - 1 or
+    # 2^64 sends a chain across 2^31 or past 2^64 within a step or two
+    steps = (0, 1, 2, 3, 4, 2**31 - 1, 2**64)
 
     def draw():
         gens = [(rng.choice(steps), rng.choice(steps)) for _ in range(rng.randint(1, 6))]
         gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
-        return rng.choice((key_backed, lambda g: tuple_backed(2, brute_minimal(g)))), gens
+        return gens
 
     for _ in range(300):
-        make, gens = draw()
-        acc, expected = make(gens), brute_minimal(gens)
+        gens = draw()
+        acc, expected = MonomialIdeal.from_gens(2, gens), brute_minimal(gens)
         for _ in range(3):
-            make, gens = draw()
-            other = make(gens)
-            both = acc.fits_int64() and other.fits_int64()
-            multiplied = rng.random() < 0.5
-            if multiplied:
-                acc, expected = acc * other, py_mul(expected, brute_minimal(gens))
+            gens = draw()
+            other = tuple_backed(2, brute_minimal(gens))
+            if rng.random() < 0.5:
+                acc, expected = acc * other, py_mul(expected, other.gens)
             else:
-                acc, expected = acc + other, brute_minimal(expected + brute_minimal(gens))
+                acc, expected = acc + other, brute_minimal(expected + other.gens)
             assert acc.gens == expected
-            if max(map(max, expected)) >= SAFE:
-                assert acc._keys is None and not acc.fits_int64()
-            else:  # keys iff a product of int64-safe factors
-                assert (acc._keys is not None) == (multiplied and both)
 
 
 def test_key_products_straddling_the_bound():
-    top = SAFE - 1
+    top = 2**31 - 1
     cases = (([(top, 0), (0, 5)], [(1, 0), (0, 1)]),          # x: (2^31 - 1) + 1
              ([(5, 0), (0, top)], [(1, 0), (0, 1)]),          # y: (2^31 - 1) + 1
              ([(top, 0), (0, top)], [(top, 0), (0, top)]),    # (2^31 - 1) + (2^31 - 1)
-             ([(top - 1, 0), (0, 5)], [(1, 0), (0, 1)]))      # 2^31 - 1 exactly: keys
+             ([(top - 1, 0), (0, 5)], [(1, 0), (0, 1)]),      # 2^31 - 1 exactly
+             ([(2**64 - 1, 0), (0, 1)], [(1, 0), (0, 2**64)]))  # x: 2^64, y: 2^64 + 1
     for g1, g2 in cases:
         expected = py_mul(brute_minimal(g1), brute_minimal(g2))
-        big = max(map(max, expected)) >= SAFE
-        for I in (key_backed(g1), tuple_backed(2, brute_minimal(g1))):
-            for J in (key_backed(g2), tuple_backed(2, brute_minimal(g2))):
-                product = I * J
-                assert product.gens == expected
-                assert (product._keys is None) == big and product.fits_int64() != big
+        I, J = MonomialIdeal.from_gens(2, g1), MonomialIdeal.from_gens(2, g2)
+        assert (I * J).gens == (J * I).gens == expected
 
 
 def test_operands_straddling_the_int64_bound(rng):
@@ -482,12 +436,8 @@ def test_operands_straddling_the_int64_bound(rng):
         d = 1 + k % 4
         g1 = [tuple(rng.choice(STRADDLE[:4]) for _ in range(d)) for _ in range(rng.randint(1, 5))]
         g2 = [tuple(rng.choice(STRADDLE) for _ in range(d)) for _ in range(rng.randint(1, 5))]
-        if all(max(g) < SAFE for g in g2):
+        if all(max(g) < 2**31 for g in g2):
             g2[0] = (rng.choice(STRADDLE[4:]),) + g2[0][1:]
-        I, J = MonomialIdeal.from_gens(d, g1), MonomialIdeal.from_gens(d, g2)
-        assert I.fits_int64()
-        if max(map(max, J.gens)) >= SAFE:
-            assert not J.fits_int64()
         check_against_python(d, g1, g2)
         check_against_python(d, g2, g1)
 
@@ -495,10 +445,9 @@ def test_operands_straddling_the_int64_bound(rng):
 @pytest.mark.parametrize("offset", [0, 2048])
 def test_sum_of_products_matches_brute_force(offset):
     # zero and unit ideals among the pairs, empty and repeated pairs, and in
-    # d = 2 factors at or past the int64 bound (the tuple route) next to
-    # int64-safe ones; each offset draws its own 400 cases
+    # d = 2 factors across 2^31 and past 2^64 next to small ones; each offset
+    # draws its own 400 cases
     rng = random.Random(20240817 + offset)
-    routes = set()
 
     def draw(d):
         roll = rng.random()
@@ -514,12 +463,7 @@ def test_sum_of_products_matches_brute_force(offset):
             values = STRADDLE if d == 2 and roll < 0.3 else range(6)
             gens = brute_minimal(tuple(rng.choice(values) for _ in range(d))
                                  for _ in range(rng.randint(1, 7)))
-        if d == 2 and max(map(max, gens)) < SAFE and rng.random() < 0.5:
-            return key_backed(gens)
         return tuple_backed(d, gens)
-
-    def top(f):
-        return tuple(map(max, zip(*f.gens)))
 
     for k in range(400):
         d = 1 + k % 4
@@ -527,13 +471,6 @@ def test_sum_of_products_matches_brute_force(offset):
         pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated pairs
         got = sum_of_products(d, pairs)
         assert got.gens == brute_rung([(a.gens, b.gens) for a, b in pairs])
-        if d == 2 and not got.is_zero:
-            # keys iff every factor of a nonzero pair and the result are int64-safe
-            factors = [f for pair in pairs if not (pair[0].is_zero or pair[1].is_zero) for f in pair]
-            safe = all(max(top(f)) < SAFE for f in (*factors, got))
-            assert (got._keys is not None) == safe
-            routes.add(got._keys is not None)
-    assert routes == {False, True}
 
 
 def test_sum_of_products_checks_the_ring():
@@ -545,39 +482,36 @@ def test_sum_of_products_checks_the_ring():
 
 
 def test_sum_of_products_mixes_factor_forms(monkeypatch):
-    # key-held, tuple-held int64-safe, tuple-held past the bound and zero
-    # factors in one call; one factor past the bound sends the whole sum to
-    # _antichain, and a tuple-held factor packs its keys only on the key route
+    # small factors, factors across 2^31 and past 2^64, and zero factors in
+    # one call: in d = 2 one kernel product builds the whole sum, and no
+    # _antichain runs
     calls = []
-    antichain, product_keys = ideal_core._antichain, _kernels.product_keys
+    antichain, product = ideal_core._antichain, _kernels.product
     monkeypatch.setattr(ideal_core, "_antichain", lambda rows: calls.append("tuples") or antichain(rows))
-    monkeypatch.setattr(_kernels, "product_keys", lambda pairs: calls.append("keys") or product_keys(pairs))
-    top = SAFE - 1
-    for past in (False, True):
-        keyed = key_backed([(0, 3), (2, 1), (5, 0)])
-        loose = tuple_backed(2, ((0, top), (1, 1), (top, 0)))
-        big = tuple_backed(2, ((0, SAFE), (4, 0)))
-        zero = MonomialIdeal.zero(2)
-        pairs = [(keyed, loose), (zero, big), (loose, keyed), (keyed, keyed), (loose, zero)]
-        if past:
-            pairs.append((big, keyed))
+    monkeypatch.setattr(_kernels, "product", lambda pairs: calls.append("keys") or product(pairs))
+    top = 2**31 - 1
+    small = tuple_backed(2, ((0, 3), (2, 1), (5, 0)))
+    loose = tuple_backed(2, ((0, top), (1, 1), (top, 0)))
+    big = tuple_backed(2, ((0, 2**31), (4, 0)))
+    huge = tuple_backed(2, ((0, 2**64), (1, 7), (2**64 + 3, 0)))
+    zero = MonomialIdeal.zero(2)
+    for pairs in ([(small, loose), (zero, big), (loose, small), (small, small), (loose, zero)],
+                  [(small, loose), (big, small), (huge, loose), (zero, huge), (huge, huge)]):
         calls.clear()
         got = sum_of_products(2, pairs)
         live = [(a.gens, b.gens) for a, b in pairs if not (a.is_zero or b.is_zero)]
         assert got.gens == brute_rung(live)
-        assert calls == ["tuples" if past else "keys"]
-        assert (got._keys is None) == past and (loose._keys is None) == past
-        assert big._keys is None and zero._keys is None
+        assert calls == ["keys"]
     # a ring mismatch raises inside a zero pair too, and before any product
-    for pairs in ([(keyed, keyed), (zero, ideal(3, (1, 0, 0)))],
-                  [(ideal(3, (1, 0, 0)), MonomialIdeal.zero(3)), (keyed, loose)]):
+    for pairs in ([(small, small), (zero, ideal(3, (1, 0, 0)))],
+                  [(ideal(3, (1, 0, 0)), MonomialIdeal.zero(3)), (small, loose)]):
         calls.clear()
         with pytest.raises(DimensionMismatchError):
             sum_of_products(2, pairs)
         assert calls == []
     # the pairs may be any iterable, and all-zero pairs give the zero ideal
-    assert sum_of_products(2, iter([(keyed, loose)])) == keyed * loose
-    assert sum_of_products(2, ((zero, keyed), (loose, zero))).is_zero
+    assert sum_of_products(2, iter([(small, loose)])) == small * loose
+    assert sum_of_products(2, ((zero, small), (loose, zero))).is_zero
 
 
 # (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.
@@ -599,19 +533,19 @@ def test_big_integer_power_and_saturation_equal_the_scaled_ones():
 
     small = ideal(3, *CLIFF_BASE).power(30)
     big = ideal(3, *scaled(CLIFF_BASE)).power(30)
-    assert not big.fits_int64()
     assert big.gens == scaled(small.gens)
     assert big.saturate().gens == scaled(small.saturate().gens)
 
 
 def test_sums_past_the_bound_take_the_python_route():
-    I = MonomialIdeal.from_gens(2, [(SAFE - 1, 0), (1, 1), (0, SAFE - 1)])
-    assert I._keys is None and I.fits_int64()
+    # d = 2 products, sums, lcms and colons whose exponents cross 2^31
+    I = MonomialIdeal.from_gens(2, [(2**31 - 1, 0), (1, 1), (0, 2**31 - 1)])
     square = I * I
     assert square.gens == py_mul(I.gens, I.gens)
-    assert square._keys is None and not square.fits_int64()
-    for result in (square + I, square.intersect(I * I), square.colon_var_sat(2)):
-        assert result._keys is None and type(result._gens) is tuple
+    assert max(square.max_exponents()) > 2**31
+    assert (square + I).gens == brute_minimal(square.gens + I.gens)
+    assert square.intersect(I * I).gens == square.gens
+    assert square.colon_var_sat(2).gens == py_colon(square.gens, 2)
 
 
 def test_equality_and_hash_across_forms(rng):
@@ -639,28 +573,23 @@ def test_gens_is_read_only():
         I.gens = ((1, 1),)
 
 
-def lexsort_minimal_rows_2d(arr):
-    """The two-key lexsort version of the d = 2 kernel."""
-    if arr.shape[0] <= 1:
-        return arr
-    srt = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-    ys = srt[:, 1]
-    prev = np.empty_like(ys)
-    prev[0] = np.iinfo(np.int64).max
-    np.minimum.accumulate(ys[:-1], out=prev[1:])
-    return srt[ys < prev]
-
-
 def test_one_key_sort_matches_lexsort_at_the_bound():
-    rng = np.random.default_rng(31)
-    values = np.array([0, 1, 2, 2**30 - 1, 2**30, 2**30 + 1, SAFE - 2, SAFE - 1], dtype=np.int64)
+    # the kernel's one sort of packed keys as a minimalization (each row times
+    # the unit ideal) against a lex sort and a scan of the running least y,
+    # with coordinates about 2^30, 2^31 and 2^64
+    rng = random.Random(31)
+    values = (0, 1, 2, 2**30 - 1, 2**30, 2**30 + 1, 2**31 - 2, 2**31 - 1, 2**64, 2**64 + 1)
     for n in (1, 2, 3, 8, 50, 400):
         for _ in range(20):
-            arr = values[rng.integers(0, len(values), size=(n, 2))]
-            arr = np.concatenate((arr, arr[: n // 2]))  # duplicates
-            got = _kernels.key_rows(_kernels.minimal_keys(_kernels.pack(arr)))
-            assert got == tuple(map(tuple, lexsort_minimal_rows_2d(arr).tolist()))
-            assert got == brute_minimal(arr.tolist())
+            rows = [(rng.choice(values), rng.choice(values)) for _ in range(n)]
+            rows += rows[: n // 2]  # duplicates
+            got = _kernels.product([((r,), ((0, 0),)) for r in rows])
+            lex, low = [], None
+            for x, y in sorted(rows):
+                if low is None or y < low:
+                    lex.append((x, y))
+                    low = y
+            assert got == tuple(lex) == brute_minimal(rows)
 
 
 # (x1^2x4, x2^2x4, x3^2x4, x1x2x3): not m-primary in d = 4.

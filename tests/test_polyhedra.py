@@ -42,7 +42,7 @@ def seeded_ideals(rng, count, dims=(2, 3, 4)):
 def staircases(rng, count):
     """Seeded ideals in two variables, in turn: random ones, runs of three or
     more collinear generators, single generators, ones with pure powers on
-    both axes, ones with coordinates from STRADDLE, and key-held products."""
+    both axes, ones with coordinates from STRADDLE, and products."""
     for k in range(count):
         kind = k % 6
         if kind == 0:
@@ -199,14 +199,10 @@ class TestPolygon:
     def test_no_double_description_in_two_variables(self, rng, monkeypatch):
         rays = recorded_systems(monkeypatch)
         volumes = recorded_systems(monkeypatch, "volume_from_constraints")
-        products = []
         for I in staircases(rng, 120):
-            if I._gens is None and I._count() > 1:  # a single key is read by is_unit
-                products.append(I)
             newton_polyhedron(I)
             out_region(I)
         assert rays == [] and volumes == []
-        assert len(products) >= 10 and all(I._gens is None for I in products)  # keys only
         out_region(ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)))  # d = 3 keeps the double description
         assert len(rays) == 3 and len(volumes) == 2
 
