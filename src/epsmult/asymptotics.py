@@ -34,13 +34,14 @@ from ._exactla import bareiss
 from .cohomology import h0_length
 from .errors import (InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
-from .families import FamilySpec, eval_family
+from .families import FamilySpec, _checked_index, eval_family
 
 Index = tuple[int, ...]
 
 
 def _as_index(idx) -> Index:
-    return idx if isinstance(idx, tuple) else (int(idx),)
+    """*idx* as a tuple of non-negative ints (a float or a bool is no index)."""
+    return tuple(map(_checked_index, idx if isinstance(idx, tuple) else (idx,)))
 
 
 @dataclass
@@ -63,9 +64,10 @@ def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
     """H^0 lengths of R/I_n over the given indices, by the slab route.
 
     The entries share one family memo, so each ideal of the family is built
-    once per table; the memo is dropped with the call.
+    once per table; the memo is dropped with the call.  ``eval_family``
+    checks every index.
     """
-    idxs = [_as_index(i) for i in indices]
+    idxs = [i if isinstance(i, tuple) else (i,) for i in indices]
     if not idxs:
         raise PreconditionError("empty index range")
     memo: dict = {}
@@ -254,7 +256,8 @@ class ConvergenceReport:
 def _parse_normalizer(text: str) -> tuple[Fraction, bool]:
     import re
 
-    m = re.fullmatch(r"n(?:\^\(?(\d+(?:/\d+)?)\)?)?(\*ln\(n\))?", text.replace(" ", ""))
+    # a power p or p/q with q > 0
+    m = re.fullmatch(r"n(?:\^\(?(\d+(?:/0*[1-9]\d*)?)\)?)?(\*ln\(n\))?", text.replace(" ", ""))
     if not m:
         raise PreconditionError(f"cannot parse normalizer {text!r}; use n^p or n^p*ln(n)")
     p = Fraction(m.group(1)) if m.group(1) else Fraction(1)

@@ -6,7 +6,8 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
 * slabs: the finite region J \\ I between two monomial ideals J >= I is cut
   at the distinct last exponents of the generators, and the region between
   the (d-1)-variable cuts recurses, in Python ints, so the cost follows the
-  number of generators, not the size of the exponents.  A length builds no
+  number of generators, not the size of the exponents (``ideal_core._cuts``
+  sweeps the cuts, as it does for minimalization).  A length builds no
   box: in two variables sat(I) is the staircase corner and the length the
   area between the two, read off the generators' columns; above two it is
   the sum of (z' - z) * |S_z \\ I_z| over the slices S_z of sat(I)
@@ -28,9 +29,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import ideal_core
 from ._exactla import rank
 from .errors import PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, _antichain, _sat_slices
+from .ideal_core import Monomial, MonomialIdeal, _sat_slices
 
 METHOD_BOX = "box-enumeration"
 METHOD_TAKAYAMA = "takayama"
@@ -87,32 +89,15 @@ def _infinite() -> PreconditionError:
     return PreconditionError("the region between the two ideals is infinite")
 
 
-def _cuts(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> Iterator[tuple]:
-    """(z, z', O_z, I_z) for each distinct last exponent z of the generators,
-    ascending: z' is the next one (None past the last), and O_z and I_z are
-    the (d-1)-variable cuts of (outer) and (inner) at x_d = z."""
-    levels: dict[int, tuple[list, list]] = {}
-    for side, gens in enumerate((outer, inner)):
-        for g in gens:
-            levels.setdefault(g[-1], ([], []))[side].append(g[:-1])
-    zs = sorted(levels)
-    cut = [(), ()]
-    for z, up in zip(zs, zs[1:] + [None]):
-        for side in (0, 1):
-            if levels[z][side]:
-                cut[side] = _antichain([*cut[side], *levels[z][side]])
-        yield z, up, *cut
-
-
 def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
     """Boxes tiling the monomials of (outer) that are not in (inner).
 
-    Both arguments are minimal generator tuples in lex order with
-    (inner) inside (outer).  The region is cut at the distinct last exponents
-    z_0 < ... < z_k of the generators (``_cuts``); on [z_i, z_(i+1)) it is the
-    region between the (d-1)-variable cuts, which recurses.  Raises
-    PreconditionError when the region is infinite, i.e. the top slab
-    [z_k, oo) is not empty.
+    Both arguments are minimal generator tuples in lex order with (inner)
+    inside (outer).  The region is cut at the distinct last exponents
+    z_0 < ... < z_k of the generators (``ideal_core._cuts``); on
+    [z_i, z_(i+1)) it is the region between the (d-1)-variable cuts, which
+    recurses.  Raises PreconditionError when the region is infinite, i.e.
+    the top slab [z_k, oo) is not empty.
     """
     if len(outer[0]) == 1:
         if not inner:
@@ -120,7 +105,7 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
         lo, hi = outer[0], inner[0]
         return [(lo, hi, hi[0] - lo[0])] if lo < hi else []
     boxes = []
-    for z, top, *cut in _cuts(outer, inner):
+    for z, top, *cut in ideal_core._cuts(outer, inner):
         inside = _slabs(*cut)
         if top is None:
             if inside:
@@ -157,17 +142,17 @@ def _between(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> int:
     minimal lex-sorted generator tuples with (inner) inside (outer) and a
     finite region between them.
 
-    The sweep of ``_slabs`` over ``_cuts``, counting in place of listing
-    boxes.  In two variables the region is finite only if the two staircases
-    share their corner, so it holds the difference of their areas
-    (``_staircase_area``).
+    The sweep of ``_slabs``, counting in place of listing boxes.  In two
+    variables the region is finite only if the two staircases share their
+    corner, so it holds the difference of their areas (``_staircase_area``).
     """
     d = len(outer[0])
     if d == 2:
         return _staircase_area(*zip(*inner)) - _staircase_area(*zip(*outer))
     if d == 1:
         return inner[0][0] - outer[0][0]
-    return sum((up - z) * _between(o, i) for z, up, o, i in _cuts(outer, inner) if up is not None and o != i)
+    return sum((up - z) * _between(o, i) for z, up, o, i in ideal_core._cuts(outer, inner)
+               if up is not None and o != i)
 
 
 def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = False) -> H0Count:
@@ -189,13 +174,8 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
         return H0Count(ideal.gens[0][0], METHOD_BOX)
     if ideal.d == 2:
         return H0Count(_staircase_area(*zip(*ideal.gens)), METHOD_BOX)
-    slices = _sat_slices(ideal.gens)
-    z, cut, piece, _ = next(slices)
-    length = 0
-    for up, next_cut, next_piece, _ in slices:
-        if piece != cut:
-            length += (up - z) * _between(piece, cut)
-        z, cut, piece = up, next_cut, next_piece
+    length = sum((up - z) * _between(piece, cut) for z, up, cut, piece, _ in _sat_slices(ideal.gens)
+                 if up is not None and piece != cut)
     return H0Count(length, METHOD_BOX)
 
 

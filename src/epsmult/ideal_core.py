@@ -14,8 +14,10 @@ one scan), otherwise by ``_antichain``.  ``_antichain`` does every other
 minimalization too: one lex sort and one pass in two and three variables,
 and above three a level sweep that ends in the three-variable pass.
 Exponents are Python ints throughout, so there is no overflow ceiling.
-``_sat_slices`` builds the slices of sat(I) in d >= 3, once for both
-``_saturation`` and the lengths of ``cohomology.h0_length``.
+``_cuts`` is the one sweep up the distinct last exponents, with a running
+(d-1)-variable cut per generator set.  That minimalization, the slices of
+sat(I) in d >= 3 (``_sat_slices``, for ``_saturation`` and the lengths of
+``cohomology.h0_length``) and ``cohomology``'s region counts all walk it.
 
 Variable indices in the public API are 1-based (x1..xd), matching the text
 format accepted by the CLI.
@@ -33,6 +35,7 @@ from . import _kernels
 from .errors import DimensionMismatchError, ParseError, PreconditionError, ZeroIdealError
 
 Monomial = tuple[int, ...]
+_prefix = operator.itemgetter(slice(-1))  # g -> g[:-1]
 
 
 def _checked_d(d) -> int:
@@ -64,11 +67,9 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
     of the (y, z) of the rows kept so far, y ascending and z strictly
     descending.  A row is kept iff the entry with the largest y' <= y has
     z' > z, and then it replaces the entries with y' >= y and z' >= z.
-    Above three: a sweep up the distinct last exponents z, keeping
-    ``below``, the antichain of the (d-1)-prefixes seen so far (the cut
-    ``cohomology._slabs`` makes), each cut minimalized one variable down.  A
-    prefix at z gives a minimal element iff it is in the antichain of
-    ``below`` and z's prefixes but not in ``below``.
+    Above three: the sweep of ``_cuts`` up the distinct last exponents z,
+    each cut minimalized one variable down.  A prefix at z gives a minimal
+    element iff it is in the cut at z but not in ``below``, the cut under it.
     """
     if not gens:
         return ()
@@ -97,15 +98,40 @@ def _antichain(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
                 j += 1
             ys[i:j], zs[i:j] = [y], [z]
         return tuple(kept)
-    levels: dict[int, list[Monomial]] = {}
-    for g in gens:
-        levels.setdefault(g[-1], []).append(g[:-1])
-    kept, below = [], ()
-    for z in sorted(levels):
-        cut = _antichain([*below, *levels[z]])
-        kept.extend(p + (z,) for p in set(cut).difference(below))
+    new, below = [], ()
+    for z, _, cut in _cuts(gens):
+        new.append((z, set(cut).difference(below)))
         below = cut
-    return tuple(sorted(kept))
+    return tuple(sorted(p + (z,) for z, ps in new for p in ps))
+
+
+def _cuts(*sides: Sequence[Monomial]) -> Iterator[tuple]:
+    """(z, z', C_1, ..., C_k) for each distinct last exponent z of the k
+    *sides*, ascending: z' is the next one (None past the last), and C_i the
+    (d-1)-variable cut of (side i) at x_d = z, the minimal prefixes of its
+    generators with last exponent <= z.  A zip of one ``_grown`` per side:
+    a cut is built only when the sweep is read that far, and a one-sided
+    sweep pays one generator step per level, with no loop over the sides.
+    """
+    levels = []
+    for gens in sides:
+        level: dict[int, list[Monomial]] = {}
+        for g in gens:
+            level.setdefault(g[-1], []).append(g[:-1])
+        levels.append(level)
+    zs = sorted(set().union(*levels))
+    return zip(zs, [*zs[1:], None], *map(_grown, levels, [zs] * len(levels)))
+
+
+def _grown(level: dict[int, list[Monomial]], zs: Sequence[int]) -> Iterator[tuple[Monomial, ...]]:
+    """One side's cut at each z of *zs*: the cut below and the prefixes at z
+    (``level[z]``, if any), minimalized one variable down."""
+    cut = ()
+    for z in zs:
+        rows = level.get(z)
+        if rows:
+            cut = _antichain([*cut, *rows])
+        yield cut
 
 
 def _clip(top: Sequence[Monomial], a: int, b: int) -> tuple[Monomial, ...]:
@@ -125,32 +151,27 @@ def _clip(top: Sequence[Monomial], a: int, b: int) -> tuple[Monomial, ...]:
     return ((a, top[i][1]), *top[i + 1:j], (top[j][0], b))
 
 
-def _sat_slices(gens: Sequence[Monomial]) -> Iterator[tuple[int, tuple, tuple, bool]]:
+def _sat_slices(gens: Sequence[Monomial]) -> Iterator[tuple[int, Optional[int], tuple, tuple, bool]]:
     """The slices of sat(I) along the last variable, for the lex-sorted
     minimal generators *gens* of a nonzero ideal I in d >= 3 variables:
-    (z, I_z, S_z, full) for each distinct last exponent z, ascending.
+    (z, z', I_z, S_z, full) for each level (z, z', I_z) of ``_cuts``.
 
-    I_z is the (d-1)-variable cut of I at x_d = z.  On [z, z'), z' the next
-    exponent, sat(I) has the slice S_z = sat(I_z) & I_top, I_top the cut at
-    z = oo: in three variables ``_clip`` of I_top at the corner of I_z, above
-    three the lcms of ``_saturation(I_z)`` with I_top.  The slices grow with
-    z; once one reaches I_top (``full``), none is built again.
+    On [z, z'), sat(I) has the slice S_z = sat(I_z) & I_top, I_top the cut
+    at z = oo: in three variables ``_clip`` of I_top at the corner of I_z,
+    above three the lcms of ``_saturation(I_z)`` with I_top.  The slices
+    grow with z; once one reaches I_top (``full``), none is built again.
     """
     d = len(gens[0])
-    levels: dict[int, list[Monomial]] = {}
-    for g in gens:
-        levels.setdefault(g[-1], []).append(g[:-1])
-    top = _antichain([g[:-1] for g in gens])
-    cut, full = (), False
-    for z in sorted(levels):
-        cut = _antichain([*cut, *levels[z]])
+    top = _antichain(list(map(_prefix, gens)))
+    full = False
+    for z, up, cut in _cuts(gens):
         if not full:
             if d == 3:
                 piece = _clip(top, cut[0][0], cut[-1][1])
             else:
                 piece = _antichain([tuple(map(max, s, t)) for s in _saturation(cut) for t in top])
             full = piece == top
-        yield z, cut, piece, full
+        yield z, up, cut, piece, full
 
 
 def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
@@ -166,13 +187,13 @@ def _saturation(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
         return ((0,),)
     if d == 2:
         return ((gens[0][0], gens[-1][1]),)
-    kept, below = [], ()
-    for z, _, piece, full in _sat_slices(gens):
-        kept.extend(p + (z,) for p in set(piece).difference(below))
+    new, below = [], ()
+    for z, _, _, piece, full in _sat_slices(gens):
+        new.append((z, set(piece).difference(below)))
         if full:
             break
         below = piece
-    return tuple(sorted(kept))
+    return tuple(sorted(p + (z,) for z, ps in new for p in ps))
 
 
 def sum_of_products(d: int, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdeal"]]) -> "MonomialIdeal":
@@ -294,20 +315,6 @@ class MonomialIdeal:
         lcms = [tuple(map(max, g, h)) for g in self.gens for h in other.gens]
         return MonomialIdeal(self.d, _antichain(lcms), _trusted=True)
 
-    def _drop(self, variables: frozenset[int]) -> "MonomialIdeal":
-        """The ideal with the exponents of *variables* (1-based) set to zero."""
-        keep = [int(i not in variables) for i in range(1, self.d + 1)]
-        dropped = [tuple(map(operator.mul, g, keep)) for g in self.gens]
-        return MonomialIdeal(self.d, _antichain(dropped), _trusted=True)
-
-    def colon_var_sat(self, i: int) -> "MonomialIdeal":
-        """The stable colon I : xi^infinity (variable index 1-based)."""
-        if self.is_zero:
-            raise ZeroIdealError("saturation of the zero ideal is undefined")
-        if not 1 <= i <= self.d:
-            raise PreconditionError(f"variable index {i} out of range 1..{self.d}")
-        return self._drop(frozenset((i,)))
-
     def saturate(self) -> "MonomialIdeal":
         """I : m^infinity, the intersection of the I : xi^infinity.
 
@@ -322,15 +329,21 @@ class MonomialIdeal:
         return MonomialIdeal(self.d, _saturation(self.gens), _trusted=True)
 
     def localize(self, variables: Iterable[int]) -> "MonomialIdeal":
-        """Monomial image after inverting the given variables (1-based)."""
+        """Monomial image after inverting the given variables (1-based); for
+        one variable xi that is the stable colon I : xi^infinity."""
         if self.is_zero:
             raise ZeroIdealError("localization of the zero ideal is undefined")
-        fs = frozenset(int(i) for i in variables)
+        fs = frozenset(variables)
+        for i in fs:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise PreconditionError(f"variable indices must be integers, got {i!r}")
         if not fs:
             return self
         if not fs <= set(range(1, self.d + 1)):
             raise PreconditionError(f"variable subset {sorted(fs)} out of range 1..{self.d}")
-        return self._drop(fs)
+        keep = [int(i not in fs) for i in range(1, self.d + 1)]
+        dropped = [tuple(map(operator.mul, g, keep)) for g in self.gens]
+        return MonomialIdeal(self.d, _antichain(dropped), _trusted=True)
 
     # -- identity ------------------------------------------------------------
 

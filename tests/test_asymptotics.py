@@ -56,6 +56,19 @@ class TestLengthTable:
         with pytest.raises(PreconditionError):
             length_table(power_family(I), [])
 
+    @pytest.mark.parametrize("bad", [1.5, 2.9, True, (1.0,)])
+    def test_indices_must_be_ints(self, bad):
+        # int(...) read [1.5, 2] as {(1,): 2, (2,): 6} and value(2.9) as the n = 2 entry
+        t = length_table(power_family(I), [1, 2])
+        q = asymptotics.QuasiPolynomial(1, 1, 2, {((0,), (2,)): Fraction(1)})
+        expected = f"family indices must be integers, got {bad[0] if isinstance(bad, tuple) else bad!r}"
+        for call in (lambda: length_table(power_family(I), [bad, 2]), lambda: t.value(bad),
+                     lambda: q.evaluate(bad)):
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert str(info.value) == expected
+        assert t.value(2) == t.value((2,)) == 6 and q.evaluate(3) == 9
+
 
 class TestFit:
     def test_polynomial_with_trivial_period(self):

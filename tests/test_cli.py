@@ -95,6 +95,18 @@ class TestExitCodes:
         assert out == ""
         assert err == "eps: timed out after 1s\n"
 
+    @pytest.mark.parametrize("normalizer", ["n^(1/0)", "n^(3/00)", "n^(1/0)*ln(n)"])
+    def test_zero_denominator_normalizer_is_2(self, capsys, tmp_path, normalizer):
+        # Fraction("1/0") used to end in a ZeroDivisionError traceback
+        spec = tmp_path / "counter.json"
+        spec.write_text('{"d": 2, "rule": {"type": "counter", "a": "n^2"}}')
+        argv = ["family", "run", "--spec", str(spec), "--range", "1:3", "--normalizer", normalizer]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"eps: precondition violated: cannot parse normalizer {normalizer!r}; "
+                       "use n^p or n^p*ln(n)\n")
+
     def test_table_spec_infers_d_from_the_widths(self, capsys, tmp_path):
         spec = tmp_path / "table.json"
         spec.write_text(json.dumps({"rule": {"type": "table", "ideals": [[[0, 0]], [[1, 2], [2, 0]]]}}))

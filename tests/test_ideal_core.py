@@ -139,17 +139,14 @@ class TestColonAndSaturation:
             k += 1
 
     def test_colon_examples(self):
-        assert self.I.colon_var_sat(2).gens == ((1, 0),)
-        assert self.I.colon_var_sat(1).is_unit
-        assert ideal(3, (1, 1, 1)).colon_var_sat(1).gens == ((0, 1, 1),)
+        # I : xi^infinity is the localization at xi
+        assert self.I.localize({2}).gens == ((1, 0),)
+        assert self.I.localize({1}).is_unit
+        assert ideal(3, (1, 1, 1)).localize({1}).gens == ((0, 1, 1),)
 
     def test_colon_matches_stabilized_oracle(self):
         for i in (1, 2):
-            assert self.I.colon_var_sat(i) == self.stable_colon(self.I, i)
-
-    def test_colon_bad_index(self):
-        with pytest.raises(PreconditionError):
-            self.I.colon_var_sat(3)
+            assert self.I.localize({i}) == self.stable_colon(self.I, i)
 
     def test_saturate_examples(self):
         assert self.I.saturate().gens == ((1, 0),)
@@ -159,8 +156,6 @@ class TestColonAndSaturation:
     def test_zero_ideal_rejected(self):
         with pytest.raises(ZeroIdealError):
             MonomialIdeal.zero(2).saturate()
-        with pytest.raises(ZeroIdealError):
-            MonomialIdeal.zero(2).colon_var_sat(1)
         with pytest.raises(ZeroIdealError):
             MonomialIdeal.zero(2).localize({1})
 
@@ -174,15 +169,24 @@ class TestLocalize:
         assert self.I.localize(set()) == self.I
 
     def test_matches_iterated_colon(self):
-        got = self.I.localize({2})
-        assert got == self.I.colon_var_sat(2)
-        both = ideal(3, (2, 1, 3), (0, 4, 1)).localize({1, 3})
-        via_colon = ideal(3, (2, 1, 3), (0, 4, 1)).colon_var_sat(1).colon_var_sat(3)
-        assert both == via_colon
+        stable_colon = TestColonAndSaturation().stable_colon
+        assert self.I.localize({2}) == stable_colon(self.I, 2)
+        J = ideal(3, (2, 1, 3), (0, 4, 1))
+        assert J.localize({1, 3}) == stable_colon(stable_colon(J, 1), 3)
+        assert J.localize({1, 3}) == J.localize({1}).localize({3})
 
     def test_bad_subset(self):
         with pytest.raises(PreconditionError):
             self.I.localize({0})
+
+    @pytest.mark.parametrize("i", [1.7, True, 1.0, "1"])
+    def test_indices_must_be_ints(self, i):
+        # int(i) would read 1.7, True, 1.0 and "1" as x1
+        with pytest.raises(PreconditionError) as info:
+            self.I.localize({i})
+        assert str(info.value) == f"variable indices must be integers, got {i!r}"
+        with pytest.raises(PreconditionError):
+            self.I.localize([2, i])
 
 
 class TestBigExponents:
@@ -250,7 +254,7 @@ def test_saturation_closed_form_in_one_and_two_variables(rng):
     for k in range(200):
         d = 1 + k % 2
         I = random_ideal(rng, d, 8, 6)
-        colons = [I.colon_var_sat(i) for i in range(1, d + 1)]
+        colons = [I.localize({i}) for i in range(1, d + 1)]
         expected = colons[0] if d == 1 else colons[0].intersect(colons[1])
         assert I.saturate() == expected
 
@@ -378,7 +382,7 @@ def check_against_python(d, g1, g2):
     assert J.is_subset(I) == py_subset(b, a)
     if a:
         for i in range(1, d + 1):
-            assert I.colon_var_sat(i).gens == py_colon(a, i)
+            assert I.localize({i}).gens == py_colon(a, i)
         sat = reduce(py_lcm, [py_colon(a, i) for i in range(1, d + 1)])
         assert I.saturate().gens == sat
 
@@ -545,7 +549,7 @@ def test_sums_past_the_bound_take_the_python_route():
     assert max(square.max_exponents()) > 2**31
     assert (square + I).gens == brute_minimal(square.gens + I.gens)
     assert square.intersect(I * I).gens == square.gens
-    assert square.colon_var_sat(2).gens == py_colon(square.gens, 2)
+    assert square.localize({2}).gens == py_colon(square.gens, 2)
 
 
 def test_equality_and_hash_across_forms(rng):
@@ -606,6 +610,69 @@ def test_clip_is_the_lcm_antichain(rng):
         a = rng.choice([x for x in pool if x >= top[0][0]])
         b = rng.choice([y for y in pool if y >= top[-1][1]])
         assert _clip(top, a, b) == brute_minimal([(max(a, x), max(b, y)) for x, y in top])
+
+
+def test_cuts_are_the_minimal_prefixes_below_each_level(rng):
+    # _cuts(*sides) against brute_minimal of each side's prefixes with last
+    # exponent <= z, for 1..3 sides in d = 2..6: seeded rows with duplicates,
+    # minimal and unminimized sides, an empty side, and coordinates
+    # straddling 2^31 and 2^64
+    for k in range(600):
+        d = 2 + k % 5
+        pool = STRADDLE if k % 3 == 0 else range(5)
+        sides = []
+        for _ in range(1 + k % 3):
+            rows = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(rng.randint(0, 8))]
+            rows += rng.sample(rows, rng.randint(0, len(rows)))  # duplicates
+            sides.append(brute_minimal(rows) if rng.random() < 0.5 else rows)
+        zs = sorted({g[-1] for rows in sides for g in rows})
+        got = list(ideal_core._cuts(*sides))
+        assert [(z, up) for z, up, *_ in got] == list(zip(zs, zs[1:] + [None]))
+        for z, _, *cuts in got:
+            assert cuts == [brute_minimal([g[:-1] for g in rows if g[-1] <= z]) for rows in sides]
+
+
+def test_cuts_are_built_as_the_sweep_is_read(monkeypatch):
+    # the first level costs one minimalization per side with rows there, so
+    # a caller that stops early (the full break of _saturation) builds no
+    # more cuts
+    calls = []
+    antichain = ideal_core._antichain
+    monkeypatch.setattr(ideal_core, "_antichain", lambda rows: calls.append(1) or antichain(rows))
+    outer = ((0, 2, 0), (1, 0, 1), (2, 0, 0), (0, 1, 3))
+    inner = ((0, 3, 1), (1, 1, 2), (3, 0, 2))
+    sweep = ideal_core._cuts(outer, inner)
+    assert calls == []
+    assert next(sweep) == (0, 1, ((0, 2), (2, 0)), ())
+    assert len(calls) == 1
+    assert next(sweep) == (1, 2, ((0, 2), (1, 0)), ((0, 3),))
+    assert len(calls) == 3
+
+
+def test_every_level_sweep_is_the_one_cut_sweep(monkeypatch):
+    # minimalization above three variables, saturation, lengths and the
+    # region counts and tilings of cohomology all walk ideal_core._cuts;
+    # cohomology keeps no sweep of its own
+    from epsmult import cohomology
+    assert not hasattr(cohomology, "_cuts")
+    I = ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)).power(3)
+    sat = I.saturate()
+    calls = []
+    cuts = ideal_core._cuts
+    monkeypatch.setattr(ideal_core, "_cuts", lambda *sides: calls.append(len(sides)) or cuts(*sides))
+    routes = [
+        lambda: ideal(4, (2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (1, 1, 1, 0), (2, 1, 0, 3)),
+        I.saturate,
+        lambda: cohomology.h0_length(I),
+        lambda: cohomology._between(sat.gens, I.gens),
+        lambda: cohomology._slabs(sat.gens, I.gens),
+    ]
+    for route, sides in zip(routes, (1, 1, 1, 2, 2)):
+        calls.clear()
+        route()
+        assert sides in calls
+    calls.clear()
+    assert ideal(3, (1, 2, 3)).gens == ((1, 2, 3),) and calls == []  # d = 3 is one pass
 
 
 def test_saturation_sweep_matches_the_colon_intersection(rng):
