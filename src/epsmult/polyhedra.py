@@ -21,16 +21,18 @@ The analytic spread is 1 + the largest dimension of a bounded face
 vertices and rays e_i (nu_i = 0), one dimension per level, and stops at the
 first level with a ray-free face.
 
-epsilon is d! times the volume trapped between NP(I) and the relaxation
-that keeps only facets whose normal has a zero coordinate.  Any point of
-that region misses some strictly positive facet <nu, u> >= c, so its
-coordinates are below c / min_i nu_i, and one halfspace sum u_i <= d (M - 1)
-with M = 1 + max c / min_i nu_i bounds it; the two polytopes are cut by
-that halfspace and u >= 0.  Volumes of such bounded polyhedra come from
-their vertices, the extreme rays (x, D) with D > 0 of the cone
-{(u, D) : <nu, u> >= c D}, and from their vertex-facet incidences, read
-off the masks, which drive a pulling triangulation; no convex hull is ever
-recomputed.
+epsilon is d! times the volume of Q \\ NP(I), where the relaxation Q keeps
+only the loose facets, those whose normal has a zero coordinate.  It is a
+sum of pieces pyr(0, F) & Q, one per strict facet F (normal > 0): a loose
+facet has nu >= 0 and c >= 0, so t Q lies in Q for t >= 1, and the ray from
+0 through a point of Q \\ NP(I) enters NP(I) through a strict facet, at a
+single point; so the pieces tile Q \\ NP(I) with disjoint interiors.  Each
+piece is cut out by NP(I)'s own data: the cap <nu_F, u> <= c_F, one row
+through 0 and each ridge F & G, and the loose facets with c > 0.  Volumes of
+such bounded polyhedra come from their vertices, the extreme rays (x, D)
+with D > 0 of the cone {(u, D) : <nu, u> >= c D}, and from their
+vertex-facet incidences, read off the masks, which drive a pulling
+triangulation; no convex hull is ever recomputed.
 
 In two variables NP(I) is a polygon, and both jobs shrink to one pass over
 the staircase: its vertices are the lower convex hull of the lex-sorted
@@ -286,11 +288,17 @@ def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
 
 
 def out_region(ideal: MonomialIdeal) -> OutRegionReport:
-    """Volume between NP(I) and its zero-coordinate-normal relaxation.
+    """Volume of Q \\ NP(I), Q the relaxation to the loose facets.
 
     epsilon = d! * vol; it is positive exactly when some facet normal is
-    strictly positive, i.e. when the analytic spread is maximal.  In two
-    variables it is read off the hull vertices, with no volume system.
+    strictly positive, i.e. when the analytic spread is maximal.  In one and
+    two variables it is read off the facet or the hull vertices, with no
+    volume system.  For d >= 3 it is the sum of vol(pyr(0, F) & Q) over the
+    strict facets F.  Proof: t Q lies in Q for t >= 1, since every loose
+    facet has nu >= 0 and c >= 0, so the ray from 0 through a point of
+    Q \\ NP(I) enters NP(I) through a strict facet; and it enters only once,
+    so the pieces' interiors are disjoint.  box_bound, M = 1 + max c / min nu
+    over the strict facets, bounds every coordinate of Q \\ NP(I).
     """
     np_ = newton_polyhedron(ideal)
     d = np_.d
@@ -298,16 +306,24 @@ def out_region(ideal: MonomialIdeal) -> OutRegionReport:
     if not strict:
         return OutRegionReport(Fraction(0), Fraction(0), None)
     m_bound = 1 + max(Fraction(c, min(nu)) for nu, c in strict)
+    if d == 1:  # NP(I) = [c, oo): the piece over its one facet is [0, c]
+        volume = Fraction(strict[0][1])
+        return OutRegionReport(volume, volume, m_bound)
     if d == 2:  # twice the area between the hull and the corner (x_0, y_h)
         vs = np_.vertices
         epsilon = Fraction(sum((b[0] - a[0]) * (a[1] + b[1] - 2 * vs[-1][1])
                                for a, b in zip(vs, vs[1:])))
         return OutRegionReport(epsilon / 2, epsilon, m_bound)
-    loose = [(nu, c) for nu, c in np_.facets if not all(v > 0 for v in nu)]
-    # a point that misses a strict facet has every coordinate below m_bound - 1
-    cut: list[Facet] = [(tuple(int(j == i) for j in range(d)), 0) for i in range(d)]
-    cut.append(((-1,) * d, -d * (m_bound - 1)))
-    vol_q = volume_from_constraints(loose + cut, d)
-    vol_np = volume_from_constraints(list(np_.facets) + cut, d)
-    volume = vol_q - vol_np
+    # the loose facets with c = 0 hold on the whole orthant, so on every piece
+    q_rows = [(nu, c) for nu, c in np_.facets if c > 0 and 0 in nu]
+    volume = Fraction(0)
+    for (nu_f, c_f), verts in zip(np_.facets, np_.facet_vertices):
+        if 0 in nu_f:
+            continue
+        # the cone over F: one row through 0 and each ridge F & G
+        rows: list[Facet] = [(tuple(c_f * g - c_g * f for f, g in zip(nu_f, nu_g)), 0)
+                             for (nu_g, c_g), other in zip(np_.facets, np_.facet_vertices)
+                             if len(verts & other) >= d - 1 and nu_g != nu_f]
+        rows.append((tuple(-x for x in nu_f), -c_f))
+        volume += volume_from_constraints(rows + q_rows, d)
     return OutRegionReport(volume, factorial(d) * volume, m_bound)

@@ -76,14 +76,17 @@ class TestExtremeRays:
 
     def test_newton_and_vertex_systems(self, rng, monkeypatch):
         systems = recorded_systems(monkeypatch)
-        for I in seeded_ideals(rng, 60):  # m-primary ones build both vertex systems
+        for I in seeded_ideals(rng, 60):  # ones with a strict facet build its piece
             out_region(I)
         monkeypatch.undo()
-        # Newton rows (d + 1 columns, last entries 0 or 1), then loose + cut and
-        # full systems, whose rows u_i >= 0 repeat a loose facet <e_i, u> >= 0
-        assert any(len(set(rows)) < len(rows) for rows, in systems)
+        # Newton rows (d + 1 columns, last entries 0 or 1), then one piece per
+        # strict facet: rows through 0 and the ridges, the cap, loose facets
         assert len(systems) > 60
-        for rows, in systems:
+        # a ridge on <e_i, u> >= 0 gives the row c_F e_i; with the orthant rows
+        # added, it repeats u_i >= 0, and one of them is repeated outright
+        repeated = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 2),
+                    (0, 0, 2, 0), (1, 0, 0, 0)]
+        for rows in [r for r, in systems] + [repeated]:
             check_against_scan(rows)
 
     @pytest.mark.parametrize("cons, d", [
@@ -137,7 +140,7 @@ class TestMasks:
             assert list(np_.facet_vertices) == incidences
 
     def test_triangulations(self, rng, monkeypatch):
-        # the box route's polytopes have many more faces than the cut route's
+        # the box route's polytopes have many more faces than the pieces
         systems = recorded_systems(monkeypatch, "triangulate_points")
         for I in seeded_ideals(rng, 80):
             out_region(I)
@@ -164,10 +167,12 @@ class TestMasks:
     def test_rank_calls(self, rng, monkeypatch):
         # d = 2 takes the polygon route, which builds no volume system
         volumes = recorded_systems(monkeypatch, "volume_from_constraints")
+        strict = 0
         for I in seeded_ideals(rng, 30, dims=(3, 4)):
             out_region(I)
+            strict += sum(0 not in nu for nu, _ in newton_polyhedron(I).facets)
         monkeypatch.undo()
-        assert len(volumes) > 20
+        assert len(volumes) == strict >= 10  # one piece per strict facet
         calls = []
         count_rank = polyhedra.rank
         monkeypatch.setattr(polyhedra, "rank", lambda rows: calls.append(1) or count_rank(rows))
@@ -203,8 +208,12 @@ class TestPolygon:
             newton_polyhedron(I)
             out_region(I)
         assert rays == [] and volumes == []
-        out_region(ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1)))  # d = 3 keeps the double description
-        assert len(rays) == 3 and len(volumes) == 2
+        # d = 3 keeps the double description: NP(I), then one piece per
+        # strict facet, of which (xy, yz, x^2 z) has one
+        I = ideal(3, (1, 1, 0), (0, 1, 1), (2, 0, 1))
+        out_region(I)
+        assert sum(0 not in nu for nu, _ in newton_polyhedron(I).facets) == 1
+        assert len(rays) == 2 and len(volumes) == 1
 
 
 class TestNewtonPolyhedron:
@@ -385,13 +394,56 @@ class TestOutRegion:
         assert out_region(MonomialIdeal.from_gens(1, [(5,)])).epsilon == 5
 
     def test_halfspace_cut_matches_box(self, rng):
-        # the out-region lies both in the simplex u >= 0, sum u <= d (M - 1)
-        # and in the oracle's box 0 <= u_i <= M
+        # the pieces over the strict facets tile the out-region, which the
+        # oracle cuts out of the box 0 <= u_i <= M
         ideals = list(seeded_ideals(rng, 240, dims=(1, 2, 3, 4)))
         assert sum(I.d == 1 for I in ideals) > 20
         assert sum(out_region(I).epsilon > 0 for I in ideals) > 120
         for I in ideals:
             assert out_region(I) == brute_out_region(I)
+
+    def test_pieces_match_box_without_pure_powers(self, rng):
+        # x_i^a times x_(i+1) or 1, and generators with x_d > 0: rarely
+        # m-primary, so loose facets with c > 0 cut into the pieces
+        found = {3: 0, 4: 0, 5: 0}
+        for k in range(150):
+            d = 3 + k % 3
+            gens = [tuple(rng.randint(0, 3) for _ in range(d - 1)) + (rng.randint(1, 3),)
+                    for _ in range(rng.randint(1, d))]
+            gens += [tuple(rng.randint(2, 5) if j == i else rng.randint(0, 1) * (j == (i + 1) % d)
+                           for j in range(d)) for i in range(d)]
+            I = ideal(d, *gens)
+            if rng.random() < 0.2:
+                I = I.power(2)
+            report = out_region(I)
+            assert report == brute_out_region(I)
+            m_primary = all(any(g[i] == sum(g) for g in I.gens) for i in range(d))
+            found[d] += not m_primary and report.epsilon > 0
+        assert min(found.values()) > 30
+
+    def test_one_piece_per_strict_facet(self, rng, monkeypatch):
+        volumes = recorded_systems(monkeypatch, "volume_from_constraints")
+        strict = 0
+        for I in seeded_ideals(rng, 60, dims=(3, 4, 5)):
+            volumes.clear()
+            out_region(I)
+            facets = newton_polyhedron(I).facets
+            assert len(volumes) == sum(0 not in nu for nu, _ in facets)
+            strict += len(volumes)
+            # no bounding halfspace sum u_i <= b: a row (-1, ..., -1) is the
+            # cap <nu_F, u> <= c_F of a facet with nu_F = (1, ..., 1)
+            assert all(nu != (-1,) * I.d or (tuple(-x for x in nu), -c) in facets
+                       for cons, _ in volumes for nu, c in cons)
+        assert strict >= 20
+
+    def test_non_m_primary_high_dimension(self):
+        # one piece: the one strict facet, cut by 30 loose facets with c > 0;
+        # the value the halfspace-cut route found, in about 57 ms
+        I = ideal(6, (2, 0, 2, 2, 2, 3), (2, 2, 2, 1, 0, 3), (2, 2, 2, 3, 2, 1),
+                  (2, 3, 2, 0, 3, 1), (3, 1, 1, 1, 0, 3), (3, 2, 2, 0, 1, 1))
+        report = out_region(I)
+        assert (report.epsilon, report.box_bound) == (Fraction(1260, 187), Fraction(103, 4))
+        assert analytic_spread(I) == 6
 
     @pytest.mark.parametrize("gens, epsilon", [
         # pure powers plus mixed generators, of which the last one (d = 6) and
@@ -404,8 +456,9 @@ class TestOutRegion:
             (0, 1, 0, 1, 0, 1, 0)], 300),
     ])
     def test_m_primary_high_dimension(self, gens, epsilon):
-        # a box 0 <= u_i <= M fans both polytopes out into about d! simplices
-        # around (M, ..., M), 0.2 s at d = 6 and 1.6 s at d = 7
+        # one pyramid per strict facet; a box 0 <= u_i <= M would fan both
+        # polytopes out into about d! simplices around (M, ..., M), 0.2 s at
+        # d = 6 and 1.6 s at d = 7
         I = ideal(len(gens[0]), *gens)
         t0 = time.perf_counter()
         assert out_region(I).epsilon == epsilon
