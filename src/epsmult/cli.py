@@ -267,21 +267,19 @@ def cmd_family(args):
     if args.family_cmd == "growth":
         rows = [_growth_payload(spec, n, memo) for n in _indices_from(args)]
         return (rows[0] if args.index_range is None else {"entries": rows}), 0
-    if args.family_cmd == "run":
-        rng = _parse_range(args.range)
-        table = length_table(spec, rng)
-        entries = [{"index": i[0], "length": v} for i, v in table.series()]
-        payload = {"spec": family_to_json(spec), "entries": entries}
-        if args.normalizer:
-            conv = convergence_report(table, args.normalizer)
-            normalized = dict(conv.values)
-            for row in entries:
-                row["normalized"] = normalized.get(row["index"])
-            payload["normalizer"] = conv.normalizer
-            payload["trend"] = conv.trend
-            payload["window_max"] = conv.window_max
-        return payload, 0
-    raise ParseError(f"unknown family subcommand {args.family_cmd!r}")
+    # the subparsers are required, so the one name left is "run"
+    table = length_table(spec, _parse_range(args.range))
+    entries = [{"index": i[0], "length": v} for i, v in table.series()]
+    payload = {"spec": family_to_json(spec), "entries": entries}
+    if args.normalizer:
+        conv = convergence_report(table, args.normalizer)
+        normalized = dict(conv.values)
+        for row in entries:
+            row["normalized"] = normalized.get(row["index"])
+        payload["normalizer"] = conv.normalizer
+        payload["trend"] = conv.trend
+        payload["window_max"] = conv.window_max
+    return payload, 0
 
 
 def cmd_delta(args):

@@ -15,9 +15,9 @@ lattice points in sat(I) \\ I.  Two independent routes are implemented:
   of a quotient J / J' is |sat(J') \\ J'| - |(sat(J') + J) \\ J|, two
   ``_between`` counts with no intersection built.  Only witnesses and the
   largest socle degree tile the region with boxes (``_slabs``).
-* the simplicial route counting exponents whose complex of inverted-variable
-  subsets is exactly {empty face}, detected through reduced homology; it
-  never saturates, so it checks the slab route.
+* Takayama's formula: the number of exponents p whose complex Delta_p =
+  {F : x^p not in I R_(x_F)}, read off the generators (``delta_complex``),
+  is {empty face}; it shares no code with the slab route, which it checks.
 
 The slab route, counting or tiling, reports ``box-enumeration`` for every d.
 """
@@ -212,19 +212,16 @@ def max_socle_degree(ideal: MonomialIdeal) -> int:
 
 
 def delta_complex(ideal: MonomialIdeal, point: Sequence[int]) -> SimplicialComplex:
-    """Subsets F of {1..d} with x^point outside the localization at F."""
+    """Takayama's Delta_p, p = point: the subsets F of {1..d} with x^p outside
+    I R_(x_F), i.e. with no generator g such that g_i <= p_i for every i
+    outside F; so F holds no set {i : g_i > p_i}.  No localization is built."""
     if ideal.is_zero:
         raise ZeroIdealError("complex of the zero ideal is undefined")
     d = ideal.d
-    faces = set()
-    for size in range(d + 1):
-        for combo in itertools.combinations(range(1, d + 1), size):
-            f = frozenset(combo)
-            if size and any(f - {v} not in faces for v in f):
-                continue  # localizations only grow, so supersets cannot re-enter
-            if not ideal.localize(f).contains(point):
-                faces.add(f)
-    return SimplicialComplex(d, frozenset(faces))
+    p = ideal_core._check_monomial(d, point)
+    above = [{i + 1 for i in range(d) if g[i] > p[i]} for g in ideal.gens]
+    subsets = (frozenset(f) for k in range(d + 1) for f in itertools.combinations(range(1, d + 1), k))
+    return SimplicialComplex(d, frozenset(f for f in subsets if not any(a <= f for a in above)))
 
 
 def _boundary_rank(faces_lower: list[tuple[int, ...]], faces_upper: list[tuple[int, ...]]) -> int:
@@ -265,30 +262,15 @@ def _lex_points(box: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def h0_length_takayama(ideal: MonomialIdeal, witnesses: bool = False) -> H0Count:
-    """H^0 length by summing homology ranks of the inverted-variable complexes.
-
-    In homological degree -1 the only contributing complexes are those equal
-    to {empty face}, and their witnesses coincide with sat(I) \\ I; the scan
-    deliberately avoids the saturation machinery so the two routes stay
-    independent.
-    """
+    """H^0 length by Takayama's formula: the number of p whose complex
+    ``delta_complex(I, p)`` is {empty face} (reduced Betti number 1 in degree
+    -1), the points of sat(I) \\ I.  A p with p_i >= max_i outside I has the
+    face {i}, so the scan runs lazily over [0, max exponents)."""
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
-    d = ideal.d
-    if ideal.is_unit:
-        return H0Count(0, METHOD_TAKAYAMA, () if witnesses else None)
-    localizations = {}
-    for size in range(d + 1):
-        for combo in itertools.combinations(range(1, d + 1), size):
-            localizations[frozenset(combo)] = ideal.localize(frozenset(combo))
-    box = ideal.max_exponents()
-    count = 0
-    pts = []
-    for p in _lex_points(box):
-        faces = frozenset(f for f, loc in localizations.items() if not loc.contains(p))
-        complex_ = SimplicialComplex(d, faces)
-        if reduced_betti(complex_, -1) == 1:
-            count += 1
-            if witnesses:
-                pts.append(p)
-    return H0Count(count, METHOD_TAKAYAMA, tuple(pts) if witnesses else None)
+    points = (p for p in _lex_points(ideal.max_exponents())
+              if reduced_betti(delta_complex(ideal, p), -1) == 1)
+    if witnesses:
+        found = tuple(points)
+        return H0Count(len(found), METHOD_TAKAYAMA, found)
+    return H0Count(sum(1 for _ in points), METHOD_TAKAYAMA)

@@ -238,30 +238,17 @@ def analytic_spread(ideal: MonomialIdeal) -> int:
 # Exact polytope volume: vertices and incidences -> pulling triangulation.
 
 
-def _vertices(constraints: Sequence[Facet], d: int) -> tuple[list[Point], list[frozenset[int]]]:
-    """Vertices of {u : <nu, u> >= c}, sorted lexicographically, and the
-    vertex set of each constraint."""
-    rows = []  # integer rows r with <r, (u, 1)> >= 0; a rational offset is scaled out
-    for nu, c in constraints:
-        c = Fraction(c)
-        rows.append(tuple(c.denominator * x for x in nu) + (-c.numerator,))
-    rays = _extreme_rays(rows)  # the vertices (x, D) are the rays with D > 0
-    found = sorted((p for p in rays if p[d] > 0),
-                   key=lambda p: [Fraction(x, p[-1]) for x in p[:-1]])
-    tight = [frozenset(k for k, p in enumerate(found) if rays[p] >> i & 1) for i in range(len(rows))]
-    return found, tight
-
-
 def triangulate_points(points: Sequence[Point],
                        facet_sets: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
     """Simplices (index tuples) triangulating the polytope conv(points).
 
     points are the polytope's vertices in homogeneous integer coordinates,
-    sorted lexicographically; facet_sets hold the vertex indices of each
-    facet (sets of lower faces, or empty ones, may be mixed in).  Pulling
-    triangulation: a k-face F is coned from its least vertex over its
-    facets (``_facets_of``) that miss that vertex.  Only the dimension of
-    conv(points) takes a rank: a k-face with k + 1 vertices is a simplex.
+    in any order; facet_sets hold the vertex indices of each facet (sets of
+    lower faces, or empty ones, may be mixed in).  Pulling triangulation: a
+    k-face F is coned from its least-indexed vertex over its facets
+    (``_facets_of``) that miss that vertex, which is valid for any order of
+    the points.  Only the dimension of conv(points) takes a rank: a k-face
+    with k + 1 vertices is a simplex.
     """
     def pull(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
         if len(face) == k + 1:
@@ -275,15 +262,27 @@ def triangulate_points(points: Sequence[Point],
 
 
 def volume_from_constraints(constraints: Sequence[Facet], d: int) -> Fraction:
-    """Exact volume of the (bounded) polyhedron cut out by the constraints."""
-    vertices, tight = _vertices(constraints, d)
+    """Exact volume of the (bounded) polyhedron cut out by the constraints.
+
+    Its vertices are the extreme rays (x, D) with D > 0 of the cone of
+    integer rows r with <r, (u, 1)> >= 0, taken in the order the double
+    description finds them; the tight-row masks give the vertex set of each
+    constraint.
+    """
+    rows = []  # a rational offset is scaled out
+    for nu, c in constraints:
+        c = Fraction(c)
+        rows.append(tuple(c.denominator * x for x in nu) + (-c.numerator,))
+    rays = _extreme_rays(rows)
+    vertices = [p for p in rays if p[d] > 0]
+    tight = [frozenset(k for k, p in enumerate(vertices) if rays[p] >> i & 1) for i in range(len(rows))]
     simplices = triangulate_points(vertices, tight)
     if not simplices or len(simplices[0]) < d + 1:  # conv(vertices) is lower-dimensional
         return Fraction(0)
     total = Fraction(0)
     for simplex in simplices:
-        rows = [vertices[i] for i in simplex]
-        total += Fraction(abs(int_det(rows)), prod(r[-1] for r in rows))
+        corners = [vertices[i] for i in simplex]
+        total += Fraction(abs(int_det(corners)), prod(r[-1] for r in corners))
     return total / factorial(d)
 
 

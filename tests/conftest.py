@@ -72,6 +72,14 @@ def brute_socle(ideal: MonomialIdeal, bounds):
             if not hit(p) and all(hit(p[:i] + (p[i] + big,) + p[i + 1:]) for i in range(len(p)))}
 
 
+def brute_delta(ideal: MonomialIdeal, point):
+    """Takayama's complex by its definition: the subsets F of {1..d} with
+    x^point outside the localization I R_(x_F), one localized ideal per F."""
+    d = ideal.d
+    subsets = (frozenset(f) for k in range(d + 1) for f in itertools.combinations(range(1, d + 1), k))
+    return frozenset(f for f in subsets if not ideal.localize(f).contains(point))
+
+
 def brute_count(box, sat, outer, inner):
     """Points p of the half-open box [0, box) with p in (sat) and (outer)
     but not in (inner), by raw scanning: (count, largest degree or -1)."""

@@ -408,3 +408,13 @@ class TestConvergence:
     def test_increasing_trend(self):
         t = table_from(lambda n: n * n, 10)
         assert convergence_report(t, "n").trend == "increasing"
+
+    @pytest.mark.parametrize("table, normalizer, message", [
+        (LengthTable(2, {(1, 1): 2, (2, 2): 4}, ()), "n",
+         "convergence reports are for singly indexed tables"),
+        (table_from(lambda n: n, 1), "n^2*ln(n)", "no usable indices for this normalizer"),
+    ])
+    def test_unusable_tables_rejected(self, table, normalizer, message):
+        with pytest.raises(PreconditionError) as info:
+            convergence_report(table, normalizer)
+        assert str(info.value) == message

@@ -169,6 +169,12 @@ class TestExitCodes:
         assert out == ""
         assert err == f"eps: error: {message}\n"
 
+    def test_mixed_without_ideals_is_1(self, capsys):
+        assert main(["mixed", "--ideals", ";", "--grid", "1:3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: error: no ideals given\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["eval", "--n", "2", "--range", "1:3"], "give exactly one of --n or --range"),
         (["eval"], "give exactly one of --n or --range"),

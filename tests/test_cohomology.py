@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -7,13 +8,20 @@ from epsmult import cli, cohomology, ideal_core
 from epsmult.cohomology import (SimplicialComplex, _between, _count, _slabs, delta_complex,
                                 h0_length, h0_length_takayama, h0_of_quotient,
                                 max_socle_degree, reduced_betti)
-from epsmult.errors import PreconditionError, ZeroIdealError
+from epsmult.errors import DimensionMismatchError, PreconditionError, ZeroIdealError
 from epsmult.ideal_core import MonomialIdeal, sum_of_products
 from epsmult.repro import random_ideal
 
-from conftest import STRADDLE, brute_count, brute_socle
+from conftest import STRADDLE, box_points, brute_count, brute_delta, brute_socle
 
 I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
+
+
+def with_pure_powers(rng, ideal):
+    """The ideal plus x_i^a for each i, a in 1..3: an m-primary ideal."""
+    d = ideal.d
+    return ideal.add(MonomialIdeal.from_gens(d, [tuple(rng.randint(1, 3) if j == i else 0 for j in range(d))
+                                                 for i in range(d)]))
 
 
 class TestH0Length:
@@ -372,6 +380,64 @@ class TestDeltaComplex:
         with pytest.raises(PreconditionError):
             SimplicialComplex(2, frozenset([frozenset({1})]))
 
+    def test_faces_inside_the_ground_set(self):
+        with pytest.raises(PreconditionError) as info:
+            SimplicialComplex(2, frozenset([frozenset(), frozenset({3})]))
+        assert str(info.value) == "face [3] outside ground set 1..2"
+
+    def test_matches_the_localization_oracle(self, rng):
+        # every point of the box one past the largest exponents, so points
+        # with p_i >= max_i are met too
+        ideals = [MonomialIdeal.unit(d) for d in (1, 2, 3, 4)]
+        for k in range(240):
+            d = 1 + k % 4
+            J = random_ideal(rng, d, 3 if d < 4 else 2, 4)
+            ideals.append(with_pure_powers(rng, J) if k % 3 == 0 else J)
+        points, shapes = 0, set()
+        for J in ideals:
+            for p in box_points(J.max_exponents()):
+                faces = delta_complex(J, p).faces
+                assert faces == brute_delta(J, p)
+                points += 1
+                shapes.add((J.d, faces))
+        assert points > 4000 and len(shapes) > 40
+
+    def test_reads_the_generators_only(self, rng, monkeypatch):
+        # neither a localization nor a minimalization: the check shares no
+        # code with the slab route it checks
+        ideals = [random_ideal(rng, 1 + k % 4, 3, 4) for k in range(40)]
+        ideals += [MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)]).power(2)]
+        calls = []
+        antichain, localize = ideal_core._antichain, MonomialIdeal.localize
+        monkeypatch.setattr(ideal_core, "_antichain",
+                            lambda rows: calls.append("_antichain") or antichain(rows))
+        monkeypatch.setattr(MonomialIdeal, "localize",
+                            lambda self, f: calls.append("localize") or localize(self, f))
+        for J in ideals:
+            for p in box_points(J.max_exponents()):
+                delta_complex(J, p)
+            h0_length_takayama(J)
+            h0_length_takayama(J, witnesses=True)
+        assert calls == []
+        brute_delta(ideals[0], (0,))  # the counters are live
+        assert set(calls) == {"localize", "_antichain"}
+
+    @pytest.mark.parametrize("point, error, message", [
+        ((1,), DimensionMismatchError, "monomial (1,) does not live in 2 variables"),
+        ((1, 2, 3), DimensionMismatchError, "monomial (1, 2, 3) does not live in 2 variables"),
+        ((1.5, 0), PreconditionError, "expected an integer, got 1.5"),
+        ((True, 0), PreconditionError, "expected an integer, got True"),
+        ((0, -1), PreconditionError, "monomial (0, -1) has a negative exponent"),
+    ])
+    def test_malformed_points_rejected(self, point, error, message):
+        for J in (I, MonomialIdeal.unit(2)):
+            with pytest.raises(PreconditionError) as info:
+                delta_complex(J, point)
+            assert type(info.value) is error and str(info.value) == message
+        # the zero ideal is checked first
+        with pytest.raises(ZeroIdealError, match=re.escape("complex of the zero ideal is undefined")):
+            delta_complex(MonomialIdeal.zero(2), point)
+
 
 class TestReducedBetti:
     def test_irrelevant_complex(self):
@@ -417,6 +483,28 @@ class TestTakayama:
         b = h0_length_takayama(ideal, witnesses=True)
         assert set(a.witnesses) == set(b.witnesses)
 
+    def test_witnesses_equal_the_slab_witnesses(self, rng):
+        # both lists are lex sorted; the unit ideal's box is empty
+        base = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)])
+        ideals = [base.power(n) for n in range(1, 7)] + [MonomialIdeal.unit(d) for d in (1, 2, 3)]
+        for k in range(200):
+            d = 1 + k % 4
+            J = random_ideal(rng, d, 3, 4)
+            ideals.append(with_pure_powers(rng, J) if k % 2 else J)
+        nonzero = 0
+        for J in ideals:
+            got = h0_length_takayama(J, witnesses=True)
+            assert got.witnesses == h0_length(J, witnesses=True).witnesses
+            assert h0_length_takayama(J) == cohomology.H0Count(got.length, cohomology.METHOD_TAKAYAMA)
+            nonzero += got.length > 0
+        assert nonzero > 80
+
+    def test_zero_ideal_rejected(self):
+        for call in (lambda: h0_length_takayama(MonomialIdeal.zero(2)),
+                     lambda: h0_length_takayama(MonomialIdeal.zero(3), witnesses=True)):
+            with pytest.raises(ZeroIdealError, match=re.escape("H^0 length of R/0 is undefined here")):
+                call()
+
 
 def test_monotone_under_containment_with_equal_saturation(rng):
     # enlarging the ideal inside its saturation can only shrink the count:
@@ -440,6 +528,11 @@ def test_max_socle_degree_examples():
     assert max_socle_degree(I.power(5)) == 14
     assert max_socle_degree(MonomialIdeal.from_gens(2, [(1, 0)])) == 0
     assert max_socle_degree(MonomialIdeal.from_gens(2, [(1, 0), (0, 1)])) == 0
+
+
+def test_max_socle_degree_of_zero_ideal_rejected():
+    with pytest.raises(ZeroIdealError, match=re.escape("socle of R/0 is undefined here")):
+        max_socle_degree(MonomialIdeal.zero(2))
 
 
 def test_max_socle_degree_matches_brute_force(rng):

@@ -219,6 +219,17 @@ class TestGenerationDegree:
         spec = FamilySpec(2, NoetherianSeedsRule(((1, ((1, 0),)), (2, ((1, 0), (0, 2))))))
         assert generation_degree(spec, 4, 4) == 2
 
+    @pytest.mark.parametrize("a_max, window", [(0, 2), (1, 1)])
+    def test_bad_args(self, a_max, window):
+        with pytest.raises(PreconditionError) as info:
+            generation_degree(POWER, a_max, window)
+        assert str(info.value) == "need a_max >= 1 and window >= 2"
+
+    def test_window_past_the_table(self):
+        # a = 1 asks for I_2, which the table does not have, so it is skipped
+        spec = FamilySpec(2, TableRule((((0, 0),), ((1, 0),))))
+        assert generation_degree(spec, 1, 2) is None
+
 
 class TestGrowthConstants:
     def test_power_example(self):

@@ -118,6 +118,17 @@ class TestArithmetic:
         rhs = brute_members(((2, 0), (1, 1)), (4, 4))
         assert brute_members(got.gens, (4, 4)) == lhs & rhs
 
+    @pytest.mark.parametrize("op", ["add", "multiply", "intersect", "is_subset"])
+    def test_rings_must_match(self, op):
+        a, b = ideal(2, (1, 0)), ideal(3, (1, 0, 0))
+        for left, right, ds in ((a, b, "2 and 3"), (b, a, "3 and 2")):
+            with pytest.raises(DimensionMismatchError) as info:
+                getattr(left, op)(right)
+            assert str(info.value) == f"ideals live in {ds} variables"
+
+    def test_zero_ideal_max_exponents(self):
+        assert MonomialIdeal.zero(2).max_exponents() == (0, 0)
+
 
 class TestColonAndSaturation:
     I = ideal(2, (1, 2), (2, 0))
@@ -331,6 +342,16 @@ class TestParsing:
             parse_ideal("[[1,2],[1]]")
         with pytest.raises(ParseError):
             parse_ideal("x3", d=2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[1,-2]]", "monomial (1, -2) has a negative exponent"),
+        ("x0", "variable index in 'x0' must be >= 1"),
+        ("[1, 2]", "JSON ideal must be an array of exponent arrays"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text, d", [("x, y", 2.5), ("x, y", "2"), ("x", True), ("0", 2.5)])
     def test_dimension_must_be_a_positive_int(self, text, d):

@@ -8,6 +8,7 @@ from conftest import (STRADDLE, brute_extreme_rays, brute_newton_vertices, brute
                       brute_spread, brute_triangulate)
 from epsmult.errors import PreconditionError, ZeroIdealError
 from epsmult import polyhedra
+from epsmult._exactla import int_det
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import (analytic_spread, newton_polyhedron, out_region,
                                volume_from_constraints)
@@ -435,6 +436,43 @@ class TestOutRegion:
             assert all(nu != (-1,) * I.d or (tuple(-x for x in nu), -c) in facets
                        for cons, _ in volumes for nu, c in cons)
         assert strict >= 20
+
+    def test_pyramids_over_the_strict_facets(self, rng, monkeypatch):
+        # d! vol(pyr(0, F)) with no double description: triangulate F's own
+        # vertices, its ridges F & G as the facet sets, and cone each simplex
+        # from 0.  The pieces are these pyramids cut by Q, so epsilon is their
+        # sum when no loose facet has c > 0 and strictly less otherwise
+        cases = []
+        for k in range(240):
+            d = 3 + k % 3
+            I = random_ideal(rng, d, 4, d + 2)
+            if k % 2:
+                I = I.add(ideal(d, *(tuple(rng.randint(1, 5) if j == i else 0 for j in range(d))
+                                     for i in range(d))))
+            cases.append((newton_polyhedron(I), out_region(I).epsilon))
+        rays = recorded_systems(monkeypatch)
+        equal = smaller = 0
+        for np_, epsilon in cases:
+            total = 0
+            for f, ((nu, _), verts) in enumerate(zip(np_.facets, np_.facet_vertices)):
+                if 0 in nu:
+                    continue
+                index = sorted(verts)
+                points = [np_.vertices[i] + (1,) for i in index]
+                ridges = [frozenset(map(index.index, verts & other))
+                          for g, other in enumerate(np_.facet_vertices) if g != f]
+                total += sum(abs(int_det([points[i][:-1] for i in simplex]))
+                             for simplex in polyhedra.triangulate_points(points, ridges))
+            if not total:
+                assert epsilon == 0  # no strict facet
+            elif any(c > 0 and 0 in nu for nu, c in np_.facets):
+                assert epsilon < total
+                smaller += 1
+            else:
+                assert epsilon == total
+                equal += 1
+        assert rays == []
+        assert equal >= 100 and smaller >= 10
 
     def test_non_m_primary_high_dimension(self):
         # one piece: the one strict facet, cut by 30 loose facets with c > 0;
