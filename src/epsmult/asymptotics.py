@@ -35,6 +35,7 @@ from .cohomology import h0_length
 from .errors import (InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
 from .families import FamilySpec, _checked_index, eval_family
+from .ideal_core import _checked_int
 
 Index = tuple[int, ...]
 
@@ -123,7 +124,7 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
     """
     for name, value, least in (("degree", degree, 0), ("period_max", period_max, 1),
                                ("holdout", holdout, 0)):
-        if value < least:
+        if _checked_int(value, f"fit {name}") < least:
             raise PreconditionError(f"fit {name} must be at least {least}, got {value}")
     if any(type(v) is not int for v in table.entries.values()):
         raise PreconditionError("length table entries must be integers")

@@ -1,10 +1,14 @@
 """Command line entry point: the `eps` tool.
 
 Subcommands: h0, newton, epsilon, mixed, family (eval|check|growth|run),
-delta, repro.  Output is canonical JSON by default (sorted keys, rationals
-as "p/q" strings) or CSV via --csv [PATH].  Exit codes: 0 success, 1 parse
-or usage error, 2 precondition violation, 3 mathematically inconclusive
-(no fit, method disagreement, failed reproduction, timeout).
+delta, repro (--case NAME; `eps repro -h` lists the bundled cases).  Every
+leaf command takes the common flags --json, --csv [PATH] and --timeout SECS
+after its own name; h0, newton, epsilon and delta read one ideal from
+--ideal, mixed reads several from --ideals, and all five take --dim.  Output
+is canonical JSON by default (sorted keys, rationals as "p/q" strings) or CSV
+via --csv [PATH].  Exit codes: 0 success, 1 parse or usage error, 2
+precondition violation, 3 mathematically inconclusive (no fit, method
+disagreement, failed reproduction, timeout).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .families import (check_structure, eval_family, family_from_json,
                        family_to_json, growth_constants, product_grid_family)
 from .ideal_core import format_ideal, parse_ideal
 from .polyhedra import analytic_spread, newton_polyhedron, out_region
-from .repro import fit_epsilon, rat, run_case
+from .repro import CASES, fit_epsilon, rat, run_case
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,37 +48,41 @@ def _common() -> _Parser:
     return common
 
 
+def _ideal(p: _Parser, flag: str = "--ideal", **kwargs) -> _Parser:
+    """*p* with the ideal flag (--ideals for mixed) and --dim added."""
+    p.add_argument(flag, required=True, **kwargs)
+    p.add_argument("--dim", type=int, default=None)
+    return p
+
+
 def build_parser() -> _Parser:
     common = _common()
     parser = _Parser(prog="eps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("h0", parents=[common], help="H^0 length of R/I")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p = _ideal(sub.add_parser("h0", parents=[common], help="H^0 length of R/I"))
+    p.set_defaults(handler=cmd_h0)
     p.add_argument("--method", choices=["box", "takayama"], default="box")
     p.add_argument("--witnesses", action="store_true")
 
-    p = sub.add_parser("newton", parents=[common], help="Newton polyhedron data")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p = _ideal(sub.add_parser("newton", parents=[common], help="Newton polyhedron data"))
+    p.set_defaults(handler=cmd_newton)
     p.add_argument("--facets", action="store_true")
     p.add_argument("--vertices", action="store_true")
     p.add_argument("--spread", action="store_true")
     p.add_argument("--epsilon", action="store_true")
 
-    p = sub.add_parser("epsilon", parents=[common], help="epsilon multiplicity")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p = _ideal(sub.add_parser("epsilon", parents=[common], help="epsilon multiplicity"))
+    p.set_defaults(handler=cmd_epsilon)
     p.add_argument("--method", choices=["fit", "volume", "both"], default="both")
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--period-max", type=int, default=6)
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--holdout", type=int, default=2)
 
-    p = sub.add_parser("mixed", parents=[common], help="mixed epsilon multiplicities")
-    p.add_argument("--ideals", required=True, help="semicolon-separated ideal specs")
-    p.add_argument("--dim", type=int, default=None)
+    p = _ideal(sub.add_parser("mixed", parents=[common], help="mixed epsilon multiplicities"),
+               "--ideals", help="semicolon-separated ideal specs")
+    p.set_defaults(handler=cmd_mixed)
     p.add_argument("--grid", required=True, metavar="A:B")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--period-max", type=int, default=6)
@@ -82,6 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--holdout", type=int, default=4)
 
     p = sub.add_parser("family", help="graded family operations")
+    p.set_defaults(handler=cmd_family)
     fam = p.add_subparsers(dest="family_cmd", required=True)
     f = fam.add_parser("eval", parents=[common])
     f.add_argument("--spec", required=True)
@@ -100,17 +109,15 @@ def build_parser() -> _Parser:
     f.add_argument("--range", required=True, metavar="A:B")
     f.add_argument("--normalizer", default=None)
 
-    p = sub.add_parser("delta", parents=[common],
-                       help="inverted-variable complex of a lattice point")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p = _ideal(sub.add_parser("delta", parents=[common],
+                              help="inverted-variable complex of a lattice point"))
+    p.set_defaults(handler=cmd_delta)
     p.add_argument("--point", required=True, help="comma-separated exponents")
     p.add_argument("--q", type=int, default=None)
 
     p = sub.add_parser("repro", parents=[common], help="bundled reproduction cases")
-    p.add_argument("--case", required=True,
-                   choices=["example-counter", "example-limit", "jm-volume",
-                            "mixed-grid", "irrational"])
+    p.set_defaults(handler=cmd_repro)
+    p.add_argument("--case", required=True, choices=CASES)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized reproduction cases")
     return parser
@@ -304,17 +311,6 @@ def cmd_repro(args):
     return payload, 0 if payload["pass"] else 3
 
 
-_DISPATCH = {
-    "h0": cmd_h0,
-    "newton": cmd_newton,
-    "epsilon": cmd_epsilon,
-    "mixed": cmd_mixed,
-    "family": cmd_family,
-    "delta": cmd_delta,
-    "repro": cmd_repro,
-}
-
-
 # signal.alarm takes a C int
 _MAX_ALARM = 2**31 - 1
 
@@ -375,19 +371,14 @@ def _emit(payload, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.timeout < 0:
             raise ParseError(f"timeout must be a non-negative integer, got {args.timeout}")
         if args.timeout > _MAX_ALARM:
             raise ParseError(f"timeout must be at most {_MAX_ALARM} seconds, got {args.timeout}")
-    except ParseError as exc:
-        print(f"eps: error: {exc}", file=sys.stderr)
-        return 1
-    try:
         with _alarm(args.timeout):
-            payload, code = _DISPATCH[args.command](args)
+            payload, code = args.handler(args)
     except ParseError as exc:
         print(f"eps: error: {exc}", file=sys.stderr)
         return 1

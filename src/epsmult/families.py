@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import isqrt
 from typing import Optional, Union
 
 from .cohomology import max_socle_degree
 from .errors import ParseError, PreconditionError, ZeroIdealError
-from .ideal_core import Monomial, MonomialIdeal, json_int, sum_of_products
+from .ideal_core import Monomial, MonomialIdeal, _checked_int, json_int, sum_of_products
 
 Gens = tuple[Monomial, ...]
 Index = Union[int, tuple[int, ...]]
@@ -281,7 +282,7 @@ def check_structure(spec: FamilySpec, upto: int, mode: str = "graded") -> Struct
     """Verify I_n I_m <= I_{n+m} (and descent, in filtration mode) up to N."""
     if mode not in ("graded", "filtration"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    if upto < 2:
+    if _checked_int(upto, "N") < 2:
         raise PreconditionError("need N >= 2")
     if isinstance(spec.rule, ProductGridRule):
         raise PreconditionError("structure checks apply to singly indexed families")
@@ -302,17 +303,19 @@ def check_structure(spec: FamilySpec, upto: int, mode: str = "graded") -> Struct
 
 def generation_degree(spec: FamilySpec, a_max: int, window: int) -> Optional[int]:
     """Smallest a with I_{an+r} = I_a^{n-1} I_{a+r} on the test window, if any."""
-    if a_max < 1 or window < 2:
+    if _checked_int(a_max, "a_max") < 1 or _checked_int(window, "window") < 2:
         raise PreconditionError("need a_max >= 1 and window >= 2")
     if isinstance(spec.rule, ProductGridRule):
         raise PreconditionError("generation degree applies to singly indexed families")
     memo: dict = {}
     for a in range(1, a_max + 1):
         base = eval_family(spec, a, memo)
+        # I_a^(n-1) for n = 2, 3, ...: one product each, built only as far as needed
+        powers = accumulate(repeat(base, window - 1), MonomialIdeal.multiply)
         try:
             if all(eval_family(spec, a * n + r, memo)
-                   == base.power(n - 1).multiply(eval_family(spec, a + r, memo))
-                   for n in range(2, window + 1) for r in range(a)):
+                   == power.multiply(eval_family(spec, a + r, memo))
+                   for n, power in zip(range(2, window + 1), powers) for r in range(a)):
                 return a
         except PreconditionError:  # the family has no I_{an+r}
             continue
@@ -379,6 +382,9 @@ def family_from_json(data) -> FamilySpec:
     d = data.get("d")
     if d is not None and json_int(d) < 1:
         raise ParseError(f"family dimension d must be positive, got {d}")
+    fixed = {"counter": 2, "limit_recursive": 2, "hyperbola": 2, "sqrt": 1}.get(kind)
+    if fixed is not None and d is not None and d != fixed:
+        raise ParseError(f"a {kind} family lives in d = {fixed}, not d = {d}")
     try:
         if kind == "power":
             gens = _json_gens(rule_obj["ideal"])

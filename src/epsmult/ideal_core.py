@@ -45,6 +45,13 @@ def _checked_d(d) -> int:
     return d
 
 
+def _checked_int(value, name: str) -> int:
+    """value itself when it is an int (a bool is not); *name* is the argument's."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_monomial(d: int, m: Sequence[int]) -> Monomial:
     t = tuple(m)
     for e in t:
@@ -293,7 +300,7 @@ class MonomialIdeal:
     __mul__ = multiply
 
     def power(self, n: int) -> "MonomialIdeal":
-        if n < 0:
+        if _checked_int(n, "ideal power") < 0:
             raise PreconditionError("negative ideal power")
         result = MonomialIdeal.unit(self.d)
         for _ in range(n):

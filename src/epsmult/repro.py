@@ -70,10 +70,9 @@ def _ceil_sum(n: int) -> int:
 def hyperbola_sum_closed_form(n_max: int = 40) -> dict:
     """h0(J_n + J'_n) = 2 sum_a ceil(n^2/a) - (n^2 + 2n - 1), exactly."""
     spec = FamilySpec(2, HyperbolaRule("sum"))
-    memo = {}
     mismatches = []
     for n in range(1, n_max + 1):
-        direct = h0_length(eval_family(spec, n, memo)).length
+        direct = h0_length(eval_family(spec, n)).length
         formula = 2 * _ceil_sum(n) - (n * n + 2 * n - 1)
         if direct != formula:
             mismatches.append({"n": n, "direct": direct, "formula": formula})
@@ -111,12 +110,11 @@ def limit_sandwich(n_max: int = 25) -> dict:
     limit_spec = FamilySpec(2, LimitRecursiveRule())
     sum_spec = FamilySpec(2, HyperbolaRule("sum"))
     xy = MonomialIdeal.from_gens(2, [(1, 1)])
-    memo = {}
     failures = []
     for n in range(2, n_max + 1):
         lower = lower_family_ideal(n)
-        mid = eval_family(limit_spec, n, memo)
-        upper = eval_family(sum_spec, n, memo)
+        mid = eval_family(limit_spec, n)
+        upper = eval_family(sum_spec, n)
         checks = {
             "lower_in_mid": lower.is_subset(mid),
             "mid_in_upper": mid.is_subset(upper),
@@ -135,10 +133,9 @@ def limit_sandwich(n_max: int = 25) -> dict:
 def limit_trend(points: Sequence[int] = (25, 50, 100),
                 final_bounds: tuple[float, float] = (2.0, 2.6)) -> dict:
     spec = FamilySpec(2, LimitRecursiveRule())
-    memo = {}
     values = []
     for n in points:
-        length = h0_length(eval_family(spec, n, memo)).length
+        length = h0_length(eval_family(spec, n)).length
         values.append((n, length / (n * n * math.log(n))))
     decreasing = all(b < a for (_, a), (_, b) in zip(values, values[1:]))
     lo, hi = final_bounds
@@ -271,39 +268,30 @@ def irrational_case(n: int = 10_000, k: int = 2) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Case table for the CLI.
+# Case table for the CLI: each case builds its named parts from the seed.
+
+
+def _counter_parts(seed: int) -> dict:
+    rng = random.Random(seed)
+    random_list = tuple(rng.randint(0, 50) for _ in range(30))
+    return {"n^2": counter_reproduction("n^2"), "n^3": counter_reproduction("n^3"),
+            "random_list": counter_reproduction(random_list)}
+
+
+CASES = {
+    "example-counter": _counter_parts,
+    "example-limit": lambda seed: {"hyperbola_sum_closed_form": hyperbola_sum_closed_form(40),
+                                   "lower_family_erratum": lower_family_erratum(),
+                                   "sandwich": limit_sandwich(25), "trend": limit_trend()},
+    "jm-volume": lambda seed: {"fixed": jm_fixed_cases(), "random": jm_random_cases(seed=seed),
+                               "positivity": positivity_equivalence(seed=seed)},
+    "mixed-grid": lambda seed: {"mixed_grid": mixed_grid_case()},
+    "irrational": lambda seed: {"irrational": irrational_case()},
+}
 
 
 def run_case(name: str, seed: Optional[int] = None) -> dict:
-    seed = 2024 if seed is None else seed
-    if name == "example-counter":
-        rng = random.Random(seed)
-        random_list = tuple(rng.randint(0, 50) for _ in range(30))
-        parts = {
-            "n^2": counter_reproduction("n^2"),
-            "n^3": counter_reproduction("n^3"),
-            "random_list": counter_reproduction(random_list),
-        }
-        return {"case": name, **parts, "pass": all(p["pass"] for p in parts.values())}
-    if name == "example-limit":
-        parts = {
-            "hyperbola_sum_closed_form": hyperbola_sum_closed_form(40),
-            "lower_family_erratum": lower_family_erratum(),
-            "sandwich": limit_sandwich(25),
-            "trend": limit_trend(),
-        }
-        return {"case": name, **parts, "pass": all(p["pass"] for p in parts.values())}
-    if name == "jm-volume":
-        parts = {
-            "fixed": jm_fixed_cases(),
-            "random": jm_random_cases(seed=seed),
-            "positivity": positivity_equivalence(seed=seed),
-        }
-        return {"case": name, **parts, "pass": all(p["pass"] for p in parts.values())}
-    if name == "mixed-grid":
-        part = mixed_grid_case()
-        return {"case": name, "mixed_grid": part, "pass": part["pass"]}
-    if name == "irrational":
-        part = irrational_case()
-        return {"case": name, "irrational": part, "pass": part["pass"]}
-    raise ValueError(f"unknown repro case {name!r}")
+    if name not in CASES:
+        raise ValueError(f"unknown repro case {name!r}")
+    parts = CASES[name](2024 if seed is None else seed)
+    return {"case": name, **parts, "pass": all(p["pass"] for p in parts.values())}

@@ -180,6 +180,14 @@ class TestFit:
         with pytest.raises(PreconditionError):
             fit_quasi_polynomial(t, **{"degree": 2, **kwargs})
 
+    @pytest.mark.parametrize("name, value", [("degree", 2.0), ("degree", True),
+                                             ("period_max", "4"), ("holdout", 1.5)])
+    def test_non_integer_arguments_rejected(self, name, value):
+        t = table_from(lambda n: n * n, 12)
+        with pytest.raises(PreconditionError) as info:
+            fit_quasi_polynomial(t, **{"degree": 2, name: value})
+        assert str(info.value) == f"fit {name} must be an integer, got {value!r}"
+
 
 def random_fit_case(rng):
     """(table, fit arguments) of a seeded random quasi-polynomial table.

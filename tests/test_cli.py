@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,10 @@ class TestExitCodes:
 
     def test_usage_error_is_1(self, capsys):
         assert main(["h0"]) == 1
+
+    def test_blank_ideal_is_1(self, capsys):
+        assert main(["h0", "--ideal", ", ,"]) == 1
+        assert capsys.readouterr() == ("", "eps: error: cannot parse ideal ', ,'\n")
 
     @pytest.mark.parametrize("ideal", ["[[1.5,2],[2,0]]", "[[true,2],[2,0]]", '[["1",2]]'])
     def test_non_integer_json_exponent_is_1(self, capsys, ideal):
@@ -132,6 +138,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("rule, index", [
         ({"type": "power", "ideal": [[1, 2]]}, "2"),
         ({"type": "product_grid", "ideals": [[[1, 2], [2, 0]], [[0, 1], [1, 0]]]}, "2,2"),
+        ({"type": "counter", "a": "n^2"}, "2"),
+        ({"type": "hyperbola", "variant": "lower"}, "2"),
     ])
     def test_family_width_mismatch_is_1(self, capsys, tmp_path, rule, index):
         spec = tmp_path / "spec.json"
@@ -248,7 +256,7 @@ class TestExitCodes:
 
         def boom(args):
             raise NoFitError("nope", best_period=2, first_fail=(5,))
-        monkeypatch.setitem(cli_mod._DISPATCH, "h0", boom)
+        monkeypatch.setattr(cli_mod, "cmd_h0", boom)
         assert main(["h0", "--ideal", "x"]) == 3
 
 
@@ -305,6 +313,17 @@ class TestEpsilonCommand:
         assert code == 0
         assert payload["epsilon"] == "4/1"
         assert payload["methods_agree"] is True
+
+    def test_disagreeing_methods_are_3(self, capsys, monkeypatch):
+        from epsmult import cli as cli_mod
+        real = cli_mod.out_region
+        monkeypatch.setattr(cli_mod, "out_region",
+                            lambda ideal: dataclasses.replace(real(ideal), epsilon=Fraction(5)))
+        code, out = run(capsys, "epsilon", "--ideal", "x^2, y^2", "--method", "both")
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["methods_agree"] is False
+        assert (payload["epsilon_fit"], payload["epsilon_volume"]) == ("4/1", "5/1")
 
     def test_volume_only(self, capsys):
         code, out = run(capsys, "epsilon", "--ideal", "x*y^2, x^2", "--method", "volume")

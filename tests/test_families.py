@@ -207,6 +207,12 @@ class TestCheckStructure:
         with pytest.raises(PreconditionError):
             check_structure(COUNTER, 5, "descending")
 
+    @pytest.mark.parametrize("upto", [3.5, True, "3"])
+    def test_non_integer_n_rejected(self, upto):
+        with pytest.raises(PreconditionError) as info:
+            check_structure(COUNTER, upto)
+        assert str(info.value) == f"N must be an integer, got {upto!r}"
+
 
 class TestGenerationDegree:
     def test_power_is_one(self):
@@ -224,6 +230,29 @@ class TestGenerationDegree:
         with pytest.raises(PreconditionError) as info:
             generation_degree(POWER, a_max, window)
         assert str(info.value) == "need a_max >= 1 and window >= 2"
+
+    @pytest.mark.parametrize("a_max, window, message", [
+        (2.5, 3, "a_max must be an integer, got 2.5"),
+        (True, 3, "a_max must be an integer, got True"),
+        (2, 3.0, "window must be an integer, got 3.0"),
+        (2, "3", "window must be an integer, got '3'"),
+    ])
+    def test_non_integer_args_rejected(self, a_max, window, message):
+        with pytest.raises(PreconditionError) as info:
+            generation_degree(POWER, a_max, window)
+        assert str(info.value) == message
+
+    def test_each_power_is_built_once(self, monkeypatch):
+        # seeds x in degree 1 and y in degree 3: a = 3 is the first that
+        # generates; rebuilding I_a^(n-1) from R for each residue took 112
+        # products here, one running power per a takes 31
+        spec = family_from_json({"type": "noetherian", "seeds": {"1": [[1, 0]], "3": [[0, 1]]}})
+        calls = []
+        multiply = MonomialIdeal.multiply
+        monkeypatch.setattr(MonomialIdeal, "multiply",
+                            lambda self, other: calls.append(1) or multiply(self, other))
+        assert generation_degree(spec, 4, 8) == 3
+        assert len(calls) == 31
 
     def test_window_past_the_table(self):
         # a = 1 asks for I_2, which the table does not have, so it is skipped
@@ -338,6 +367,20 @@ class TestJson:
         with pytest.raises(ParseError):
             family_from_json({"rule": {"type": "noetherian",
                                        "seeds": {degree: [[1, 0]], "1": [[0, 1]]}}})
+
+    @pytest.mark.parametrize("rule, fixed", [
+        ({"type": "counter", "a": "n^2"}, 2),
+        ({"type": "limit_recursive"}, 2),
+        ({"type": "hyperbola", "variant": "sum"}, 2),
+        ({"type": "sqrt", "k": 2}, 1),
+    ])
+    def test_fixed_dimension_rules_check_an_explicit_d(self, rule, fixed):
+        for d in (fixed + 1, 3 - fixed):
+            with pytest.raises(ParseError) as info:
+                family_from_json({"d": d, "rule": rule})
+            assert str(info.value) == f"a {rule['type']} family lives in d = {fixed}, not d = {d}"
+        assert family_from_json({"d": fixed, "rule": rule}) == family_from_json({"rule": rule})
+        assert family_from_json({"rule": rule}).d == fixed
 
     def test_matching_widths_accepted(self):
         assert family_from_json({"d": 2, "rule": {"type": "power", "ideal": [[1, 2]]}}).d == 2
@@ -506,7 +549,7 @@ def test_limit_trend_to_400_is_fast(monkeypatch):
     # about 2 m^2 sums in rung m: 4 * 10^7 over the ladder to 400
     built = {}
     monkeypatch.setattr(repro, "eval_family",
-                        lambda spec, n, memo: built.setdefault(n, eval_family(spec, n, memo)))
+                        lambda spec, n, memo=None: built.setdefault(n, eval_family(spec, n, memo)))
     start = time.perf_counter()
     trend = limit_trend((100, 200, 400))
     elapsed = time.perf_counter() - start

@@ -98,6 +98,17 @@ class TestArithmetic:
         with pytest.raises(PreconditionError):
             self.I.power(-1)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "2"])
+    def test_non_integer_power_rejected(self, n):
+        with pytest.raises(PreconditionError) as info:
+            self.I.power(n)
+        assert str(info.value) == f"ideal power must be an integer, got {n!r}"
+
+    def test_le_is_containment(self):
+        small, big = ideal(2, (2, 1)), ideal(2, (1, 0), (0, 3))
+        assert small <= big and small <= small
+        assert not big <= small
+
     def test_multiply_by_unit_is_identity(self):
         assert self.I.multiply(MonomialIdeal.unit(2)) == self.I
 
