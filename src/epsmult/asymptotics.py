@@ -17,6 +17,8 @@ are the first point of each inconsistent class or, if there is none, each
 held-out index the candidate misses.  ``NoFitError`` carries the decided
 period with the fewest failures (the earliest on ties) and its first one;
 ``InsufficientDataError`` means that no period was decided.
+``fit_epsilons`` is the one route from a family to its epsilons: it checks
+the fit arguments and the window, then tabulates, fits and extracts.
 """
 
 from __future__ import annotations
@@ -111,6 +113,16 @@ class QuasiPolynomial:
                     if own == res), Fraction(0))
 
 
+def _check_fit(degree, period_max, holdout, start, least_degree: int = 0) -> None:
+    """Raise PreconditionError unless the fit arguments are integers in range."""
+    for name, value, least in (("degree", degree, least_degree), ("period_max", period_max, 1),
+                               ("holdout", holdout, 0)):
+        if _checked_int(value, f"fit {name}") < least:
+            raise PreconditionError(f"fit {name} must be at least {least}, got {value}")
+    if start is not None:
+        _checked_int(start, "fit start")
+
+
 def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
                          holdout: int = 0, start: Optional[int] = None) -> QuasiPolynomial:
     """Smallest-period exact quasi-polynomial reproducing the table.
@@ -122,10 +134,7 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
     ``NoFitError`` names the decided period with the fewest failing classes
     or holdouts (the earliest on ties) and its first failing index.
     """
-    for name, value, least in (("degree", degree, 0), ("period_max", period_max, 1),
-                               ("holdout", holdout, 0)):
-        if _checked_int(value, f"fit {name}") < least:
-            raise PreconditionError(f"fit {name} must be at least {least}, got {value}")
+    _check_fit(degree, period_max, holdout, start)
     if any(type(v) is not int for v in table.entries.values()):
         raise PreconditionError("length table entries must be integers")
     r = table.arity
@@ -240,6 +249,24 @@ def extract_epsilons(quasi: QuasiPolynomial, d: int) -> EpsilonReport:
         report.epsilon = mixed[(d,)]
         report.raw_limit = leading[(d,)]
     return report
+
+
+def fit_epsilons(spec: FamilySpec, indices: Sequence, degree: Optional[int] = None, period_max: int = 6,
+                 holdout: int = 0, start: Optional[int] = None) -> tuple[QuasiPolynomial, EpsilonReport]:
+    """Fit the lengths of *spec* over *indices*; return the fit and its degree-d part, d = spec.d.
+
+    *degree* None is d, *start* None is d + 1.  The arguments and the window (period 1 needs k
+    points and max(holdout, 1) more) are checked before any ideal is built."""
+    degree = spec.d if degree is None else degree
+    start = spec.d + 1 if start is None else start
+    _check_fit(degree, period_max, holdout, start, least_degree=spec.d)
+    window = {i for i in map(_as_index, indices) if all(n >= start for n in i)}
+    need = math.comb(degree + spec.arity, degree) + max(holdout, 1)
+    if len(window) < need:
+        raise InsufficientDataError(f"{len(window)} indices in the window; a degree-{degree} fit "
+                                    f"with {holdout} held out needs {need}")
+    quasi = fit_quasi_polynomial(length_table(spec, indices), degree, period_max, holdout, start)
+    return quasi, extract_epsilons(quasi, spec.d)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from itertools import product as iter_product
 
-from .asymptotics import convergence_report, extract_epsilons, fit_quasi_polynomial, length_table
+from .asymptotics import convergence_report, fit_epsilons, length_table
 from .cohomology import METHOD_BOX, METHOD_TAKAYAMA, delta_complex, h0_length, reduced_betti
 from .errors import NoFitError, ParseError, PreconditionError, TheoremViolationError
 from .families import (check_structure, eval_family, family_from_json,
@@ -189,11 +189,10 @@ def cmd_newton(args):
 
 def cmd_epsilon(args):
     ideal = parse_ideal(args.ideal, args.dim)
-    start = args.start if args.start is not None else ideal.d + 1
     payload = {"d": ideal.d, "method": args.method}
     code = 0
     if args.method in ("fit", "both"):
-        eps_fit, quasi = fit_epsilon(ideal, n_max=args.nmax, start=start,
+        eps_fit, quasi = fit_epsilon(ideal, n_max=args.nmax, start=args.start,
                                      period_max=args.period_max, holdout=args.holdout)
         payload["epsilon_fit"] = rat(eps_fit)
         payload["raw_limit"] = rat(eps_fit / math.factorial(ideal.d))
@@ -218,19 +217,10 @@ def cmd_mixed(args):
         raise ParseError("no ideals given")
     ideals = [parse_ideal(s, args.dim) for s in specs]
     family = product_grid_family(ideals)
-    rng = _parse_range(args.grid)
-    d = ideals[0].d
-    degree = args.degree if args.degree is not None else d
-    if degree < d:
-        raise PreconditionError(f"--degree {degree} is below the ambient dimension {d}")
-    indices = list(iter_product(rng, repeat=len(ideals)))
-    table = length_table(family, indices)
-    start = args.start if args.start is not None else d + 1
-    quasi = fit_quasi_polynomial(table, degree=degree, period_max=args.period_max,
-                                 holdout=args.holdout, start=start)
-    report = extract_epsilons(quasi, d)
+    indices = list(iter_product(_parse_range(args.grid), repeat=len(ideals)))
+    quasi, report = fit_epsilons(family, indices, args.degree, args.period_max, args.holdout, args.start)
     payload = {
-        "degree": d,
+        "degree": report.degree,
         "period": quasi.period,
         "mixed": {",".join(map(str, e)): rat(v) for e, v in sorted(report.mixed.items())},
         "leading_form": {",".join(map(str, e)): rat(v)

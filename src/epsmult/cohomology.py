@@ -115,13 +115,11 @@ def _slabs(outer: Sequence[Monomial], inner: Sequence[Monomial]) -> list[Box]:
     return boxes
 
 
-def _count(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool) -> H0Count:
-    """Length and, when asked, the lex-sorted points of the region between
-    the two ideals, read off its slabs."""
+def _count(outer: MonomialIdeal, inner: MonomialIdeal) -> H0Count:
+    """Length and the lex-sorted points of the region between the two
+    ideals, read off its slabs."""
     boxes = _slabs(outer.gens, inner.gens)
-    points = None
-    if witnesses:
-        points = tuple(sorted(p for lo, hi, _ in boxes for p in itertools.product(*map(range, lo, hi))))
+    points = tuple(sorted(p for lo, hi, _ in boxes for p in itertools.product(*map(range, lo, hi))))
     return H0Count(sum(n for _, _, n in boxes), METHOD_BOX, points)
 
 
@@ -169,7 +167,7 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
     if method != METHOD_BOX:
         raise PreconditionError(f"unknown h0 method {method!r}")
     if witnesses:
-        return _count(ideal.saturate(), ideal, True)
+        return _count(ideal.saturate(), ideal)
     if ideal.d == 1:
         return H0Count(ideal.gens[0][0], METHOD_BOX)
     if ideal.d == 2:
@@ -194,7 +192,7 @@ def h0_of_quotient(outer: MonomialIdeal, inner: MonomialIdeal, witnesses: bool =
         raise PreconditionError("inner ideal is not contained in the outer ideal")
     sat = inner.saturate()
     if witnesses:
-        return _count(outer.intersect(sat), inner, True)
+        return _count(outer.intersect(sat), inner)
     length = _between(sat.gens, inner.gens) - _between(sat.add(outer).gens, outer.gens)
     return H0Count(length, METHOD_BOX)
 

@@ -16,11 +16,14 @@ seed * I_(m-deg) over the seeds of degree deg <= m, one call of
 ``ideal_core.sum_of_products``, minimalized once.  A power family has one
 seed, in degree 1.  The limit family forms no product: each I_n is read off
 its closed form (``LimitRecursiveRule``).
+``_RULES`` gives each rule class its JSON type, field key and fixed d, if
+any; ``FamilySpec``, ``family_from_json`` and ``family_to_json`` all read it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import isqrt
@@ -49,16 +52,15 @@ class CounterRule:
     """I_n = (X Y^{a_n}, X^2) with a_n a formula tag or an explicit tuple."""
 
     a: Union[str, tuple[int, ...]]
+    _FORMULAS = {"n^2": lambda n: n * n, "n^3": lambda n: n ** 3, "2^n": lambda n: 2 ** n}
+
+    def __post_init__(self):
+        if isinstance(self.a, str) and self.a not in self._FORMULAS:
+            raise PreconditionError(f"unknown counter formula {self.a!r}")
 
     def value(self, n: int) -> int:
         if isinstance(self.a, str):
-            if self.a == "n^2":
-                return n * n
-            if self.a == "n^3":
-                return n ** 3
-            if self.a == "2^n":
-                return 2 ** n
-            raise PreconditionError(f"unknown counter formula {self.a!r}")
+            return self._FORMULAS[self.a](n)
         if n > len(self.a):
             raise PreconditionError(f"counter sequence has no term a_{n}")
         return self.a[n - 1]
@@ -71,7 +73,7 @@ class SqrtPrincipalRule:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or isqrt(self.k) ** 2 == self.k:
+        if _checked_int(self.k, "k") < 1 or isqrt(self.k) ** 2 == self.k:
             raise PreconditionError("k must be a positive non-square integer")
 
 
@@ -125,6 +127,10 @@ class LimitRecursiveRule:
 class NoetherianSeedsRule:
     seeds: tuple[tuple[int, Gens], ...]  # sorted (degree, generators)
 
+    def __post_init__(self):
+        if len({deg for deg, _ in self.seeds}) < len(self.seeds):
+            raise PreconditionError("two noetherian seeds share a degree")
+
 
 @dataclass(frozen=True)
 class TableRule:
@@ -134,6 +140,25 @@ class TableRule:
 Rule = Union[PowerRule, ProductGridRule, CounterRule, SqrtPrincipalRule,
              HyperbolaRule, LimitRecursiveRule, NoetherianSeedsRule, TableRule]
 
+# rule class: (JSON type, JSON key of its field or None, the one d it lives in or None)
+_RULES = {
+    PowerRule: ("power", "ideal", None),
+    ProductGridRule: ("product_grid", "ideals", None),
+    CounterRule: ("counter", "a", 2),
+    SqrtPrincipalRule: ("sqrt", "k", 1),
+    HyperbolaRule: ("hyperbola", "variant", 2),
+    LimitRecursiveRule: ("limit_recursive", None, 2),
+    NoetherianSeedsRule: ("noetherian", "seeds", None),
+    TableRule: ("table", "ideals", None),
+}
+
+
+def _check_fixed_d(cls: type, d: int, error: type = PreconditionError) -> None:
+    """Raise *error* if the rules of class *cls* live in one d and it is not *d*."""
+    kind, _, fixed = _RULES[cls]
+    if fixed not in (None, d):
+        raise error(f"a {kind} family lives in d = {fixed}, not d = {d}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -141,10 +166,9 @@ class FamilySpec:
     rule: Rule
 
     def __post_init__(self):
-        if isinstance(self.rule, (CounterRule, HyperbolaRule, LimitRecursiveRule)) and self.d != 2:
-            raise PreconditionError("this rule is specific to two variables")
-        if isinstance(self.rule, SqrtPrincipalRule) and self.d != 1:
-            raise PreconditionError("principal sqrt families live in one variable")
+        if type(self.rule) not in _RULES:
+            raise PreconditionError(f"unknown family rule {self.rule!r}")
+        _check_fixed_d(type(self.rule), self.d)
         if isinstance(self.rule, TableRule):
             if not self.rule.ideals:
                 raise PreconditionError("table family needs at least I_0")
@@ -236,7 +260,6 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
         if n >= len(rule.ideals):
             raise PreconditionError(f"table family has no I_{n}")
         return MonomialIdeal.from_gens(d, rule.ideals[n])
-    raise PreconditionError(f"unknown family rule {rule!r}")
 
 
 def _checked_index(n) -> int:
@@ -338,7 +361,7 @@ def growth_constants(spec: FamilySpec, n: int, memo: Optional[dict] = None) -> G
     constant is ceil((max+1)/n) (resp. over n^2).  *memo* is passed on to
     ``eval_family``.
     """
-    if n < 1:
+    if _checked_int(n, "n") < 1:
         raise PreconditionError("growth constants need n >= 1")
     ideal = eval_family(spec, n, memo)
     if ideal.is_zero:
@@ -357,15 +380,6 @@ def _json_gens(rows) -> Gens:
     return tuple(tuple(json_int(e) for e in g) for g in rows)
 
 
-def _checked_dim(dim: int, *gen_sets: Gens) -> int:
-    """dim, once every generator of every set is seen to have dim exponents."""
-    for gens in gen_sets:
-        for g in gens:
-            if len(g) != dim:
-                raise ParseError(f"generator {list(g)} does not have d = {dim} exponents")
-    return dim
-
-
 def family_from_json(data) -> FamilySpec:
     """Build a FamilySpec from a dict / JSON string (see README for shapes)."""
     if isinstance(data, str):
@@ -382,75 +396,58 @@ def family_from_json(data) -> FamilySpec:
     d = data.get("d")
     if d is not None and json_int(d) < 1:
         raise ParseError(f"family dimension d must be positive, got {d}")
-    fixed = {"counter": 2, "limit_recursive": 2, "hyperbola": 2, "sqrt": 1}.get(kind)
-    if fixed is not None and d is not None and d != fixed:
-        raise ParseError(f"a {kind} family lives in d = {fixed}, not d = {d}")
+    cls = next((c for c, entry in _RULES.items() if entry[0] == kind), None)
+    if cls is None:
+        raise ParseError(f"unknown family rule type {kind!r}")
+    _, key, fixed = _RULES[cls]
+    d = fixed if d is None else d
+    _check_fixed_d(cls, d, ParseError)
+    gen_sets: tuple[Gens, ...] = ()
     try:
-        if kind == "power":
-            gens = _json_gens(rule_obj["ideal"])
-            dim = d if d is not None else (len(gens[0]) if gens else None)
-            if dim is None:
-                raise ParseError("power rule needs a non-empty ideal or explicit d")
-            return FamilySpec(_checked_dim(dim, gens), PowerRule(gens))
-        if kind == "counter":
-            a = rule_obj["a"]
-            a = tuple(json_int(x) for x in a) if isinstance(a, list) else str(a)
-            return FamilySpec(2, CounterRule(a))
-        if kind == "limit_recursive":
-            return FamilySpec(2, LimitRecursiveRule())
-        if kind == "hyperbola":
-            return FamilySpec(2, HyperbolaRule(str(rule_obj["variant"])))
-        if kind == "sqrt":
-            return FamilySpec(1, SqrtPrincipalRule(json_int(rule_obj["k"])))
-        if kind == "noetherian":
-            seeds = tuple(sorted(
-                (int(deg), _json_gens(gens))
-                for deg, gens in rule_obj["seeds"].items()))
-            if not seeds:
+        field = rule_obj[key] if key else None
+        if cls is NoetherianSeedsRule:
+            bad = [deg for deg in field.keys() if not re.fullmatch("[1-9][0-9]*", str(deg))]
+            if bad:
+                raise ParseError(f"noetherian seed degree {bad[0]!r} is not a plain decimal >= 1")
+            field = tuple(sorted((int(deg), _json_gens(gens)) for deg, gens in field.items()))
+            if not field:
                 raise ParseError("noetherian rule needs at least one seed")
-            if seeds[0][0] < 1:
-                raise ParseError(f"noetherian seed degrees must be >= 1, got {seeds[0][0]}")
-            dim = d if d is not None else len(seeds[0][1][0])
-            return FamilySpec(_checked_dim(dim, *(gens for _, gens in seeds)),
-                              NoetherianSeedsRule(seeds))
-        if kind == "product_grid":
-            factors = tuple(_json_gens(gens) for gens in rule_obj["ideals"])
-            dim = d if d is not None else len(factors[0][0])
-            return FamilySpec(_checked_dim(dim, *factors), ProductGridRule(factors))
-        if kind == "table":
-            ideals = tuple(_json_gens(i) for i in rule_obj["ideals"])
-            dim = d
-            if dim is None:
-                widths = {len(g) for i in ideals for g in i}
-                if len(widths) != 1:
-                    raise ParseError("table rule needs an explicit d")
-                dim = widths.pop()
-            return FamilySpec(_checked_dim(dim, *ideals), TableRule(ideals))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            gen_sets = tuple(gens for _, gens in field)
+        elif cls is PowerRule:
+            field = _json_gens(field)
+            gen_sets = (field,)
+        elif cls in (ProductGridRule, TableRule):
+            field = gen_sets = tuple(map(_json_gens, field))
+        elif cls is CounterRule:
+            field = tuple(map(json_int, field)) if isinstance(field, list) else str(field)
+        elif cls is HyperbolaRule:
+            field = str(field)
+        elif cls is SqrtPrincipalRule:
+            field = json_int(field)
+        rule = cls(field) if key else cls()
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed family spec: {exc}") from exc
-    raise ParseError(f"unknown family rule type {kind!r}")
+    if d is None:
+        widths = {len(g) for gens in gen_sets for g in gens}
+        if len(widths) != 1:
+            raise ParseError(f"{kind} rule needs an explicit d")
+        d = widths.pop()
+    bad = [g for gens in gen_sets for g in gens if len(g) != d]
+    if bad:
+        raise ParseError(f"generator {list(bad[0])} does not have d = {d} exponents")
+    return FamilySpec(d, rule)
+
+
+def _plain(value):
+    """A rule field as JSON: tuples become lists, and (degree, gens) seeds an object."""
+    if not isinstance(value, tuple):
+        return value
+    if value and all(type(s) is tuple and len(s) == 2 and type(s[0]) is int
+                     and type(s[1]) is tuple for s in value):
+        return {str(deg): _plain(gens) for deg, gens in value}
+    return [_plain(v) for v in value]
 
 
 def family_to_json(spec: FamilySpec) -> dict:
-    rule = spec.rule
-    if isinstance(rule, PowerRule):
-        body = {"type": "power", "ideal": [list(g) for g in rule.gens]}
-    elif isinstance(rule, ProductGridRule):
-        body = {"type": "product_grid",
-                "ideals": [[list(g) for g in gens] for gens in rule.factors]}
-    elif isinstance(rule, CounterRule):
-        body = {"type": "counter", "a": rule.a if isinstance(rule.a, str) else list(rule.a)}
-    elif isinstance(rule, LimitRecursiveRule):
-        body = {"type": "limit_recursive"}
-    elif isinstance(rule, HyperbolaRule):
-        body = {"type": "hyperbola", "variant": rule.variant}
-    elif isinstance(rule, SqrtPrincipalRule):
-        body = {"type": "sqrt", "k": rule.k}
-    elif isinstance(rule, NoetherianSeedsRule):
-        body = {"type": "noetherian",
-                "seeds": {str(deg): [list(g) for g in gens] for deg, gens in rule.seeds}}
-    elif isinstance(rule, TableRule):
-        body = {"type": "table", "ideals": [[list(g) for g in i] for i in rule.ideals]}
-    else:
-        raise PreconditionError(f"cannot serialize rule {rule!r}")
-    return {"d": spec.d, "rule": body}
+    kind, key, _ = _RULES[type(spec.rule)]
+    return {"d": spec.d, "rule": {"type": kind, **{key: _plain(v) for v in vars(spec.rule).values()}}}

@@ -13,13 +13,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .asymptotics import extract_epsilons, fit_quasi_polynomial, length_table
+from .asymptotics import fit_epsilons, length_table
 from .cohomology import h0_length
-from .errors import InsufficientDataError
 from .families import (CounterRule, FamilySpec, HyperbolaRule, LimitRecursiveRule,
                        SqrtPrincipalRule, _ceil_div, eval_family, power_family,
                        product_grid_family)
-from .ideal_core import MonomialIdeal
+from .ideal_core import MonomialIdeal, _checked_int
 from .polyhedra import analytic_spread, out_region
 
 
@@ -153,21 +152,11 @@ def limit_trend(points: Sequence[int] = (25, 50, 100),
 # The volume identity and positivity.
 
 
-def fit_epsilon(ideal: MonomialIdeal, n_max: int = 12, start: int = 3,
+def fit_epsilon(ideal: MonomialIdeal, n_max: int = 12, start: Optional[int] = 3,
                 period_max: int = 6, holdout: int = 2):
-    """(epsilon, period) from the length quasi-polynomial of the powers.
-
-    The window is checked before any power is built: the loosest period, 1,
-    needs d + 1 fitted powers and one more, fitted or held out.
-    """
-    lo, need = max(start, 1), ideal.d + 1 + max(holdout, 1)
-    if n_max - lo + 1 < need:
-        raise InsufficientDataError(f"powers {lo}..{n_max} are fewer than the {need} a degree-{ideal.d} "
-                                    f"fit with {holdout} held out needs")
-    table = length_table(power_family(ideal), range(1, n_max + 1))
-    quasi = fit_quasi_polynomial(table, degree=ideal.d, period_max=period_max,
-                                 holdout=holdout, start=start)
-    report = extract_epsilons(quasi, ideal.d)
+    """(epsilon, fit) from the length quasi-polynomial of the powers 1..n_max (``fit_epsilons``)."""
+    quasi, report = fit_epsilons(power_family(ideal), range(1, _checked_int(n_max, "fit n_max") + 1),
+                                 period_max=period_max, holdout=holdout, start=start)
     return report.epsilon, quasi
 
 
@@ -238,9 +227,7 @@ def mixed_grid_case(grid_max: int = 8, start: int = 3) -> dict:
     ideal = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
     spec = product_grid_family([ideal, ideal])
     grid = [(i, j) for i in range(1, grid_max + 1) for j in range(1, grid_max + 1)]
-    table = length_table(spec, grid)
-    quasi = fit_quasi_polynomial(table, degree=2, period_max=4, holdout=4, start=start)
-    report = extract_epsilons(quasi, 2)
+    quasi, report = fit_epsilons(spec, grid, period_max=4, holdout=4, start=start)
     expected_top = {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 2): Fraction(1)}
     expected_mixed = {(2, 0): Fraction(2), (1, 1): Fraction(2), (0, 2): Fraction(2)}
     return {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import tall_fit_quasi_polynomial
 from epsmult import asymptotics, families
-from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons,
+from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons, fit_epsilons,
                                  fit_quasi_polynomial, length_table)
 from epsmult.errors import (InsufficientDataError, NoFitError, PreconditionError,
                             TheoremViolationError)
@@ -181,12 +181,59 @@ class TestFit:
             fit_quasi_polynomial(t, **{"degree": 2, **kwargs})
 
     @pytest.mark.parametrize("name, value", [("degree", 2.0), ("degree", True),
-                                             ("period_max", "4"), ("holdout", 1.5)])
+                                             ("period_max", "4"), ("holdout", 1.5),
+                                             ("start", 2.5), ("start", True)])
     def test_non_integer_arguments_rejected(self, name, value):
         t = table_from(lambda n: n * n, 12)
         with pytest.raises(PreconditionError) as info:
             fit_quasi_polynomial(t, **{"degree": 2, name: value})
         assert str(info.value) == f"fit {name} must be an integer, got {value!r}"
+
+
+class TestFitEpsilons:
+    """The one table -> fit -> degree-d pipeline, and the checks it makes first."""
+
+    I = MonomialIdeal.from_gens(2, [(1, 2), (2, 0)])
+
+    def test_matches_the_steps_it_runs(self):
+        spec = product_grid_family([self.I, MonomialIdeal.from_gens(2, [(1, 1), (0, 3)])])
+        grid = list(itertools.product(range(1, 9), repeat=2))
+        quasi, report = fit_epsilons(spec, grid, period_max=4, holdout=4)
+        by_hand = fit_quasi_polynomial(length_table(spec, grid), 2, period_max=4, holdout=4, start=3)
+        assert quasi == by_hand and report == extract_epsilons(by_hand, 2)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"degree": 1}, "fit degree must be at least 2, got 1"),
+        ({"degree": 2.0}, "fit degree must be an integer, got 2.0"),
+        ({"period_max": 0}, "fit period_max must be at least 1, got 0"),
+        ({"holdout": -1}, "fit holdout must be at least 0, got -1"),
+        ({"start": 2.5}, "fit start must be an integer, got 2.5"),
+        ({"start": True}, "fit start must be an integer, got True"),
+        # period 1 needs 3 points and 2 more: powers 3..6 are 4
+        ({"holdout": 2}, "4 indices in the window; a degree-2 fit with 2 held out needs 5"),
+        ({"start": 7}, "0 indices in the window; a degree-2 fit with 0 held out needs 4"),
+    ])
+    def test_arguments_and_window_checked_before_the_table(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(asymptotics, "length_table", lambda *args: pytest.fail("length table built"))
+        with pytest.raises(PreconditionError) as info:
+            fit_epsilons(power_family(self.I), range(1, 7), **kwargs)
+        assert str(info.value) == message
+
+    def test_window_just_large_enough(self):
+        quasi, report = fit_epsilons(power_family(self.I), range(1, 7), holdout=1)
+        assert (quasi.period, report.epsilon) == (1, 2)
+
+    @pytest.mark.parametrize("n_max", [12.5, "12", True])
+    def test_fit_epsilon_checks_n_max(self, n_max):
+        with pytest.raises(PreconditionError) as info:
+            fit_epsilon(self.I, n_max=n_max)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == f"fit n_max must be an integer, got {n_max!r}"
+
+    @pytest.mark.parametrize("start", [2.5, True])
+    def test_fit_epsilon_checks_start(self, start):
+        with pytest.raises(PreconditionError, match="fit start must be an integer"):
+            fit_epsilon(self.I, start=start)
 
 
 def random_fit_case(rng):

@@ -156,6 +156,26 @@ class TestExitCodes:
         assert main(["family", command, "--spec", str(spec), flag, "2"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("key", ["01", " 2", "1_0", "+1", "1.0"])
+    def test_seed_degree_not_in_plain_decimal_is_1(self, capsys, tmp_path, key):
+        # int("1_0") is 10 and int("01") is 1; the key must be the degree's own digits
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"type": "noetherian", "seeds": {key: [[1, 0]], "1": [[0, 1]]}}))
+        assert main(["family", "run", "--spec", str(spec), "--range", "1:3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: error: noetherian seed degree {key!r} is not a plain decimal >= 1\n"
+
+    def test_unknown_counter_formula_is_2_before_any_ideal(self, capsys, tmp_path, monkeypatch):
+        from epsmult import families
+        monkeypatch.setattr(families, "_eval", lambda *args: pytest.fail("ideal built"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"type": "counter", "a": "n^4"}))
+        assert main(["family", "run", "--spec", str(spec), "--range", "1:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: precondition violated: unknown counter formula 'n^4'\n"
+
     @pytest.mark.parametrize("text", [",", " ", " , "])
     def test_empty_index_is_1(self, capsys, tmp_path, text):
         spec = tmp_path / "spec.json"
@@ -220,8 +240,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("degree", ["1", "-1"])
     def test_mixed_degree_below_d_is_2_before_the_table(self, capsys, monkeypatch, degree):
-        from epsmult import cli as cli_mod
-        monkeypatch.setattr(cli_mod, "length_table",
+        from epsmult import asymptotics
+        monkeypatch.setattr(asymptotics, "length_table",
                             lambda *args: pytest.fail("length table built"))
         assert main(["mixed", "--ideals", "x*y^2, x^2; x*y, y^3", "--grid", "1:10",
                      "--degree", degree]) == 2
@@ -234,10 +254,28 @@ class TestExitCodes:
         ["--ideal", "x*y^2, x^2", "--nmax", "5", "--holdout", "0", "--method", "both"],
     ])
     def test_epsilon_fit_window_is_2_before_the_table(self, capsys, monkeypatch, argv):
-        from epsmult import repro
-        monkeypatch.setattr(repro, "length_table", lambda *args: pytest.fail("length table built"))
+        from epsmult import asymptotics
+        monkeypatch.setattr(asymptotics, "length_table", lambda *args: pytest.fail("length table built"))
         assert main(["epsilon", *argv]) == 2
         assert capsys.readouterr().out == ""
+
+    MIXED = ["mixed", "--ideals", "x*y^2, x^2; x*y, y^3"]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*MIXED, "--grid", "1:10", "--period-max", "0"], "fit period_max must be at least 1, got 0"),
+        ([*MIXED, "--grid", "1:10", "--holdout", "-3"], "fit holdout must be at least 0, got -3"),
+        # 6 unknowns in two indices and 4 held out: the window 3..4 x 3..4 has 4 points
+        ([*MIXED, "--grid", "1:4"], "4 indices in the window; a degree-2 fit with 4 held out needs 10"),
+        (["epsilon", "--ideal", "x*y^2, x^2", "--method", "fit", "--period-max", "0"],
+         "fit period_max must be at least 1, got 0"),
+    ])
+    def test_fit_argument_is_2_before_the_table(self, capsys, monkeypatch, argv, message):
+        from epsmult import asymptotics
+        monkeypatch.setattr(asymptotics, "length_table", lambda *args: pytest.fail("length table built"))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"eps: precondition violated: {message}\n"
 
     def test_epsilon_fit_window_just_large_enough(self, capsys):
         # 3 unknowns in d = 2: powers 3..7 fit 3 and hold out 2

@@ -131,9 +131,8 @@ class TestEval:
                                 MonomialIdeal.from_gens(2, [(0, 1)])])
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: FamilySpec(3, CounterRule("n^2")), "this rule is specific to two variables"),
-        (lambda: FamilySpec(2, SqrtPrincipalRule(2)),
-         "principal sqrt families live in one variable"),
+        (lambda: FamilySpec(3, CounterRule("n^2")), "a counter family lives in d = 2, not d = 3"),
+        (lambda: FamilySpec(2, SqrtPrincipalRule(2)), "a sqrt family lives in d = 1, not d = 2"),
         (lambda: FamilySpec(2, TableRule(())), "table family needs at least I_0"),
         (lambda: product_grid_family([]), "product grid needs at least one factor"),
         (lambda: product_grid_family([MonomialIdeal.from_gens(2, [(1, 0)]),
@@ -148,6 +147,12 @@ class TestEval:
         (lambda: growth_constants(POWER, 0), "growth constants need n >= 1"),
         (lambda: growth_constants(FamilySpec(2, TableRule((((0, 0),), ((0, 0),)))), 1),
          "I_1 is the unit ideal"),
+        (lambda: SqrtPrincipalRule(2.5), "k must be an integer, got 2.5"),
+        (lambda: SqrtPrincipalRule("2"), "k must be an integer, got '2'"),
+        (lambda: growth_constants(POWER, "3"), "n must be an integer, got '3'"),
+        (lambda: NoetherianSeedsRule(((1, ((1, 0),)), (1, ((0, 1),)))),
+         "two noetherian seeds share a degree"),
+        (lambda: FamilySpec(2, "n^2"), "unknown family rule 'n^2'"),
         (lambda: check_structure(TestEval.GRID, 3),
          "structure checks apply to singly indexed families"),
         (lambda: generation_degree(TestEval.GRID, 2, 2),
@@ -307,10 +312,33 @@ class TestJson:
             FamilySpec(2, HyperbolaRule("upper")),
             FamilySpec(1, SqrtPrincipalRule(5)),
             FamilySpec(2, NoetherianSeedsRule(((1, ((1, 0),)), (2, ((0, 2),))))),
+            FamilySpec(2, NoetherianSeedsRule(((2, ((1, 0),)), (10, ((0, 2),))))),
+            FamilySpec(2, NoetherianSeedsRule(((1, ((1, 0), (0, 1))),))),
+            FamilySpec(2, PowerRule(())),
+            FamilySpec(2, CounterRule(())),
             FamilySpec(1, TableRule((((0,),), ((2,),)))),
         ]
         for spec in specs:
             assert family_from_json(family_to_json(spec)) == spec
+
+    def test_seed_degrees_are_read_once_in_plain_decimal(self):
+        # "01" used to read as degree 1 beside "1", so the run used I_1 = (x, y)
+        # while the printed spec kept only one of the two seeds
+        for key in ("01", " 2", "1_0", "+1", "1.0"):
+            with pytest.raises(ParseError, match="is not a plain decimal >= 1"):
+                family_from_json({"type": "noetherian", "seeds": {key: [[1, 0]], "1": [[0, 1]]}})
+        spec = family_from_json({"type": "noetherian", "seeds": {"1": [[1, 0], [0, 1]]}})
+        assert family_to_json(spec)["rule"]["seeds"] == {"1": [[1, 0], [0, 1]]}
+        # a Python dict may also carry int keys; one degree twice is refused
+        assert family_from_json({"type": "noetherian", "seeds": {10: [[1, 0]]}}) \
+            == FamilySpec(2, NoetherianSeedsRule(((10, ((1, 0),)),)))
+        with pytest.raises(PreconditionError, match="two noetherian seeds share a degree"):
+            family_from_json({"type": "noetherian", "seeds": {1: [[1, 0]], "1": [[0, 1]]}})
+
+    def test_printed_seed_keys_sort_as_text(self):
+        spec = FamilySpec(2, NoetherianSeedsRule(((2, ((1, 0),)), (10, ((0, 2),)))))
+        assert json.dumps(family_to_json(spec), sort_keys=True) == (
+            '{"d": 2, "rule": {"seeds": {"10": [[0, 2]], "2": [[1, 0]]}, "type": "noetherian"}}')
 
     def test_flat_and_nested_forms(self):
         nested = family_from_json({"d": 2, "rule": {"type": "counter", "a": "n^2"}})
@@ -340,6 +368,7 @@ class TestJson:
         "[1]",
         {"rule": {"type": "power", "ideal": []}},
         {"rule": {"type": "noetherian", "seeds": {}}},
+        {"rule": {"type": "noetherian", "seeds": [[1, 0]]}},
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ParseError):
