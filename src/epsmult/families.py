@@ -130,6 +130,8 @@ class NoetherianSeedsRule:
     def __post_init__(self):
         if len({deg for deg, _ in self.seeds}) < len(self.seeds):
             raise PreconditionError("two noetherian seeds share a degree")
+        if any(deg < 1 for deg, _ in self.seeds):
+            raise PreconditionError("a noetherian seed needs degree >= 1")
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,8 @@ class FamilySpec:
         if type(self.rule) not in _RULES:
             raise PreconditionError(f"unknown family rule {self.rule!r}")
         _check_fixed_d(type(self.rule), self.d)
+        if isinstance(self.rule, ProductGridRule) and not self.rule.factors:
+            raise PreconditionError("product grid needs at least one factor")
         if isinstance(self.rule, TableRule):
             if not self.rule.ideals:
                 raise PreconditionError("table family needs at least I_0")
@@ -418,6 +422,8 @@ def family_from_json(data) -> FamilySpec:
             gen_sets = (field,)
         elif cls in (ProductGridRule, TableRule):
             field = gen_sets = tuple(map(_json_gens, field))
+            if cls is ProductGridRule and not field:
+                raise ParseError("product grid needs at least one factor")
         elif cls is CounterRule:
             field = tuple(map(json_int, field)) if isinstance(field, list) else str(field)
         elif cls is HyperbolaRule:

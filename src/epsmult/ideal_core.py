@@ -10,9 +10,11 @@ number of variables ``d`` is a plain int, checked to be positive by
 ``sum_of_products`` builds a sum of products of ideals (a rung of a
 Noetherian family, or the one product of ``multiply``) and minimalizes it
 once: in two variables by ``_kernels.product`` (integer keys, one sort and
-one scan), otherwise by ``_antichain``.  ``_antichain`` does every other
-minimalization too: one lex sort and one pass in two and three variables,
-and above three a level sweep that ends in the three-variable pass.
+one scan), in three by ``_antichain`` over the distinct sums of
+``_kernels.distinct_sums`` (integer keys in a set, one sort), and above
+three by ``_antichain`` over all the sums as tuples.  ``_antichain`` does
+every other minimalization too: one lex sort and one pass in two and three
+variables, and above three a level sweep that ends in the three-variable pass.
 Exponents are Python ints throughout, so there is no overflow ceiling.
 ``_cuts`` is the one sweep up the distinct last exponents, with a running
 (d-1)-variable cut per generator set.  That minimalization, the slices of
@@ -208,7 +210,10 @@ def sum_of_products(d: int, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdea
 
     Every factor must live in *d* variables, zero pairs included; zero pairs
     are then dropped.  In d = 2 one ``_kernels.product`` builds every product
-    at once; otherwise one ``_antichain`` runs over all the sums.
+    at once.  In d = 3 ``_kernels.distinct_sums`` packs every sum into an
+    integer key and drops the repeats, and one ``_antichain`` sweeps the
+    distinct sums, already lex sorted.  Above three one ``_antichain`` runs
+    over all the sums as tuples.
     """
     live = []
     for a, b in pairs:
@@ -220,6 +225,8 @@ def sum_of_products(d: int, pairs: Iterable[tuple["MonomialIdeal", "MonomialIdea
         return MonomialIdeal.zero(d)
     if d == 2:
         return MonomialIdeal(d, _kernels.product(live), _trusted=True)
+    if d == 3:
+        return MonomialIdeal(d, _antichain(_kernels.distinct_sums(live)), _trusted=True)
     rows = [tuple(map(operator.add, g, h)) for a, b in live for g in a for h in b]
     return MonomialIdeal(d, _antichain(rows), _trusted=True)
 

@@ -156,6 +156,14 @@ class TestExitCodes:
         assert main(["family", command, "--spec", str(spec), flag, "2"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_product_grid_without_factors_is_1(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"d": 2, "type": "product_grid", "ideals": []}))
+        assert main(["family", "eval", "--spec", str(spec), "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "eps: error: product grid needs at least one factor\n"
+
     @pytest.mark.parametrize("key", ["01", " 2", "1_0", "+1", "1.0"])
     def test_seed_degree_not_in_plain_decimal_is_1(self, capsys, tmp_path, key):
         # int("1_0") is 10 and int("01") is 1; the key must be the degree's own digits
@@ -570,6 +578,19 @@ class TestFamilyCommands:
                         "--normalizer", "n^2*ln(n)")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.LIMIT_RUN_SHA256
+
+    # sha256 of `eps family run` on the powers of (xy, yz, x^2z) in d = 3 over
+    # 1..12: lengths 0, 1, 4, 9, 17, 29, 45, 66, 93, 126, 166, 214
+    POWER3_RUN_SHA256 = "3a5a4d7a9d29a651ad3ecf501ed807300d71d1b3f452600d878edb69c30c40f7"
+
+    def test_d3_power_family_run_is_pinned(self, capsys, tmp_path):
+        spec = tmp_path / "power3.json"
+        spec.write_text('{"d": 3, "rule": {"type": "power", "ideal": [[1,1,0],[0,1,1],[2,0,1]]}}')
+        code, out = run(capsys, "family", "run", "--spec", str(spec), "--range", "1:12")
+        assert code == 0
+        assert [e["length"] for e in json.loads(out)["entries"]] == \
+            [0, 1, 4, 9, 17, 29, 45, 66, 93, 126, 166, 214]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.POWER3_RUN_SHA256
 
     def test_threads_flag_is_gone(self, capsys, counter_spec):
         assert main(["family", "run", "--spec", counter_spec, "--range", "1:3",

@@ -163,6 +163,17 @@ class TestEval:
             call()
         assert type(info.value) is PreconditionError and str(info.value) == message
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_library_seed_degree_below_one_rejected(self, degree):
+        # the ladder used to raise a raw IndexError for these seeds
+        with pytest.raises(PreconditionError, match="^a noetherian seed needs degree >= 1$"):
+            eval_family(FamilySpec(2, NoetherianSeedsRule(((degree, ((1, 0),)), (2, ((0, 1),))))), 2)
+
+    def test_library_product_grid_without_factors_rejected(self):
+        # its one index () used to give R
+        with pytest.raises(PreconditionError, match="^product grid needs at least one factor$"):
+            FamilySpec(2, ProductGridRule(()))
+
     def test_growth_of_a_zero_ideal_rejected(self):
         gap = FamilySpec(2, NoetherianSeedsRule(((2, ((1, 0),)),)))
         with pytest.raises(ZeroIdealError):
@@ -369,6 +380,7 @@ class TestJson:
         {"rule": {"type": "power", "ideal": []}},
         {"rule": {"type": "noetherian", "seeds": {}}},
         {"rule": {"type": "noetherian", "seeds": [[1, 0]]}},
+        {"d": 2, "type": "product_grid", "ideals": []},
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ParseError):

@@ -481,8 +481,8 @@ def test_operands_straddling_the_int64_bound(rng):
 @pytest.mark.parametrize("offset", [0, 2048])
 def test_sum_of_products_matches_brute_force(offset):
     # zero and unit ideals among the pairs, empty and repeated pairs, and in
-    # d = 2 factors across 2^31 and past 2^64 next to small ones; each offset
-    # draws its own 400 cases
+    # d = 2 and 3 factors across 2^31 and past 2^64 next to small ones; each
+    # offset draws its own 400 cases
     rng = random.Random(20240817 + offset)
 
     def draw(d):
@@ -496,7 +496,7 @@ def test_sum_of_products_matches_brute_force(offset):
             gens = tuple(zip(sorted(rng.sample(range(24), k)),
                              sorted(rng.sample(range(24), k), reverse=True)))
         else:
-            values = STRADDLE if d == 2 and roll < 0.3 else range(6)
+            values = STRADDLE if d in (2, 3) and roll < 0.4 else range(6)
             gens = brute_minimal(tuple(rng.choice(values) for _ in range(d))
                                  for _ in range(rng.randint(1, 7)))
         return tuple_backed(d, gens)
@@ -548,6 +548,40 @@ def test_sum_of_products_mixes_factor_forms(monkeypatch):
     # the pairs may be any iterable, and all-zero pairs give the zero ideal
     assert sum_of_products(2, iter([(small, loose)])) == small * loose
     assert sum_of_products(2, ((zero, small), (loose, zero))).is_zero
+
+
+def test_distinct_sums_at_the_bound():
+    # each row times the origin, duplicate rows among them: the kernel gives
+    # each distinct row once, in lex order, whatever the field widths
+    rng = random.Random(33)
+    values = (0, 1, 2, 2**31 - 1, 2**31, 2**64, 2**64 + 1)
+    for n in (1, 2, 3, 8, 50):
+        for _ in range(20):
+            rows = [tuple(rng.choice(values) for _ in range(3)) for _ in range(n)]
+            rows += rows[: n // 2]  # duplicates
+            origin = ((0, 0, 0),)
+            assert _kernels.distinct_sums([(rows, origin)]) == sorted(set(rows))
+            assert _kernels.distinct_sums([(origin, rows), (rows[:1], origin)]) == sorted(set(rows))
+
+
+def test_d3_products_sweep_only_distinct_sums(monkeypatch):
+    # (xy, yz, x^2z)^29 * (xy, yz, x^2z): one packing of the 1,395 sums and
+    # one sweep over the 496 distinct ones; d = 4 sums stay tuples
+    I = ideal(3, *CLIFF_BASE)
+    low = I.power(29)
+    J = ideal(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
+    calls, swept = [], []
+    antichain, sums = ideal_core._antichain, _kernels.distinct_sums
+    monkeypatch.setattr(ideal_core, "_antichain", lambda rows: swept.append(len(rows)) or antichain(rows))
+    monkeypatch.setattr(_kernels, "distinct_sums", lambda pairs: calls.append(len(pairs)) or sums(pairs))
+    got = sum_of_products(3, [(low, I)])
+    assert len(low.gens) * len(I.gens) == 1395
+    assert calls == [1] and swept == [496] and len(got.gens) == 496
+    assert got.gens == antichain([tuple(map(sum, zip(g, h))) for g in low.gens for h in I.gens])
+    calls.clear()
+    swept.clear()
+    assert sum_of_products(4, [(J, J)]).gens == brute_rung([(J.gens, J.gens)])
+    assert calls == [] and swept[0] == 16
 
 
 # (xy, yz, x^2z): 9,720 rows go into the last product step of its 80th power.
