@@ -79,7 +79,8 @@ def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
         if idx not in counts:
             ideal = eval_family(spec, idx, memo)
             if ideal.is_zero:
-                raise ZeroIdealError(f"I_{idx} is the zero ideal")
+                label = idx[0] if len(idx) == 1 else idx
+                raise ZeroIdealError(f"I_{label} is the zero ideal")
             counts[idx] = h0_length(ideal)
     return LengthTable(spec.arity, {i: c.length for i, c in counts.items()},
                        tuple(sorted({c.method for c in counts.values()})))

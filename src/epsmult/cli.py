@@ -8,7 +8,10 @@ after its own name; h0, newton, epsilon and delta read one ideal from
 is canonical JSON by default (sorted keys, rationals as "p/q" strings) or CSV
 via --csv [PATH].  Exit codes: 0 success, 1 parse or usage error, 2
 precondition violation, 3 mathematically inconclusive (no fit, method
-disagreement, failed reproduction, timeout).
+disagreement, failed reproduction, timeout).  A run builds only the parser
+of the command it runs (for family, of its subcommand); help, a bare `eps`
+or `eps family` and unknown names build the whole tree, so help and errors
+read the same either way.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import sys
 from contextlib import contextmanager
@@ -39,95 +43,148 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _common() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (default)")
-    common.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH",
-                        help="CSV output to stdout or PATH")
-    common.add_argument("--timeout", type=int, default=0, metavar="SECS")
-    return common
+def _int(text: str) -> int:
+    """A plain ASCII decimal integer, with an optional sign and surrounding
+    spaces: the `type` of every integer flag.  int() alone would also take
+    `1_0` and other scripts' digits."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
-def _ideal(p: _Parser, flag: str = "--ideal", **kwargs) -> _Parser:
-    """*p* with the ideal flag (--ideals for mixed) and --dim added."""
-    p.add_argument(flag, required=True, **kwargs)
-    p.add_argument("--dim", type=int, default=None)
+def _common(p: _Parser) -> _Parser:
+    """*p* with the flags every leaf command takes."""
+    p.add_argument("--json", action="store_true", help="JSON output (default)")
+    p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH",
+                   help="CSV output to stdout or PATH")
+    p.add_argument("--timeout", type=_int, default=0, metavar="SECS")
     return p
 
 
-def build_parser() -> _Parser:
-    common = _common()
-    parser = _Parser(prog="eps", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _ideal(p: _Parser, flag: str = "--ideal", **kwargs) -> None:
+    """Add the common flags, the ideal flag (--ideals for mixed) and --dim to *p*."""
+    _common(p).add_argument(flag, required=True, **kwargs)
+    p.add_argument("--dim", type=_int, default=None)
 
-    p = _ideal(sub.add_parser("h0", parents=[common], help="H^0 length of R/I"))
+
+def _h0(p, rest):
     p.set_defaults(handler=cmd_h0)
+    _ideal(p)
     p.add_argument("--method", choices=["box", "takayama"], default="box")
     p.add_argument("--witnesses", action="store_true")
 
-    p = _ideal(sub.add_parser("newton", parents=[common], help="Newton polyhedron data"))
+
+def _newton(p, rest):
     p.set_defaults(handler=cmd_newton)
+    _ideal(p)
     p.add_argument("--facets", action="store_true")
     p.add_argument("--vertices", action="store_true")
     p.add_argument("--spread", action="store_true")
     p.add_argument("--epsilon", action="store_true")
 
-    p = _ideal(sub.add_parser("epsilon", parents=[common], help="epsilon multiplicity"))
+
+def _epsilon(p, rest):
     p.set_defaults(handler=cmd_epsilon)
+    _ideal(p)
     p.add_argument("--method", choices=["fit", "volume", "both"], default="both")
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--period-max", type=int, default=6)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=2)
+    p.add_argument("--nmax", type=_int, default=12)
+    p.add_argument("--period-max", type=_int, default=6)
+    p.add_argument("--start", type=_int, default=None)
+    p.add_argument("--holdout", type=_int, default=2)
 
-    p = _ideal(sub.add_parser("mixed", parents=[common], help="mixed epsilon multiplicities"),
-               "--ideals", help="semicolon-separated ideal specs")
+
+def _mixed(p, rest):
     p.set_defaults(handler=cmd_mixed)
+    _ideal(p, "--ideals", help="semicolon-separated ideal specs")
     p.add_argument("--grid", required=True, metavar="A:B")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--period-max", type=int, default=6)
-    p.add_argument("--start", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=4)
+    p.add_argument("--degree", type=_int, default=None)
+    p.add_argument("--period-max", type=_int, default=6)
+    p.add_argument("--start", type=_int, default=None)
+    p.add_argument("--holdout", type=_int, default=4)
 
-    p = sub.add_parser("family", help="graded family operations")
+
+def _family(p, rest):
     p.set_defaults(handler=cmd_family)
     fam = p.add_subparsers(dest="family_cmd", required=True)
-    f = fam.add_parser("eval", parents=[common])
-    f.add_argument("--spec", required=True)
+    for name in _named(_FAMILY, rest):
+        f = _common(fam.add_parser(name))
+        f.add_argument("--spec", required=True)
+        _FAMILY[name](f)
+
+
+def _family_eval(f):
     f.add_argument("--n", default=None)
     f.add_argument("--range", dest="index_range", default=None, metavar="A:B")
-    f = fam.add_parser("check", parents=[common])
-    f.add_argument("--spec", required=True)
-    f.add_argument("--N", type=int, required=True)
+
+
+def _family_check(f):
+    f.add_argument("--N", type=_int, required=True)
     f.add_argument("--mode", choices=["graded", "filtration"], default="graded")
-    f = fam.add_parser("growth", parents=[common])
-    f.add_argument("--spec", required=True)
-    f.add_argument("--n", type=int, default=None)
+
+
+def _family_growth(f):
+    f.add_argument("--n", type=_int, default=None)
     f.add_argument("--range", dest="index_range", default=None, metavar="A:B")
-    f = fam.add_parser("run", parents=[common])
-    f.add_argument("--spec", required=True)
+
+
+def _family_run(f):
     f.add_argument("--range", required=True, metavar="A:B")
     f.add_argument("--normalizer", default=None)
 
-    p = _ideal(sub.add_parser("delta", parents=[common],
-                              help="inverted-variable complex of a lattice point"))
-    p.set_defaults(handler=cmd_delta)
-    p.add_argument("--point", required=True, help="comma-separated exponents")
-    p.add_argument("--q", type=int, default=None)
 
-    p = sub.add_parser("repro", parents=[common], help="bundled reproduction cases")
+def _delta(p, rest):
+    p.set_defaults(handler=cmd_delta)
+    _ideal(p)
+    p.add_argument("--point", required=True, help="comma-separated exponents")
+    p.add_argument("--q", type=_int, default=None)
+
+
+def _repro(p, rest):
     p.set_defaults(handler=cmd_repro)
-    p.add_argument("--case", required=True, choices=CASES)
-    p.add_argument("--seed", type=int, default=None,
+    _common(p).add_argument("--case", required=True, choices=CASES)
+    p.add_argument("--seed", type=_int, default=None,
                    help="seed for randomized reproduction cases")
+
+
+# The command tree: name -> (help, builder) for the commands and name ->
+# builder for the family subcommands.  A command's builder takes its subparser
+# and the argv after its name, and adds the handler and flags; `build_parser`
+# calls only the builders on the path that argv names.
+_COMMANDS = {
+    "h0": ("H^0 length of R/I", _h0),
+    "newton": ("Newton polyhedron data", _newton),
+    "epsilon": ("epsilon multiplicity", _epsilon),
+    "mixed": ("mixed epsilon multiplicities", _mixed),
+    "family": ("graded family operations", _family),
+    "delta": ("inverted-variable complex of a lattice point", _delta),
+    "repro": ("bundled reproduction cases", _repro),
+}
+_FAMILY = {"eval": _family_eval, "check": _family_check,
+           "growth": _family_growth, "run": _family_run}
+
+
+def _named(table: dict, argv) -> list:
+    """The names of *table* to build: argv[0] alone when it is one of them,
+    else all of them, so that help, a missing name and an unknown one read
+    as they do in the whole tree."""
+    return [argv[0]] if argv and argv[0] in table else list(table)
+
+
+def build_parser(argv=()) -> _Parser:
+    """The `eps` parser, holding only the path that *argv* names (the whole
+    tree when argv names no command)."""
+    parser = _Parser(prog="eps", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _named(_COMMANDS, argv):
+        help_, build = _COMMANDS[name]
+        build(sub.add_parser(name, help=help_), argv[1:])
     return parser
 
 
 def _parse_range(text: str) -> range:
     try:
-        a, b = text.split(":")
-        lo, hi = int(a), int(b)
-    except ValueError as exc:
+        lo, hi = map(_int, text.split(":"))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ParseError(f"bad range {text!r}; expected A:B") from exc
     if lo > hi:
         raise ParseError(f"empty range {text!r}")
@@ -137,8 +194,8 @@ def _parse_range(text: str) -> range:
 def _parse_index(text: str):
     parts = [p for p in text.split(",") if p.strip()]
     try:
-        values = [int(p) for p in parts]
-    except ValueError as exc:
+        values = [_int(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
         raise ParseError(f"bad index {text!r}") from exc
     if not values:
         raise ParseError(f"empty index {text!r}")
@@ -362,7 +419,8 @@ def _emit(payload, args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         if args.timeout < 0:
             raise ParseError(f"timeout must be a non-negative integer, got {args.timeout}")
         if args.timeout > _MAX_ALARM:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epsmult
-from epsmult.cli import console_main, main
+from epsmult.cli import build_parser, console_main, main
+from epsmult.errors import ParseError
 from epsmult.ideal_core import MonomialIdeal, parse_ideal
 
 
@@ -197,6 +199,8 @@ class TestExitCodes:
         ("4", "point '4' has length 1, not 2"),
         ("0,-1", "point '0,-1' has a negative entry"),
         ("1,a", "bad index '1,a'"),
+        ("0,1_0", "bad index '0,1_0'"),
+        ("0,٥", "bad index '0,٥'"),
     ])
     def test_delta_point_mismatch_is_1(self, capsys, point, message):
         # a point outside the ideal's ring is a parse error, as a --dim mismatch is
@@ -204,6 +208,54 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"eps: error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["1:1_2", "١:٥"])
+    def test_grid_not_in_plain_decimal_is_1(self, capsys, grid):
+        assert main(["mixed", "--ideals", "x*y^2, x^2", "--grid", grid]) == 1
+        assert capsys.readouterr() == ("", f"eps: error: bad range {grid!r}; expected A:B\n")
+
+    INT_FLAGS = [
+        (["h0", "--ideal", "x"], "--timeout"),
+        (["h0", "--ideal", "x"], "--dim"),
+        (["epsilon", "--ideal", "x^2, y^2"], "--nmax"),
+        (["epsilon", "--ideal", "x^2, y^2"], "--period-max"),
+        (["epsilon", "--ideal", "x^2, y^2"], "--start"),
+        (["epsilon", "--ideal", "x^2, y^2"], "--holdout"),
+        (["mixed", "--ideals", "x; y", "--grid", "1:3"], "--degree"),
+        (["mixed", "--ideals", "x; y", "--grid", "1:3"], "--period-max"),
+        (["mixed", "--ideals", "x; y", "--grid", "1:3"], "--start"),
+        (["mixed", "--ideals", "x; y", "--grid", "1:3"], "--holdout"),
+        (["family", "check", "--spec", "spec.json"], "--N"),
+        (["family", "growth", "--spec", "spec.json"], "--n"),
+        (["delta", "--ideal", "x", "--point", "1"], "--q"),
+        (["repro", "--case", "irrational"], "--seed"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", INT_FLAGS)
+    @pytest.mark.parametrize("text", ["1_0", "٩", "x"])
+    def test_integer_flag_not_in_plain_decimal_is_1(self, capsys, argv, flag, text):
+        # `--timeout 1_0` used to set a 10 s limit and `--nmax ٩` to fit to n = 9
+        assert main([*argv, flag, text]) == 1
+        assert capsys.readouterr() == ("", f"eps: error: argument {flag}: invalid int value: {text!r}\n")
+
+    def test_integers_keep_their_sign_and_spaces(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"d": 2, "rule": {"type": "counter", "a": "n^2"}}')
+        assert main(["h0", "--ideal", "x^2, y^2", "--dim", " +2 ", "--timeout", "-0"]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 4
+        assert main(["family", "run", "--spec", str(spec), "--range", " +1: 3 "]) == 0
+        assert [e["index"] for e in json.loads(capsys.readouterr().out)["entries"]] == [1, 2, 3]
+        assert main(["family", "eval", "--spec", str(spec), "--n", " -1"]) == 2
+        assert capsys.readouterr().err == "eps: precondition violated: family indices must be non-negative\n"
+
+    @pytest.mark.parametrize("argv, label", [
+        (["epsilon", "--ideal", "0", "--dim", "2"], "1"),
+        (["mixed", "--ideals", "0; x", "--dim", "2", "--grid", "1:12", "--degree", "2"], "(1, 1)"),
+    ])
+    def test_zero_ideal_names_its_index(self, capsys, argv, label):
+        # a one-index family reads I_1, not I_(1,); a grid keeps its tuple
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"eps: precondition violated: I_{label} is the zero ideal\n")
 
     def test_mixed_without_ideals_is_1(self, capsys):
         assert main(["mixed", "--ideals", ";", "--grid", "1:3"]) == 1
@@ -216,6 +268,11 @@ class TestExitCodes:
         (["eval"], "give exactly one of --n or --range"),
         (["run", "--range", "5:2"], "empty range '5:2'"),
         (["run", "--range", "a:b"], "bad range 'a:b'; expected A:B"),
+        # int() reads `1_0` as 10 and other scripts' digits as their values
+        (["run", "--range", "1_0:1_2"], "bad range '1_0:1_2'; expected A:B"),
+        (["run", "--range", "٣:٥"], "bad range '٣:٥'; expected A:B"),
+        (["eval", "--n", "1_0"], "bad index '1_0'"),
+        (["eval", "--n", "٣"], "bad index '٣'"),
     ])
     def test_bad_family_indices_are_1(self, capsys, tmp_path, flags, message):
         spec = tmp_path / "spec.json"
@@ -606,6 +663,76 @@ class TestFamilyCommands:
                      "--seed", "3"]) == 1
         assert capsys.readouterr().out == ""
         assert main(["repro", "--case", "example-counter", "--seed", "3"]) == 0
+
+
+def _subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _help(parser, path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args([*path, "-h"])
+    return out.getvalue()
+
+
+COMMANDS = ["h0", "newton", "epsilon", "mixed", "family", "delta", "repro"]
+FAMILY = ["eval", "check", "growth", "run"]
+
+
+class TestParserTree:
+    """A run builds only the parser of its command; help and errors read as
+    in the whole tree, which `build_parser([])` builds."""
+
+    @pytest.mark.parametrize("path", [[], *([c] for c in COMMANDS),
+                                      *(["family", f] for f in FAMILY)])
+    def test_help_is_the_whole_trees(self, capsys, path):
+        with pytest.raises(SystemExit) as info:
+            main([*path, "-h"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == _help(build_parser([]), path)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["family"], "the following arguments are required: family_cmd"),
+        (["h0", "--ideal", "x", "--bogus"], "unrecognized arguments: --bogus"),
+        # a flag of a family subcommand that this run does not build
+        (["family", "run", "--spec", "spec.json", "--range", "1:3", "--N", "3"],
+         "unrecognized arguments: --N 3"),
+    ])
+    def test_errors_keep_their_text(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"eps: error: {message}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            build_parser([]).parse_args(argv)
+
+    @pytest.mark.parametrize("argv, dest, names", [
+        (["bogus"], "command", COMMANDS),
+        (["family", "bogus"], "family_cmd", FAMILY),
+    ])
+    def test_unknown_name_lists_every_choice(self, capsys, argv, dest, names):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        with pytest.raises(ParseError) as info:
+            build_parser([]).parse_args(argv)
+        assert (out, err) == ("", f"eps: error: {info.value}\n")
+        assert err.startswith(f"eps: error: argument {dest}: invalid choice: ")
+        assert all(name in err for name in names)
+
+    def test_a_run_builds_one_path(self):
+        tree = build_parser([])
+        assert list(_subcommands(tree)) == COMMANDS
+        assert list(_subcommands(_subcommands(tree)["family"])) == FAMILY
+        run = build_parser(["family", "run", "--spec", "spec.json", "--range", "1:3"])
+        assert list(_subcommands(run)) == ["family"]
+        assert list(_subcommands(_subcommands(run)["family"])) == ["run"]
+        assert list(_subcommands(build_parser(["h0", "--ideal", "x"]))) == ["h0"]
+        # a token after `family` that names no subcommand builds all four
+        partial = build_parser(["family", "--json", "run"])
+        assert list(_subcommands(_subcommands(partial)["family"])) == FAMILY
 
 
 class TestDeltaCommand:
