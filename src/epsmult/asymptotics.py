@@ -17,6 +17,17 @@ are the first point of each inconsistent class or, if there is none, each
 held-out index the candidate misses.  ``NoFitError`` carries the decided
 period with the fewest failures (the earliest on ties) and its first one;
 ``InsufficientDataError`` means that no period was decided.
+
+A period is judged only up to its first rank-deficient or inconsistent
+class, so a period-p fit whose smaller periods each fail at their first
+class runs (p - 1) + p^r eliminations, not one per class of every period.
+The error path loses nothing by the stop and solves no class again.  Each
+class of each period holds a subset of the rows of period 1's one class.
+So period 1 is decided whenever another period is, and one inconsistent
+class anywhere makes period 1 inconsistent: it fails once, the fewest
+possible, and is named.  Otherwise every full-rank class is consistent, and
+each decided period is judged to its end, its holdouts included.
+
 ``fit_epsilons`` is the one route from a family to its epsilons: it checks
 the fit arguments and the window, then tabulates, fits and extracts.
 """
@@ -130,10 +141,11 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
 
     The last ``holdout`` window entries are excluded from interpolation and
     must be reproduced exactly; ``start`` drops indices with any coordinate
-    below it before fitting.  Entries must be Python ints (lengths).  Each
-    period is judged as its classes are solved, as the module docstring says;
-    ``NoFitError`` names the decided period with the fewest failing classes
-    or holdouts (the earliest on ties) and its first failing index.
+    below it before fitting.  Entries must be Python ints (lengths).  A period
+    is judged up to its first rank-deficient or inconsistent class, which
+    the module docstring shows is enough to name the decided period with
+    the fewest failing classes or holdouts (the earliest on ties) and its
+    first failing index in ``NoFitError``.
     """
     _check_fit(degree, period_max, holdout, start)
     if any(type(v) is not int for v in table.entries.values()):
@@ -177,7 +189,7 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
             continue
         # per class the normal equations [A^T A | A^T l] of its rows A = [n^e]
         # and lengths l; the module docstring says why they decide rank and
-        # consistency exactly
+        # consistency exactly, and why one inconsistent class ends the period
         coeffs: dict[tuple[Index, Index], Fraction] = {}
         fails: list[Index] = []
         for res, pts in sorted(classes.items()):
@@ -193,19 +205,18 @@ def fit_quasi_polynomial(table: LengthTable, degree: int, period_max: int = 6,
                 break  # a rank-deficient class: the period cannot be decided
             den = m[k - 1][k - 1]
             num = [m[j][k] for j in range(k)]
-            if all(den * li == sum(map(mul, row, num)) for row, li in zip(zip(*cols), lengths)):
-                coeffs.update(((res, e), Fraction(x, den)) for e, x in zip(basis, num))
-            else:
-                fails.append(pts[0])
+            if not all(den * li == sum(map(mul, row, num)) for row, li in zip(zip(*cols), lengths)):
+                fails = [pts[0]]  # one failure: exact at period 1, which then wins
+                break
+            coeffs.update(((res, e), Fraction(x, den)) for e, x in zip(basis, num))
         else:
             candidate = QuasiPolynomial(r, a, degree, coeffs)
-            if not fails:
-                fails = [i for i in hold_idx if tuple(n % a for n in i) not in classes
-                         or candidate.evaluate(i) != table.entries[i]]
+            fails = [i for i in hold_idx if tuple(n % a for n in i) not in classes
+                     or candidate.evaluate(i) != table.entries[i]]
             if not fails:
                 return candidate
-            if best is None or len(fails) < len(best[1]):
-                best = (a, fails)
+        if fails and (best is None or len(fails) < len(best[1])):
+            best = (a, fails)
     if best is None:
         raise InsufficientDataError(
             f"no period <= {period_max} has {k} independent points per residue class")
@@ -285,8 +296,8 @@ class ConvergenceReport:
 def _parse_normalizer(text: str) -> tuple[Fraction, bool]:
     import re
 
-    # a power p or p/q with q > 0
-    m = re.fullmatch(r"n(?:\^\(?(\d+(?:/0*[1-9]\d*)?)\)?)?(\*ln\(n\))?", text.replace(" ", ""))
+    # a power p or p/q with q > 0, in ASCII digits
+    m = re.fullmatch(r"n(?:\^\(?([0-9]+(?:/0*[1-9][0-9]*)?)\)?)?(\*ln\(n\))?", text.replace(" ", ""))
     if not m:
         raise PreconditionError(f"cannot parse normalizer {text!r}; use n^p or n^p*ln(n)")
     p = Fraction(m.group(1)) if m.group(1) else Fraction(1)

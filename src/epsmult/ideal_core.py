@@ -383,9 +383,10 @@ class MonomialIdeal:
 # Accepted ideal syntax: either a JSON array of exponent arrays, e.g.
 # [[1,2],[2,0]], or a comma-separated monomial string such as
 # "x1*x2^2, x1^2".  For d <= 3 the aliases x, y, z stand for x1, x2, x3.
-# "1" denotes the unit ideal and "0" the zero ideal.
+# "1" denotes the unit ideal and "0" the zero ideal.  Variable indices and
+# exponents are written in the ASCII digits 0-9 only.
 
-_FACTOR_RE = re.compile(r"^(x(\d+)|[xyz])(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^(x([0-9]+)|[xyz])(?:\^([0-9]+))?$")
 _ALIAS = {"x": 1, "y": 2, "z": 3}
 
 

@@ -288,6 +288,35 @@ def fit_outcome(fit, table, kwargs):
     return ("fit", q.period, q.coeffs)
 
 
+def period_table(rng, arity, period, degree, window):
+    """Lengths over *window* of sum c_{res,e} prod_i C(n_i, e_i), with integer
+    c per residue class mod *period*.  The constant term of a class is its
+    place in the list of residues, so no two classes share a polynomial."""
+    basis = [e for e in itertools.product(range(degree + 1), repeat=arity) if sum(e) <= degree]
+    residues = list(itertools.product(range(period), repeat=arity))
+    coeffs = {(res, e): (place if not any(e) else rng.randint(-3, 3))
+              for place, res in enumerate(residues) for e in basis}
+    entries = {}
+    for i in window:
+        res = tuple(n % period for n in i)
+        entries[i] = sum(coeffs[(res, e)] * math.prod(map(math.comb, i, e)) for e in basis)
+    return LengthTable(arity, entries, ())
+
+
+def long_period_case(rng):
+    """(table, fit arguments) of a seeded period-1..12 table in one index,
+    fitted with periods up to 14; some entries are perturbed."""
+    period, degree = rng.randint(1, 12), rng.randint(0, 2)
+    side = period * (degree + 3) + rng.randint(0, 6)
+    table = period_table(rng, 1, period, degree, [(n,) for n in range(1, side + 1)])
+    if rng.random() < 0.4:
+        for i in rng.sample(sorted(table.entries), rng.randint(1, 3)):
+            table.entries[i] += rng.choice([-2, -1, 1, 2])
+    kwargs = {"degree": max(0, degree + rng.choice([-1, 0, 0, 1])), "period_max": rng.randint(1, 14),
+              "holdout": rng.randint(0, 4), "start": rng.choice([None, 1, 5])}
+    return table, kwargs
+
+
 class TestNormalEquations:
     """The fit solves each residue class through its k x (k+1) normal
     equations; the tall elimination of every interpolation row, in
@@ -325,6 +354,72 @@ class TestNormalEquations:
             assert all(shape == (k, {k + 1}) for shape in shapes), (k, shapes)
             calls += len(shapes)
         assert calls > 0
+
+    def test_matches_tall_elimination_on_long_periods(self):
+        rng = random.Random(20261021)
+        kinds = set()
+        for _ in range(self.CASES):
+            table, kwargs = long_period_case(rng)
+            got = fit_outcome(fit_quasi_polynomial, table, kwargs)
+            assert got == fit_outcome(tall_fit_quasi_polynomial, table, kwargs), (table, kwargs)
+            window = [i for i in table.indices() if i[0] >= (kwargs["start"] or 0)]
+            if got[:2] == ("fit", 12):
+                kinds.add("periods 2..11 stopped with classes left")
+            if got[0] == "no fit" and got[2] in window[:len(window) - kwargs["holdout"]]:
+                # the named period failed at a class, so the search judged no
+                # more of it; by the subset argument it is period 1
+                assert got[1] == 1, (table, kwargs)
+                if kwargs["holdout"] and kwargs["period_max"] > 1:
+                    kinds.add("named a period stopped before its holdouts")
+        assert kinds == {"periods 2..11 stopped with classes left",
+                         "named a period stopped before its holdouts"}
+
+    @pytest.mark.parametrize("period_max, outcome", [(2, "no fit"), (3, "fit")])
+    def test_rank_deficient_class_after_a_failing_one(self, period_max, outcome):
+        # a period-3 table of degree 1 whose points with both coordinates odd
+        # lie on the diagonal: mod 2 the class (0, 0) is inconsistent and the
+        # class (1, 1) rank-deficient, so period 2 is never decided
+        window = [i for i in itertools.product(range(1, 10), repeat=2)
+                  if i[0] % 2 == 0 or i[1] % 2 == 0 or i[0] == i[1]]
+        table = period_table(random.Random(3), 2, 3, 1, window)
+
+        def fit_class(res):
+            sub = {i: v for i, v in table.entries.items() if (i[0] % 2, i[1] % 2) == res}
+            return fit_outcome(fit_quasi_polynomial, LengthTable(2, sub, ()),
+                               {"degree": 1, "period_max": 1})
+        assert fit_class((0, 0))[0] == "no fit" and fit_class((1, 1))[0] == "insufficient"
+        kwargs = {"degree": 1, "period_max": period_max, "holdout": 2}
+        got = fit_outcome(fit_quasi_polynomial, table, kwargs)
+        assert got == fit_outcome(tall_fit_quasi_polynomial, table, kwargs)
+        assert got[:2] == (outcome, 3 if outcome == "fit" else 1)
+
+    @pytest.mark.parametrize("arity, period", [(1, p) for p in range(2, 13)] + [(2, 2), (2, 3)])
+    def test_a_failed_period_stops_at_its_first_failing_class(self, monkeypatch, arity, period):
+        calls = []
+        bareiss = asymptotics.bareiss
+        monkeypatch.setattr(asymptotics, "bareiss", lambda rows: calls.append(rows) or bareiss(rows))
+        rng = random.Random(100 * arity + period)
+        degree = rng.randint(0, 2)
+        # every class of every period up to period + 2 has points enough for
+        # full rank, so judging each period to its end takes sum a^arity
+        # eliminations
+        side = (period + 2) * (degree + 3)
+        window = list(itertools.product(range(1, side + 1), repeat=arity))
+        table = period_table(rng, arity, period, degree, window)
+
+        def eliminations(period_max):
+            calls.clear()
+            got = fit_outcome(fit_quasi_polynomial, table, {"degree": degree, "period_max": period_max,
+                                                            "holdout": 2})
+            return got, len(calls)
+
+        got, count = eliminations(period + 2)
+        assert got[:2] == ("fit", period) and count <= period - 1 + period ** arity
+        got, count = eliminations(period - 1)
+        assert got[0] == "no fit" and count <= sum(a ** arity for a in range(1, period))
+        table.entries[window[rng.randrange(len(window) - 2)]] += 1
+        got, count = eliminations(period + 2)
+        assert got[0] == "no fit" and count <= sum(a ** arity for a in range(1, period + 3))
 
 
 def fraction_solve(rows, rhs):

@@ -48,6 +48,13 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["h0"]) == 1
 
+    @pytest.mark.parametrize("ideal, factor", [("x^\u0663, y^2", "x^\u0663"),
+                                               ("x\u0663^2, y^2", "x\u0663^2")])
+    def test_ideal_digits_not_in_ascii_is_1(self, capsys, ideal, factor):
+        # Arabic-Indic digits were read as an exponent 3 (length 6) and as the variable x3
+        assert main(["h0", "--ideal", ideal]) == 1
+        assert capsys.readouterr() == ("", f"eps: error: cannot parse monomial factor {factor!r}\n")
+
     def test_blank_ideal_is_1(self, capsys):
         assert main(["h0", "--ideal", ", ,"]) == 1
         assert capsys.readouterr() == ("", "eps: error: cannot parse ideal ', ,'\n")
@@ -106,6 +113,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("normalizer", ["n^(1/0)", "n^(3/00)", "n^(1/0)*ln(n)"])
     def test_zero_denominator_normalizer_is_2(self, capsys, tmp_path, normalizer):
         # Fraction("1/0") used to end in a ZeroDivisionError traceback
+        spec = tmp_path / "counter.json"
+        spec.write_text('{"d": 2, "rule": {"type": "counter", "a": "n^2"}}')
+        argv = ["family", "run", "--spec", str(spec), "--range", "1:3", "--normalizer", normalizer]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"eps: precondition violated: cannot parse normalizer {normalizer!r}; "
+                       "use n^p or n^p*ln(n)\n")
+
+    @pytest.mark.parametrize("normalizer", ["n^\u0662", "n^(\u0663/2)", "n^(1/1\u0662)*ln(n)"])
+    def test_normalizer_digits_not_in_ascii_is_2(self, capsys, tmp_path, normalizer):
+        # "n^\u0662" used to exit 0, normalizing by n^2 and echoing the text
         spec = tmp_path / "counter.json"
         spec.write_text('{"d": 2, "rule": {"type": "counter", "a": "n^2"}}')
         argv = ["family", "run", "--spec", str(spec), "--range", "1:3", "--normalizer", normalizer]
