@@ -45,9 +45,9 @@ from typing import Optional, Sequence
 
 from ._exactla import bareiss
 from .cohomology import h0_length
-from .errors import (InsufficientDataError, NoFitError, PreconditionError,
+from .errors import (EpsmultError, InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
-from .families import FamilySpec, _checked_index, eval_family
+from .families import FamilySpec, _checked_index, _key, _walk, eval_family
 from .ideal_core import _checked_int
 
 Index = tuple[int, ...]
@@ -77,24 +77,33 @@ class LengthTable:
 def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
     """H^0 lengths of R/I_n over the given indices, by the slab route.
 
-    The entries share one family memo, so each ideal of the family is built
-    once per table; the memo is dropped with the call.  ``eval_family``
-    checks every index.
+    The distinct indices are measured in sorted order (``families._walk``),
+    and each ideal is let go as soon as no later index steps from it, so the
+    table holds one int per entry and a few ideals, not every ideal it built.
+    If an index fails (it is not a valid index, the family has no such ideal
+    or it is zero), the indices are evaluated again in the order given, so
+    the error names the first that fails there.
     """
     idxs = [i if isinstance(i, tuple) else (i,) for i in indices]
     if not idxs:
         raise PreconditionError("empty index range")
-    memo: dict = {}
-    counts = {}
-    for idx in idxs:
-        if idx not in counts:
-            ideal = eval_family(spec, idx, memo)
+    lengths, methods = {}, set()
+    try:
+        for key, ideal in _walk(spec, sorted({_key(spec, i) for i in idxs})):
             if ideal.is_zero:
-                label = idx[0] if len(idx) == 1 else idx
-                raise ZeroIdealError(f"I_{label} is the zero ideal")
-            counts[idx] = h0_length(ideal)
-    return LengthTable(spec.arity, {i: c.length for i, c in counts.items()},
-                       tuple(sorted({c.method for c in counts.values()})))
+                break
+            count = h0_length(ideal)
+            lengths[key if isinstance(key, tuple) else (key,)] = count.length
+            methods.add(count.method)
+        else:
+            return LengthTable(spec.arity, lengths, tuple(sorted(methods)))
+    except EpsmultError:
+        pass
+    memo: dict = {}
+    for idx in idxs:
+        if eval_family(spec, idx, memo).is_zero:
+            raise ZeroIdealError(f"I_{idx[0] if len(idx) == 1 else idx} is the zero ideal")
+    raise AssertionError("an index failed the sorted walk but not the ordered one")
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,9 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
 
     Without witnesses no box is built: one variable gives the exponent, two
     the staircase area, and more the sum of (z' - z) * |S_z \\ I_z| over the
-    slices of ``ideal_core._sat_slices``, skipping those with S_z = I_z.
+    slices of ``ideal_core._sat_slices``, skipping those with S_z = I_z.  In
+    three, |S_z \\ I_z| = A(I_z) - A(S_z), A the staircase area, and every
+    slice from the first full one on is I_top, so A(I_top) is read once.
     """
     if ideal.is_zero:
         raise ZeroIdealError("H^0 length of R/0 is undefined here")
@@ -172,8 +174,21 @@ def h0_length(ideal: MonomialIdeal, method: str = METHOD_BOX, witnesses: bool = 
         return H0Count(ideal.gens[0][0], METHOD_BOX)
     if ideal.d == 2:
         return H0Count(_staircase_area(*zip(*ideal.gens)), METHOD_BOX)
-    length = sum((up - z) * _between(piece, cut) for z, up, cut, piece, _ in _sat_slices(ideal.gens)
-                 if up is not None and piece != cut)
+    if ideal.d > 3:
+        length = sum((up - z) * _between(piece, cut) for z, up, cut, piece, _ in _sat_slices(ideal.gens)
+                     if up is not None and piece != cut)
+        return H0Count(length, METHOD_BOX)
+    length, top, full_width = 0, None, 0
+    for z, up, cut, piece, full in _sat_slices(ideal.gens):
+        if up is None or piece == cut:
+            continue
+        length += (up - z) * _staircase_area(*zip(*cut))
+        if full:
+            top, full_width = piece, full_width + up - z
+        else:
+            length -= (up - z) * _staircase_area(*zip(*piece))
+    if full_width:
+        length -= full_width * _staircase_area(*zip(*top))
     return H0Count(length, METHOD_BOX)
 
 

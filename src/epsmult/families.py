@@ -9,8 +9,12 @@ their seed ideals and their ideals I_0, I_1, ... under the spec, and a
 product grid keeps its factor ideals and one dict of the entries built so
 far, so callers that share one dict pay for each ideal once, and nothing
 outlives the dict.  A grid entry I1^a ... Ik^c is the entry one step down
-in its last nonzero index times that one factor, so a table walked in lex
-order makes about one product by a factor per entry.
+(``_step``: in its last index >= 2 or, if there is none, its last nonzero
+one) times that one factor, so a table walked in lex order makes about one
+product by a factor per entry, and a box that starts at 1 steps outside
+itself only below (1, ..., 1).  ``_walk`` goes through sorted indices with a
+memo of its own and lets go of each ideal once no later index steps from
+it, which bounds what a length table holds.
 Power and Noetherian families are seeds rules: I_m is the sum of
 seed * I_(m-deg) over the seeds of degree deg <= m, one call of
 ``ideal_core.sum_of_products``, minimalized once.  A power family has one
@@ -27,7 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import isqrt
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .cohomology import max_socle_degree
 from .errors import ParseError, PreconditionError, ZeroIdealError
@@ -203,15 +207,27 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _step(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(j, the index one below *idx* in coordinate j) for a nonzero grid index,
+    j its last coordinate >= 2 or, if there is none, its last nonzero one."""
+    j = len(idx) - 1
+    while j >= 0 and idx[j] < 2:
+        j -= 1
+    if j < 0:
+        j = max(i for i, n in enumerate(idx) if n)
+    return j, idx[:j] + (idx[j] - 1,) + idx[j + 1:]
+
+
 def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
     """I_idx of *spec*, built through *memo*.
 
     A product grid keeps under its spec a dict of the entries built so far,
     seeded with R at the zero index, and its factor ideals.  A missing entry
-    is the entry one step down in its last nonzero index times that factor:
-    the walk goes down to the first entry held and climbs back one factor at
-    a time, keeping every entry on the way.  A seeds rule keeps its seeds and
-    its ladder I_0, I_1, ... and extends the ladder one rung at a time.  The
+    is the entry one step down (``_step``) times that factor: the walk goes
+    down to the first entry held and climbs back one factor at a time,
+    keeping every entry on the way.  So an entry dropped from the dict is
+    built again, from R if need be.  A seeds rule keeps its seeds and its
+    ladder I_0, I_1, ... and extends the ladder one rung at a time.  The
     limit family keeps nothing: each I_n is its closed form.
     """
     d, rule = spec.d, spec.rule
@@ -223,9 +239,9 @@ def _eval(spec: FamilySpec, idx: Index, memo: dict) -> MonomialIdeal:
         grid, factors = held
         steps = []
         while idx not in grid:
-            j = max(i for i, n in enumerate(idx) if n)
+            j, below = _step(idx)
             steps.append((idx, j))
-            idx = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
+            idx = below
         entry = grid[idx]
         for up, j in reversed(steps):
             entry = grid[up] = entry.multiply(factors[j])
@@ -275,22 +291,72 @@ def _checked_index(n) -> int:
     return n
 
 
+def _key(spec: FamilySpec, index: Index) -> Index:
+    """*index* checked, in the form ``_eval`` takes: a tuple for a product
+    grid, an int for the other rules (which also take a 1-tuple)."""
+    if isinstance(spec.rule, ProductGridRule):
+        if not isinstance(index, tuple) or len(index) != spec.arity:
+            raise PreconditionError(f"product grid index must be a {spec.arity}-tuple")
+        return tuple(map(_checked_index, index))
+    if isinstance(index, tuple):
+        if len(index) != 1:
+            raise PreconditionError("this family is singly indexed")
+        index = index[0]
+    return _checked_index(index)
+
+
 def eval_family(spec: FamilySpec, index: Index, memo: Optional[dict] = None) -> MonomialIdeal:
     """The ideal I_index of the family, minimalized.
 
     *memo* (None: a fresh dict) caches the ideals built on the way; it changes
     no result, but calls that share one dict share their work.
     """
-    memo = {} if memo is None else memo
-    if isinstance(spec.rule, ProductGridRule):
-        if not isinstance(index, tuple) or len(index) != spec.arity:
-            raise PreconditionError(f"product grid index must be a {spec.arity}-tuple")
-        return _eval(spec, tuple(map(_checked_index, index)), memo)
-    if isinstance(index, tuple):
-        if len(index) != 1:
-            raise PreconditionError("this family is singly indexed")
-        index = index[0]
-    return _eval(spec, _checked_index(index), memo)
+    return _eval(spec, _key(spec, index), {} if memo is None else memo)
+
+
+def _walk(spec: FamilySpec, keys: list) -> Iterator[tuple[Index, MonomialIdeal]]:
+    """(key, I_key) for the sorted distinct *keys* (``_key`` forms), each
+    built by ``_eval`` through a memo of the walk's own that lets go of an
+    ideal as soon as no later key steps from it.
+
+    A product grid first walks the keys dry, as ``_eval`` will, to find the
+    last key whose steps down pass or reach each entry, and drops the entry
+    there; on a full box that leaves R and at most r entries.  A seeds
+    ladder is climbed one rung at a time and keeps its last max-seed-degree
+    rungs, all that the next rung reads.  The other rules keep nothing.
+    """
+    memo: dict = {}
+    rule = spec.rule
+    if isinstance(rule, ProductGridRule):
+        last: dict = {(0,) * len(rule.factors): None}  # R stays
+        for t, idx in enumerate(keys):
+            while idx not in last:
+                last[idx] = t
+                idx = _step(idx)[1]
+            if last[idx] is not None:
+                last[idx] = t
+        drops: list = [[] for _ in keys]
+        for entry, t in last.items():
+            if t is not None:
+                drops[t].append(entry)
+        for idx, dropped in zip(keys, drops):
+            ideal = _eval(spec, idx, memo)
+            grid = memo[spec][0]
+            for entry in dropped:
+                del grid[entry]
+            yield idx, ideal
+    elif isinstance(rule, (PowerRule, NoetherianSeedsRule)):
+        depth = max(deg for deg, _ in rule.seeds) if isinstance(rule, NoetherianSeedsRule) else 1
+        wanted = set(keys)
+        for m in range(keys[-1] + 1):
+            ideal = _eval(spec, m, memo)
+            if m >= depth:  # no later rung reads rung m - depth
+                memo[spec][1][m - depth] = None
+            if m in wanted:
+                yield m, ideal
+    else:
+        for idx in keys:
+            yield idx, _eval(spec, idx, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -11,9 +12,12 @@ from conftest import tall_fit_quasi_polynomial
 from epsmult import asymptotics, families
 from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons, fit_epsilons,
                                  fit_quasi_polynomial, length_table)
+from epsmult.cohomology import h0_length
 from epsmult.errors import (InsufficientDataError, NoFitError, PreconditionError,
-                            TheoremViolationError)
-from epsmult.families import CounterRule, FamilySpec, SqrtPrincipalRule, power_family, product_grid_family
+                            TheoremViolationError, ZeroIdealError)
+from epsmult.families import (CounterRule, FamilySpec, LimitRecursiveRule, NoetherianSeedsRule,
+                              SqrtPrincipalRule, TableRule, eval_family, power_family,
+                              product_grid_family)
 from epsmult.ideal_core import MonomialIdeal
 from epsmult.polyhedra import out_region
 from epsmult.repro import fit_epsilon, random_ideal
@@ -52,6 +56,22 @@ class TestLengthTable:
         length_table(power_family(I), range(1, 9))
         assert len(calls) == 8
 
+    def test_failure_named_in_the_order_given(self):
+        # the walk meets the indices sorted; the error still names the first
+        # index that fails in the order given, duplicates and all
+        odd_zero = FamilySpec(1, NoetherianSeedsRule(((2, ((1,),)),)))  # I_n = 0 for odd n
+        grid = product_grid_family([I, MonomialIdeal.zero(2)])
+        short = FamilySpec(1, TableRule((((0,),), ((1,),), ((2,),))))
+        for spec, idxs, error, message in [
+            (odd_zero, [4, 3, 2, 3, 1], ZeroIdealError, "I_3 is the zero ideal"),
+            (odd_zero, [3, 1.5], ZeroIdealError, "I_3 is the zero ideal"),
+            (grid, [(1, 0), (2, 1), (0, 1), (2, 1)], ZeroIdealError, "I_(2, 1) is the zero ideal"),
+            (short, [1, 4, 1, 3], PreconditionError, "table family has no I_4"),
+        ]:
+            with pytest.raises(error) as info:
+                length_table(spec, idxs)
+            assert str(info.value) == message
+
     def test_empty_range_rejected(self):
         with pytest.raises(PreconditionError):
             length_table(power_family(I), [])
@@ -68,6 +88,72 @@ class TestLengthTable:
                 call()
             assert str(info.value) == expected
         assert t.value(2) == t.value((2,)) == 6 and q.evaluate(3) == 9
+
+
+def _tables(rng):
+    """(spec, indices) pairs: product grids with r = 1..3 over boxes from 0
+    and from 1 and over scattered points, Noetherian ladders with seed degrees
+    up to 7, and the power, counter, table and limit rules; the indices are
+    shuffled, with repeats."""
+    cases = []
+    for r in (1, 2, 3):
+        spec = product_grid_family([random_ideal(rng, 2, 3, 3) for _ in range(r)])
+        side = {1: 9, 2: 5, 3: 4}[r]
+        for lo in (0, 1):
+            cases.append((spec, list(itertools.product(range(lo, lo + side), repeat=r))))
+        cases.append((spec, [tuple(rng.randrange(6) for _ in range(r)) for _ in range(12)]))
+    for _ in range(6):
+        degrees = rng.sample(range(1, 8), rng.randint(1, 3))
+        seeds = tuple(sorted((deg, random_ideal(rng, 2, 3, 2).gens) for deg in degrees))
+        cases.append((FamilySpec(2, NoetherianSeedsRule(seeds)), rng.sample(range(16), 10)))
+    cases.append((power_family(random_ideal(rng, 3, 2, 3)), list(range(7))))
+    cases.append((FamilySpec(2, CounterRule("n^2")), list(range(1, 9))))
+    table = (((0, 0),), *(random_ideal(rng, 2, 4, 3).gens for _ in range(5)))
+    cases.append((FamilySpec(2, TableRule(table)), list(range(6))))
+    cases.append((FamilySpec(2, LimitRecursiveRule()), [0, *rng.sample(range(1, 40), 10)]))
+    for spec, idxs in cases:
+        idxs += rng.choices(idxs, k=len(idxs) // 3)
+        rng.shuffle(idxs)
+        yield spec, idxs
+
+
+def test_table_matches_each_ideal(rng):
+    # every entry equals the length of its ideal built on its own; a family
+    # with a zero ideal raises for the first zero index in the order given
+    for spec, idxs in _tables(rng):
+        ideals = [eval_family(spec, i) for i in idxs]
+        zero = next((i for i, ideal in zip(idxs, ideals) if ideal.is_zero), None)
+        if zero is not None:
+            with pytest.raises(ZeroIdealError) as info:
+                length_table(spec, idxs)
+            assert str(info.value) == f"I_{zero} is the zero ideal"
+            continue
+        table = length_table(spec, idxs)
+        assert table.entries == {i if isinstance(i, tuple) else (i,): h0_length(ideal).length
+                                 for i, ideal in zip(idxs, ideals)}
+        assert table.methods == ("box-enumeration",)
+
+
+def _live_ideals() -> int:
+    return sum(type(o) is MonomialIdeal for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("spec, idxs, held", [
+    # a 6^3 grid from 1 holds its 3 factors, R and at most 3 entries
+    (product_grid_family([MonomialIdeal.from_gens(2, g) for g in
+                          ([(1, 2), (2, 0)], [(0, 3), (2, 1)], [(0, 2), (3, 1)])]),
+     list(itertools.product(range(1, 7), repeat=3)), 3 + 3 + 1),
+    # a ladder with seeds in degrees 1, 3 and 7 holds them and 7 rungs
+    (FamilySpec(2, NoetherianSeedsRule(((1, ((1, 2),)), (3, ((3, 0),)), (7, ((0, 5),))))),
+     range(1, 31), 3 + 7),
+])
+def test_table_lets_go_of_ideals(monkeypatch, spec, idxs, held):
+    gc.collect()
+    before, peak = _live_ideals(), []
+    monkeypatch.setattr(asymptotics, "h0_length",
+                        lambda ideal: peak.append(_live_ideals() - before) or h0_length(ideal))
+    length_table(spec, idxs)
+    assert len(peak) == len(idxs) and max(peak) <= held
 
 
 class TestFit:

@@ -566,6 +566,17 @@ class TestMixedCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[(ideals, grid)]
 
+    # sha256 of `eps mixed` on the 20^3 grid of three d = 2 factors: 8,000
+    # lengths, from a table that holds a few of its ideals at a time
+    GRID20_SHA256 = "3589435084d5725d5d744f664ce32d98bb9bb0f4ab670b41a9e9fa2aedfe0317"
+
+    def test_twenty_cube_grid_is_pinned(self, capsys):
+        code, out = run(capsys, "mixed", "--ideals", "x*y^2, x^2; y^3, x^2*y; y^2, x^3*y",
+                        "--grid", "1:20", "--degree", "2", "--period-max", "4", "--holdout", "4",
+                        "--start", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GRID20_SHA256
+
 
 class TestFamilyCommands:
     @pytest.fixture

@@ -146,6 +146,30 @@ def test_slice_areas_equal_slabs_on_randoms(rng):
     assert unsaturated >= 20 and scanned >= 100
 
 
+def test_d3_reads_the_top_area_once(rng, monkeypatch):
+    # every slice from the first full one up is I_top, whose staircase area
+    # is read once, not at every level: the length stays the scan's and
+    # Takayama's
+    reads = []
+    area = cohomology._staircase_area
+    monkeypatch.setattr(cohomology, "_staircase_area", lambda *cols: reads.append(cols) or area(*cols))
+    base = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (2, 0, 1)])
+    ideals = [base.power(n) for n in range(1, 7)]
+    ideals += [with_pure_powers(rng, random_ideal(rng, 3, 4, 5)) for _ in range(20)]
+    saved = 0
+    for ideal in ideals:
+        reads.clear()
+        length = h0_length(ideal).length
+        levels = list(ideal_core._sat_slices(ideal.gens))
+        top = tuple(zip(*levels[-1][3]))
+        full = [up for _, up, cut, piece, full in levels if full and up is not None and piece != cut]
+        assert reads.count(top) == (1 if full else 0)
+        saved += len(full) - 1 if full else 0
+        assert length == h0_length_takayama(ideal).length
+        assert length == len(brute_socle(ideal, ideal.max_exponents()))
+    assert saved > 0
+
+
 def test_d3_length_needs_no_saturation_or_slabs(monkeypatch):
     # a length, and a quotient length, builds no boxes in any d; d = 3 does
     # not saturate either.  Only witnesses and the socle degree tile the

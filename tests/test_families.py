@@ -506,6 +506,20 @@ def test_product_grid_reuses_the_shorter_grid(rng, monkeypatch):
     assert len(calls) == n**3 - 1
 
 
+def test_box_from_one_steps_outside_only_below_ones(monkeypatch):
+    # an entry steps down its last index >= 2, so the [1..12]^3 table builds
+    # its 1,728 entries and only (1, 0, 0) and (1, 1, 0) outside the box;
+    # stepping down the last nonzero index took 1,884 products
+    from epsmult.asymptotics import length_table
+    calls = []
+    multiply = MonomialIdeal.multiply
+    monkeypatch.setattr(MonomialIdeal, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    spec = product_grid_family([MonomialIdeal.from_gens(2, g) for g in
+                                ([(1, 2), (2, 0)], [(0, 3), (2, 1)], [(0, 2), (3, 1)])])
+    length_table(spec, list(itertools.product(range(1, 13), repeat=3)))
+    assert len(calls) == 1730
+
+
 def oracle_ladder(spec, n):
     """I_0 .. I_n of a limit or Noetherian family, each rung by ``brute_rung``."""
     ladder = [((0,) * spec.d,)]
