@@ -44,10 +44,10 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from ._exactla import bareiss
-from .cohomology import h0_length
+from .cohomology import METHOD_CLOSED_FORM, h0_length
 from .errors import (EpsmultError, InsufficientDataError, NoFitError, PreconditionError,
                      TheoremViolationError, ZeroIdealError)
-from .families import FamilySpec, _checked_index, _key, _walk, eval_family
+from .families import FamilySpec, LimitRecursiveRule, _checked_index, _key, _walk, eval_family
 from .ideal_core import _checked_int
 
 Index = tuple[int, ...]
@@ -82,11 +82,15 @@ def length_table(spec: FamilySpec, indices: Sequence) -> LengthTable:
     table holds one int per entry and a few ideals, not every ideal it built.
     If an index fails (it is not a valid index, the family has no such ideal
     or it is zero), the indices are evaluated again in the order given, so
-    the error names the first that fails there.
+    the error names the first that fails there.  The limit family builds no
+    ideal: each length is ``LimitRecursiveRule.length``, O(sqrt n) per index.
     """
     idxs = [i if isinstance(i, tuple) else (i,) for i in indices]
     if not idxs:
         raise PreconditionError("empty index range")
+    if isinstance(spec.rule, LimitRecursiveRule):
+        keys = sorted({_key(spec, i) for i in idxs})
+        return LengthTable(1, {(n,): spec.rule.length(n) for n in keys}, (METHOD_CLOSED_FORM,))
     lengths, methods = {}, set()
     try:
         for key, ideal in _walk(spec, sorted({_key(spec, i) for i in idxs})):

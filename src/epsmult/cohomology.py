@@ -36,6 +36,7 @@ from .ideal_core import Monomial, MonomialIdeal, _sat_slices
 
 METHOD_BOX = "box-enumeration"
 METHOD_TAKAYAMA = "takayama"
+METHOD_CLOSED_FORM = "closed-form"  # a family's own length formula, no ideal built
 
 
 @dataclass(frozen=True)

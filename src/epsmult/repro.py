@@ -87,12 +87,33 @@ def lower_family_ideal(n: int) -> MonomialIdeal:
     return y_shift.multiply(j_lower).add(x_shift.multiply(j_upper))
 
 
+def lower_family_length(n: int) -> int:
+    """l(H^0(R/(Y^{n-1} J_n + X^{n-1} J'_n))) = 2 sum_a ceil(n^2/a) + 2n^2 - 8n + 4, n >= 2."""
+    return 2 * _ceil_sum(n) + 2 * n * n - 8 * n + 4
+
+
 def lower_family_erratum(ns: Sequence[int] = (2, 3)) -> dict:
     """Direct counts vs the closed-form prediction for the lower family.
 
     The prediction 2 sum_a ceil(n^2/a) + 2(n^2 - 3n + 1) overshoots direct
-    enumeration at small n (10 vs 8 at n = 2, 36 vs 32 at n = 3); enumeration
-    is the ground truth here and the discrepancy is flagged, not patched.
+    enumeration by exactly 2(n - 1) (10 vs 8 at n = 2, 36 vs 32 at n = 3);
+    enumeration is the ground truth here and the discrepancy is flagged, not
+    patched.  The identity is ``lower_family_length``.
+
+    Proof.  Let g(a) = n - 1 + ceil(n^2/a), weakly decreasing from
+    n^2 + n - 1 to g(n) = 2n - 1.  The generators are (a, g(a)) and their
+    mirrors (g(a), a), a = 1..n.  All lie in (XY), and X Y^(g(1)) and
+    X^(g(1)) Y are among them, so the saturation is (XY) and the length
+    counts the points (u, v) >= (1, 1) outside the ideal.  In column u <= n
+    the lowest generator at or left of u is (u, g(u)), as every mirror has
+    X >= 2n - 1 > u, so the column holds g(u) - 1 points: in all
+    sum_a ceil(n^2/a) + n^2 - 2n with u <= n, and as many with v <= n by
+    symmetry.  The n^2 points with u, v <= n are counted twice.  Every
+    generator has a coordinate >= 2n - 1, so a point with u, v > n lies in
+    the ideal exactly when u or v is >= 2n - 1, by (2n - 1, n) or
+    (n, 2n - 1): (n - 2)^2 points remain.  So the length is
+    2 (sum_a ceil(n^2/a) + n^2 - 2n) - n^2 + (n - 2)^2
+    = 2 sum_a ceil(n^2/a) + 2n^2 - 8n + 4.
     """
     rows = []
     for n in ns:
@@ -145,6 +166,26 @@ def limit_trend(points: Sequence[int] = (25, 50, 100),
         "decreasing": decreasing,
         "final_in_range": final_ok,
         "pass": decreasing and final_ok,
+    }
+
+
+def limit_exact_length(points: Sequence[int] = (25, 50, 100, 997), lower_max: int = 40) -> dict:
+    """The limit family's O(sqrt n) length (``LimitRecursiveRule.length``)
+    against the staircase of its built rung at *points*, and the lower
+    family's identity (``lower_family_length``) against enumeration for
+    n = 2..lower_max."""
+    spec = FamilySpec(2, LimitRecursiveRule())
+    lengths = [spec.rule.length(n) for n in points]
+    staircase = [h0_length(eval_family(spec, n)).length for n in points]
+    lower = [n for n in range(2, lower_max + 1)
+             if h0_length(lower_family_ideal(n)).length != lower_family_length(n)]
+    return {
+        "points": list(points),
+        "lengths": lengths,
+        "equals_staircase": lengths == staircase,
+        "lower_n_max": lower_max,
+        "lower_mismatches": lower,
+        "pass": lengths == staircase and not lower,
     }
 
 
@@ -269,7 +310,8 @@ CASES = {
     "example-counter": _counter_parts,
     "example-limit": lambda seed: {"hyperbola_sum_closed_form": hyperbola_sum_closed_form(40),
                                    "lower_family_erratum": lower_family_erratum(),
-                                   "sandwich": limit_sandwich(25), "trend": limit_trend()},
+                                   "sandwich": limit_sandwich(25), "trend": limit_trend(),
+                                   "exact_length": limit_exact_length()},
     "jm-volume": lambda seed: {"fixed": jm_fixed_cases(), "random": jm_random_cases(seed=seed),
                                "positivity": positivity_equivalence(seed=seed)},
     "mixed-grid": lambda seed: {"mixed_grid": mixed_grid_case()},

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tall_fit_quasi_polynomial
-from epsmult import asymptotics, families
+from epsmult import asymptotics, cohomology, families
 from epsmult.asymptotics import (LengthTable, convergence_report, extract_epsilons, fit_epsilons,
                                  fit_quasi_polynomial, length_table)
 from epsmult.cohomology import h0_length
@@ -131,7 +131,35 @@ def test_table_matches_each_ideal(rng):
         table = length_table(spec, idxs)
         assert table.entries == {i if isinstance(i, tuple) else (i,): h0_length(ideal).length
                                  for i, ideal in zip(idxs, ideals)}
-        assert table.methods == ("box-enumeration",)
+        limit = isinstance(spec.rule, LimitRecursiveRule)
+        assert table.methods == (("closed-form",) if limit else ("box-enumeration",))
+
+
+def test_limit_table_builds_no_rung(monkeypatch, rng):
+    # the limit family's lengths come from its O(sqrt n) sum: no rung is
+    # built and no staircase summed, and each entry still equals the length
+    # of its ideal built on its own
+    spec = FamilySpec(2, LimitRecursiveRule())
+    idxs = [0, 1, 2, 3, *rng.sample(range(4, 300), 20), 997]
+    idxs += rng.choices(idxs, k=8)
+    rng.shuffle(idxs)
+    expected = {(n,): h0_length(eval_family(spec, n)).length for n in idxs}
+    monkeypatch.setattr(LimitRecursiveRule, "rung", lambda self, n: pytest.fail("a rung was built"))
+    monkeypatch.setattr(cohomology, "h0_length", lambda *args, **kw: pytest.fail("a staircase was summed"))
+    monkeypatch.setattr(asymptotics, "h0_length", lambda *args, **kw: pytest.fail("a staircase was summed"))
+    table = length_table(spec, idxs)
+    assert table.entries == expected and table.methods == ("closed-form",)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([3, -1, "x"], "family indices must be non-negative"),
+    ([3, 2.0, -1], "family indices must be integers, got 2.0"),
+    ([(2, 3), 4], "this family is singly indexed"),
+])
+def test_limit_table_names_the_first_bad_index(bad, message):
+    with pytest.raises(PreconditionError) as info:
+        length_table(FamilySpec(2, LimitRecursiveRule()), bad)
+    assert str(info.value) == message
 
 
 def _live_ideals() -> int:

@@ -801,7 +801,7 @@ class TestReproCommand:
     # formatting of a reproduction shows up here
     PINNED = {
         "example-counter": "b5fb2f92f51799fec6ab0019986345c71f0d87eb4f9502753fc419125beb0009",
-        "example-limit": "507b26f49f74a9933139d630544ac047964e49f791786344dfdd645b05049a5d",
+        "example-limit": "ccc2aea2de6d0d5140ded214fc7c05cbb9e405190656d308d64af2e5f9d1c169",
         "jm-volume": "5044ea4fe8d3a0e601714606d608f7c6d31031cba53f1cdf81b1eced9bde497e",
         "mixed-grid": "baa70df1665a582e6abec1361d5ec66fe535b7496171952964f26efb4738135e",
         "irrational": "233c2620492ae427fe1ae3b11bf2a44905d3b8c3332ce859c43c79d286b297b7",
@@ -812,6 +812,16 @@ class TestReproCommand:
         code, out = run(capsys, "repro", "--case", case)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[case]
+
+    def test_example_limit_adds_only_exact_length(self, capsys):
+        # with exact_length cut out, the output is the one pinned before it was added
+        code, out = run(capsys, "repro", "--case", "example-limit")
+        assert code == 0
+        exact = json.loads(out)["exact_length"]
+        assert exact["pass"] and exact["equals_staircase"] and exact["lower_mismatches"] == []
+        cut = re.sub(r'"exact_length": \{[^{}]*\}, ', "", out)
+        assert hashlib.sha256(cut.encode()).hexdigest() == (
+            "507b26f49f74a9933139d630544ac047964e49f791786344dfdd645b05049a5d")
 
 
 class TestDeterminism:

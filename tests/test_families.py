@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsmult import families, repro
+from epsmult.cohomology import h0_length
 from epsmult.errors import ParseError, PreconditionError, ZeroIdealError
 from epsmult.families import (CounterRule, FamilySpec, HyperbolaRule,
                               LimitRecursiveRule, NoetherianSeedsRule, PowerRule,
@@ -585,7 +586,7 @@ def test_limit_rungs_form_no_product(monkeypatch):
 
 
 def test_limit_family_to_100_is_fast():
-    # rung m sums the m products S_k I_(m-k), minimalized in one sort
+    # rung m is read off its closed form: 2m - 1 generators from m divmods
     start = time.perf_counter()
     ideal = eval_family(LIMIT, 100)
     elapsed = time.perf_counter() - start
@@ -601,7 +602,8 @@ def test_limit_ladder_to_200_is_pinned():
 
 
 def test_limit_trend_to_400_is_fast(monkeypatch):
-    # about 2 m^2 sums in rung m: 4 * 10^7 over the ladder to 400
+    # the trend builds only rungs 100, 200 and 400, each from its closed
+    # form, and sums their staircases
     built = {}
     monkeypatch.setattr(repro, "eval_family",
                         lambda spec, n, memo=None: built.setdefault(n, eval_family(spec, n, memo)))
@@ -611,3 +613,31 @@ def test_limit_trend_to_400_is_fast(monkeypatch):
     assert trend["pass"], trend
     assert len(built[400].gens) == 799
     assert elapsed < 4.0, f"the limit trend to 400 took {elapsed:.2f} s"
+
+
+def test_limit_length_equals_the_rung_staircase():
+    for n in (*range(200), 997, 5000):
+        assert LIMIT.rule.length(n) == h0_length(eval_family(LIMIT, n)).length, n
+
+
+EULER_GAMMA = 0.57721566490153286061
+
+
+def test_limit_length_constant_is_4_gamma_minus_2():
+    # c(n) = (l(n) - 2 n^2 ln n)/n^2 -> 4 gamma - 2, with a remainder near -1/n
+    gaps = []
+    for k in range(2, 10):
+        n = 10**k
+        gaps.append(abs(LIMIT.rule.length(n) / (n * n) - 2 * math.log(n) - (4 * EULER_GAMMA - 2)))
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] < 1e-8, gaps
+
+
+def test_lower_family_identity():
+    # "direct" is h0_length(lower_family_ideal(n)); the erratum's prediction
+    # overshoots it by exactly 2(n - 1)
+    rows = repro.lower_family_erratum(range(2, 81))["rows"]
+    for n, row in zip(range(2, 81), rows):
+        ceil_sum = sum(-(-n * n // a) for a in range(1, n + 1))
+        assert row["direct"] == repro.lower_family_length(n) == 2 * ceil_sum + 2 * n * n - 8 * n + 4, n
+        assert row["formula"] - row["direct"] == 2 * (n - 1), n
